@@ -3,9 +3,11 @@ frequency estimator, and the mechanism base class.
 
 Every mechanism is a perturb/aggregate pair. Perturbation runs client-side
 on a single zone index; aggregation reduces many reports to per-zone count
-estimates. Aggregators reduce reports to integer sufficient statistics
-before doing float arithmetic, so the estimate is invariant under any
-permutation of the reports.
+estimates. The three mechanisms that report a randomized one-hot bit row
+(OUE over the L zones, CMS and RAPPOR over a hashed row) share one client
+randomizer, ``one_hot_rr``. Aggregators reduce reports to integer
+sufficient statistics before doing float arithmetic, so the estimate is
+invariant under any permutation of the reports.
 """
 from __future__ import annotations
 
@@ -47,6 +49,40 @@ def rr_bit(bit: int, epsilon: float, rng: np.random.Generator) -> int:
     if rng.random() < keep:
         return bit
     return 1 - bit
+
+
+# uniforms drawn per block by one_hot_rr: bounds its scratch buffer
+# at 4 MB (512 rows at width 1024, 8192 rows at width 64)
+_UNIFORM_BLOCK = 1 << 19
+
+
+def one_hot_rr(
+    positions, width: int, probs: PerturbProbabilities, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-bit randomized response on one-hot rows; returns n x width uint8.
+
+    Row i has a 1 at ``positions[i]`` before randomization: that bit is
+    reported as 1 with probability p and every other bit with probability
+    q. Each bit is one uniform compared against its threshold. The
+    uniforms are drawn row-major in blocks of at most ``_UNIFORM_BLOCK``
+    into one reused buffer, so the stream is the same as a single
+    ``rng.random((n, width))`` call while memory stays bounded for any n.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    n = positions.size
+    bits = np.empty((n, width), dtype=np.uint8)
+    block_rows = max(1, _UNIFORM_BLOCK // width)
+    buf = np.empty((min(block_rows, n), width))
+    rows = np.arange(buf.shape[0])
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        uniforms = buf[: stop - start]
+        rng.random(out=uniforms)
+        out = bits[start:stop]
+        np.less(uniforms, probs.q, out=out.view(np.bool_))
+        r, targets = rows[: stop - start], positions[start:stop]
+        out[r, targets] = uniforms[r, targets] < probs.p
+    return bits
 
 
 def estimate_frequency(
@@ -113,9 +149,11 @@ Report = Union[OlhReport, OueReport, TheReport, HrReport, CmsReport, RapporRepor
 class FrequencyOracle(abc.ABC):
     """Perturb/aggregate pair for one mechanism at fixed (l_zones, epsilon).
 
-    perturb() handles one user; perturb_batch() produces the same
-    distribution for a whole population in vectorized form. aggregate()
-    accepts either a sequence of reports or a batch container.
+    perturb_batch() perturbs a whole population in vectorized form and
+    returns a batch container whose reports() lists one report per user.
+    perturb() handles one user; by default it is a batch of one, so both
+    run the same sampler. aggregate() accepts either a sequence of reports
+    or a batch container.
     """
 
     name: ClassVar[str]
@@ -146,9 +184,9 @@ class FrequencyOracle(abc.ABC):
     def probabilities(self) -> PerturbProbabilities:
         """The (p, q) pair the aggregator debiases with."""
 
-    @abc.abstractmethod
     def perturb(self, zone: int, rng: np.random.Generator) -> Report:
-        """Perturb one user's zone into a report."""
+        """Perturb one user's zone into a report: a batch of one."""
+        return self.perturb_batch([self._check_zone(zone)], rng).reports()[0]
 
     @abc.abstractmethod
     def perturb_batch(self, zones, rng: np.random.Generator):

@@ -3,9 +3,13 @@
 Each user picks one of k public hash functions, one-hot encodes the hashed
 zone into an m-column row, and randomizes every bit independently with
 budget eps/2 per bit. A zone change moves exactly two bits, so the whole
-report is eps-private. The aggregator rebuilds a k x m sketch of debiased
-row sums and reads each zone's estimate through the same hash functions,
-with a m/(m-1) correction removing the uniform collision floor.
+report is eps-private. This client step is ``one_hot_rr``, shared
+with OUE and RAPPOR; RAPPOR's reports differ only in calling the row a
+cohort.
+
+The aggregator rebuilds a k x m sketch of debiased row sums and reads each
+zone's estimate through the same hash functions, with a m/(m-1)
+correction removing the uniform collision floor.
 
 Estimates are unbiased in expectation over the hash family; a single fixed
 family carries a small collision bias, which is why the simulator redraws
@@ -21,11 +25,8 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
-from .base import CmsReport, FrequencyOracle, PerturbProbabilities
+from .base import CmsReport, FrequencyOracle, PerturbProbabilities, one_hot_rr
 from .hashing import family_member_seed, hash_bucket_array
-
-# users per block when generating the n x m bit matrix, bounds peak memory
-_BATCH_ROWS = 8192
 
 
 def probabilities(epsilon: float) -> PerturbProbabilities:
@@ -44,6 +45,12 @@ class CmsBatch:
     @property
     def n_reports(self) -> int:
         return int(self.hash_indices.size)
+
+    def reports(self) -> list:
+        return [
+            CmsReport(hash_index=j, bits=tuple(row))
+            for j, row in zip(self.hash_indices.tolist(), self.bits.tolist())
+        ]
 
 
 class CountMeanSketch(FrequencyOracle):
@@ -66,10 +73,7 @@ class CountMeanSketch(FrequencyOracle):
         self.m = int(m)
         self.hash_seed = int(hash_seed)
         self._probs = probabilities(epsilon)
-        seeds = np.array(
-            [family_member_seed(self.hash_seed, j) for j in range(self.k)],
-            dtype=np.uint64,
-        )
+        seeds = family_member_seed(self.hash_seed, np.arange(self.k))
         zone_ids = np.arange(self.l_zones, dtype=np.uint64)
         # k x L table of hashed positions, shared by clients and aggregator
         self.targets = hash_bucket_array(seeds[:, None], zone_ids[None, :], self.m)
@@ -77,25 +81,10 @@ class CountMeanSketch(FrequencyOracle):
     def probabilities(self) -> PerturbProbabilities:
         return self._probs
 
-    def perturb(self, zone: int, rng: np.random.Generator) -> CmsReport:
-        zone = self._check_zone(zone)
-        j = int(rng.integers(0, self.k))
-        thresholds = np.full(self.m, self._probs.q)
-        thresholds[self.targets[j, zone]] = self._probs.p
-        bits = rng.random(self.m) < thresholds
-        return CmsReport(hash_index=j, bits=tuple(int(b) for b in bits))
-
     def perturb_batch(self, zones, rng: np.random.Generator) -> CmsBatch:
         zones = self._check_zones(zones)
-        n = zones.size
-        indices = rng.integers(0, self.k, size=n)
-        positions = self.targets[indices, zones]
-        bits = np.empty((n, self.m), dtype=np.uint8)
-        for start in range(0, n, _BATCH_ROWS):
-            stop = min(start + _BATCH_ROWS, n)
-            block = np.full((stop - start, self.m), self._probs.q)
-            block[np.arange(stop - start), positions[start:stop]] = self._probs.p
-            bits[start:stop] = rng.random((stop - start, self.m)) < block
+        indices = rng.integers(0, self.k, size=zones.size)
+        bits = one_hot_rr(self.targets[indices, zones], self.m, self._probs, rng)
         return CmsBatch(hash_indices=indices.astype(np.int64), bits=bits)
 
     def _as_batch(self, reports: Union[Sequence[CmsReport], CmsBatch]) -> CmsBatch:

@@ -3,9 +3,9 @@
 Python's builtin hash() is salted per process, so it cannot back a
 reproducible protocol. This module provides a splitmix-style finalizer in
 two exactly-matching flavors: scalar (python ints, used per report) and
-vectorized (uint64 arrays, used by aggregators). A hash function is
-identified by a 64-bit seed; reducing the mixed value modulo the bucket
-count yields the hashed bucket.
+vectorized (uint64 arrays, used for batches, hash-family tables and
+aggregators). A hash function is identified by a 64-bit seed; reducing
+the mixed value modulo the bucket count yields the hashed bucket.
 """
 from __future__ import annotations
 
@@ -53,6 +53,14 @@ def hash_bucket_array(seeds, values, n_buckets: int) -> np.ndarray:
     return (mix64_array(combined) % np.uint64(n_buckets)).astype(np.int64)
 
 
-def family_member_seed(base_seed: int, index: int) -> int:
-    """Seed of the ``index``-th function in the family rooted at ``base_seed``."""
-    return mix64((int(base_seed) ^ ((int(index) + 1) * _GAMMA)) & _MASK)
+def family_member_seed(base_seed: int, index):
+    """Seed of the ``index``-th function in the family rooted at ``base_seed``.
+
+    A scalar index gives an int; an index array gives the uint64 seeds of
+    those members, so family_member_seed(base, np.arange(k)) tabulates a
+    whole k-member family in one call.
+    """
+    if np.ndim(index) == 0:
+        return mix64((int(base_seed) ^ ((int(index) + 1) * _GAMMA)) & _MASK)
+    offsets = (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+    return mix64_array(np.uint64(int(base_seed) & _MASK) ^ offsets)

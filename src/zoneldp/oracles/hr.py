@@ -60,6 +60,12 @@ class HrBatch:
     def n_reports(self) -> int:
         return int(self.row_indices.size)
 
+    def reports(self) -> list:
+        return [
+            HrReport(row_index=r, signed_value=v)
+            for r, v in zip(self.row_indices.tolist(), self.signed_values.tolist())
+        ]
+
 
 class HadamardResponse(FrequencyOracle):
     name: ClassVar[str] = "HR"

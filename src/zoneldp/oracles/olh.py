@@ -63,6 +63,12 @@ class OlhBatch:
     def n_reports(self) -> int:
         return int(self.seeds.size)
 
+    def reports(self) -> list:
+        return [
+            OlhReport(hash_seed=s, value=v)
+            for s, v in zip(self.seeds.tolist(), self.values.tolist())
+        ]
+
 
 class OptimizedLocalHashing(FrequencyOracle):
     name: ClassVar[str] = "OLH"

@@ -3,7 +3,8 @@
 The zone is one-hot encoded over L bits and every bit is reported
 independently: a set bit stays 1 with probability 1/2, a clear bit turns 1
 with probability 1/(e^eps + 1). Splitting the budget this way minimizes the
-estimator variance of the unary family.
+estimator variance of the unary family. The client step is ``one_hot_rr``
+with the zone itself as the bit position.
 """
 from __future__ import annotations
 
@@ -14,7 +15,13 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from .base import FrequencyOracle, OueReport, PerturbProbabilities, estimate_frequency
+from .base import (
+    FrequencyOracle,
+    OueReport,
+    PerturbProbabilities,
+    estimate_frequency,
+    one_hot_rr,
+)
 
 
 def probabilities(epsilon: float) -> PerturbProbabilities:
@@ -31,6 +38,9 @@ class OueBatch:
     def n_reports(self) -> int:
         return int(self.bits.shape[0])
 
+    def reports(self) -> list:
+        return [OueReport(bits=tuple(row)) for row in self.bits.tolist()]
+
 
 class OptimizedUnaryEncoding(FrequencyOracle):
     name: ClassVar[str] = "OUE"
@@ -42,20 +52,9 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     def probabilities(self) -> PerturbProbabilities:
         return self._probs
 
-    def perturb(self, zone: int, rng: np.random.Generator) -> OueReport:
-        zone = self._check_zone(zone)
-        thresholds = np.full(self.l_zones, self._probs.q)
-        thresholds[zone] = self._probs.p
-        bits = rng.random(self.l_zones) < thresholds
-        return OueReport(bits=tuple(int(b) for b in bits))
-
     def perturb_batch(self, zones, rng: np.random.Generator) -> OueBatch:
         zones = self._check_zones(zones)
-        n = zones.size
-        thresholds = np.full((n, self.l_zones), self._probs.q)
-        thresholds[np.arange(n), zones] = self._probs.p
-        bits = (rng.random((n, self.l_zones)) < thresholds).astype(np.uint8)
-        return OueBatch(bits=bits)
+        return OueBatch(bits=one_hot_rr(zones, self.l_zones, self._probs, rng))
 
     def _as_batch(self, reports: Union[Sequence[OueReport], OueBatch]) -> OueBatch:
         if isinstance(reports, OueBatch):

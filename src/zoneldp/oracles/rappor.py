@@ -7,7 +7,8 @@ per cohort (different bits in different cohorts, which is what makes the
 decoding well-posed). The bit vector is then reported with flip parameter
 f = 2/(e^{eps/2} + 1): a set bit stays 1 with probability 1 - f/2, a clear
 bit turns 1 with probability f/2. One report per user, so only this
-permanent randomization round applies.
+permanent randomization round applies. The client step is the same
+``one_hot_rr`` that CMS and OUE use; only the decoder differs.
 
 Decoding debiases each cohort's bit counts and fits per-zone counts by
 nonnegative L1-regularized least squares (penalty weight picked on an
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch, SingularFitWarning
-from .base import FrequencyOracle, PerturbProbabilities, RapporReport
+from .base import FrequencyOracle, PerturbProbabilities, RapporReport, one_hot_rr
 from .hashing import family_member_seed, hash_bucket_array
 
 # relative penalty grid; 0 keeps the unpenalized fit in the running
@@ -85,6 +86,12 @@ class RapporBatch:
     def n_reports(self) -> int:
         return int(self.cohorts.size)
 
+    def reports(self) -> list:
+        return [
+            RapporReport(cohort=c, bits=tuple(row))
+            for c, row in zip(self.cohorts.tolist(), self.bits.tolist())
+        ]
+
 
 class Rappor(FrequencyOracle):
     name: ClassVar[str] = "RAPPOR"
@@ -108,10 +115,7 @@ class Rappor(FrequencyOracle):
         self.decoder = decoder
         self.hash_seed = int(hash_seed)
         self._probs = probabilities(epsilon)
-        seeds = np.array(
-            [family_member_seed(self.hash_seed, c) for c in range(self.m)],
-            dtype=np.uint64,
-        )
+        seeds = family_member_seed(self.hash_seed, np.arange(self.m))
         zone_ids = np.arange(self.l_zones, dtype=np.uint64)
         # m x L table: the bit position zone v lights in cohort c
         self.targets = hash_bucket_array(seeds[:, None], zone_ids[None, :], self.k)
@@ -119,22 +123,10 @@ class Rappor(FrequencyOracle):
     def probabilities(self) -> PerturbProbabilities:
         return self._probs
 
-    def perturb(self, zone: int, rng: np.random.Generator) -> RapporReport:
-        zone = self._check_zone(zone)
-        cohort = int(rng.integers(0, self.m))
-        thresholds = np.full(self.k, self._probs.q)
-        thresholds[self.targets[cohort, zone]] = self._probs.p
-        bits = rng.random(self.k) < thresholds
-        return RapporReport(cohort=cohort, bits=tuple(int(b) for b in bits))
-
     def perturb_batch(self, zones, rng: np.random.Generator) -> RapporBatch:
         zones = self._check_zones(zones)
-        n = zones.size
-        cohorts = rng.integers(0, self.m, size=n)
-        positions = self.targets[cohorts, zones]
-        thresholds = np.full((n, self.k), self._probs.q)
-        thresholds[np.arange(n), positions] = self._probs.p
-        bits = (rng.random((n, self.k)) < thresholds).astype(np.uint8)
+        cohorts = rng.integers(0, self.m, size=zones.size)
+        bits = one_hot_rr(self.targets[cohorts, zones], self.k, self._probs, rng)
         return RapporBatch(cohorts=cohorts.astype(np.int64), bits=bits)
 
     def _as_batch(

@@ -44,6 +44,9 @@ class TheBatch:
     def n_reports(self) -> int:
         return int(self.values.shape[0])
 
+    def reports(self) -> list:
+        return [TheReport(values=tuple(row)) for row in self.values.tolist()]
+
 
 class ThresholdHistogramEncoding(FrequencyOracle):
     name: ClassVar[str] = "THE"
@@ -56,12 +59,6 @@ class ThresholdHistogramEncoding(FrequencyOracle):
 
     def probabilities(self) -> PerturbProbabilities:
         return self._probs
-
-    def perturb(self, zone: int, rng: np.random.Generator) -> TheReport:
-        zone = self._check_zone(zone)
-        values = rng.laplace(0.0, self.scale, self.l_zones)
-        values[zone] += 1.0
-        return TheReport(values=tuple(float(v) for v in values))
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> TheBatch:
         zones = self._check_zones(zones)

@@ -138,7 +138,8 @@ def run_round(
     deterministic function of (inputs, rng state).
 
     ``collect_reports``: pass a list to also receive one report object per
-    user (slower scalar path, intended for traces and demos).
+    user, built from the same batch that is aggregated, so asking for a
+    trace never changes the estimate.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -149,11 +150,9 @@ def run_round(
     oracle = make_mechanism(mechanism, l_zones, epsilon, params, **kwargs)
     if users.size == 0:
         return FrequencyEstimate.from_raw(np.zeros(l_zones), 0)
-    if collect_reports is not None:
-        reports = [oracle.perturb(zone, rng) for zone in users]
-        collect_reports.extend(reports)
-        return oracle.aggregate(reports)
     batch = oracle.perturb_batch(users, rng)
+    if collect_reports is not None:
+        collect_reports.extend(batch.reports())
     return oracle.aggregate(batch)
 
 

@@ -213,6 +213,24 @@ class TestSimulate:
         first = json.loads(lines[0])
         assert first["mech"] == "OUE"
 
+    @pytest.mark.parametrize("mechanism", ["OLH", "OUE", "THE", "HR", "CMS", "RAPPOR"])
+    def test_report_trace_leaves_the_result_unchanged(self, workspace, capsys, mechanism):
+        config = self._write_config(workspace, mechanism=mechanism)
+        plain = workspace / "plain.json"
+        traced = workspace / "traced.json"
+        assert run_cli(["simulate", "--config", config, "--out", plain], capsys)[0] == EXIT_OK
+        code, _, _ = run_cli(
+            [
+                "simulate",
+                "--config", config,
+                "--out", traced,
+                "--reports-out", workspace / "reports.jsonl",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert plain.read_bytes() == traced.read_bytes()
+
     def test_mechanism_specific_params_are_accepted(self, workspace, capsys):
         config = self._write_config(
             workspace, mechanism="THE", params={"the_theta": 1.5}

@@ -230,3 +230,11 @@ class TestProtocolHash:
 
     def test_family_members_differ_across_bases(self):
         assert family_member_seed(1, 0) != family_member_seed(2, 0)
+
+    @pytest.mark.parametrize("base", [0, 42, (1 << 63) - 1])
+    def test_array_family_seeds_match_the_scalar_form(self, base):
+        indices = np.arange(1024)
+        seeds = family_member_seed(base, indices)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [family_member_seed(base, int(i)) for i in indices]
+        assert isinstance(family_member_seed(base, 3), int)

@@ -18,7 +18,7 @@ from zoneldp.domain import (
 )
 from zoneldp.errors import ConfigError
 from zoneldp.metrics import metric_report
-from zoneldp.oracles import make_mechanism
+from zoneldp.oracles import make_mechanism, read_reports, write_reports
 from zoneldp.simulator import (
     CountsPopulation,
     DropCounts,
@@ -133,16 +133,30 @@ class TestRunRound:
         assert est.rounded().tolist() == [0, 0, 3, 0]
 
     def test_collected_reports_reproduce_the_estimate(self):
-        # the trace must contain exactly the reports that were aggregated
+        # the trace must contain exactly the reports that were aggregated,
+        # and asking for it must not change the estimate
         users = [0, 1, 1, 2, 3, 3, 3]
-        collected = []
-        est = run_round(
-            users, 4, "OUE", 1.0, rng=np.random.default_rng(8), collect_reports=collected
-        )
-        assert len(collected) == len(users)
-        oracle = make_mechanism("OUE", 4, 1.0)
-        again = oracle.aggregate(collected)
-        assert np.array_equal(est.raw, again.raw)
+        for mechanism in MECHANISMS:
+            plain = run_round(users, 4, mechanism, 1.0, rng=np.random.default_rng(8))
+            collected = []
+            est = run_round(
+                users, 4, mechanism, 1.0, rng=np.random.default_rng(8),
+                collect_reports=collected,
+            )
+            assert np.array_equal(est.raw, plain.raw), mechanism
+            assert len(collected) == len(users)
+            kwargs = {}
+            if mechanism == "CMS":
+                # run_round draws the round's sketch family first
+                kwargs["cms_hash_seed"] = int(np.random.default_rng(8).integers(0, 1 << 63))
+            oracle = make_mechanism(mechanism, 4, 1.0, **kwargs)
+            assert np.array_equal(oracle.aggregate(collected).raw, est.raw), mechanism
+            # the JSON-lines trace is exact: read back, it decodes to the same raw
+            buffer = io.StringIO()
+            write_reports(collected, buffer)
+            buffer.seek(0)
+            again = oracle.aggregate(list(read_reports(buffer)))
+            assert np.array_equal(again.raw, est.raw), mechanism
 
     def test_deterministic_for_a_seeded_generator(self):
         for mechanism in MECHANISMS:
