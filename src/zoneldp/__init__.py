@@ -13,11 +13,8 @@ from .domain import (
     Fingerprint,
     FrequencyEstimate,
     PrivacyParams,
-    RssiMatrix,
     ZoneTable,
-    ZoneVector,
     max_zone_count,
-    one_hot,
 )
 from .metrics import (
     MetricReport,
@@ -38,8 +35,6 @@ from .oracles import (
     ThresholdHistogramEncoding,
     estimate_frequency,
     make_mechanism,
-    probabilities_for,
-    rr_bit,
 )
 from .simulator import (
     CountsPopulation,
@@ -72,11 +67,9 @@ __all__ = [
     "PerturbProbabilities",
     "PrivacyParams",
     "Rappor",
-    "RssiMatrix",
     "ThresholdHistogramEncoding",
     "TrialResult",
     "ZoneTable",
-    "ZoneVector",
     "build_zone_table",
     "estimate_frequency",
     "kendall_tau_distance",
@@ -87,11 +80,8 @@ __all__ = [
     "max_zone_count",
     "metric_report",
     "nrmse",
-    "one_hot",
-    "probabilities_for",
     "rank_zones",
     "rmse",
-    "rr_bit",
     "run_round",
     "run_sweep",
     "strongest_aps",

@@ -15,21 +15,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .dataio import load_fingerprints, load_schema
 from .domain import MECHANISMS, PrivacyParams, max_zone_count
 from .errors import ConfigError, DataError, ZoneLdpError
-from .metrics import metric_report
 from .oracles import write_reports
 from .simulator import (
     CountsPopulation,
-    DropCounts,
     ExperimentConfig,
     LookupPopulation,
-    run_round,
-    run_sweep,
     read_results,
+    resolve_population,
+    run_sweep,
+    run_trial,
     summarize,
     summary_to_csv,
     trial_result_to_dict,
@@ -161,35 +158,22 @@ def cmd_simulate(args) -> int:
     params = _params_from_config(cfg, mechanism, epsilon)
     population = _population_from_config(cfg)
 
-    pop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    zones, l_zones, drops = population.resolve(pop_rng)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, 0, 0, 0]))
-    collected = [] if args.reports_out else None
-    estimate = run_round(
-        zones, l_zones, mechanism, epsilon, params, rng, collect_reports=collected
+    # the round is trial 0 of a one-cell sweep grid, on the sweep's streams
+    config = ExperimentConfig(
+        mechanisms=(mechanism,),
+        epsilons=(epsilon,),
+        trials=1,
+        seed=seed,
+        population=population,
+        params=params,
     )
-    true_counts = np.bincount(zones, minlength=l_zones).astype(np.int64)
-    metrics = metric_report(true_counts, estimate.raw)
-
-    payload = {
-        "mechanism": mechanism,
-        "epsilon": epsilon,
-        "seed": seed,
-        "true_counts": [int(c) for c in true_counts],
-        "raw": [float(v) for v in estimate.raw],
-        "clamped": [float(v) for v in estimate.clamped],
-        "rounded": [int(v) for v in estimate.rounded()],
-        "n_reports": estimate.n_reports,
-        "metrics": {
-            "rmse": metrics.rmse,
-            "nrmse": metrics.nrmse,
-            "kendall_tau": metrics.kendall_tau,
-        },
-        "diagnostics": {
-            "insufficient_signals": drops.insufficient_signals,
-            "unmatched": drops.unmatched,
-        },
-    }
+    collected = [] if args.reports_out else None
+    result = run_trial(config, 0, 0, 0, *resolve_population(config), collected)
+    # the trial's record, with the seed in place of the trial index
+    payload = dict(
+        ("seed", seed) if key == "trial" else (key, value)
+        for key, value in trial_result_to_dict(result).items()
+    )
     _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     if args.reports_out:
         import io

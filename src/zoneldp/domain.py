@@ -57,41 +57,6 @@ class Fingerprint:
         return int(self.rssi.size)
 
 
-@dataclass(frozen=True)
-class RssiMatrix:
-    """K stacked RSSI vectors for one time window, one row per user.
-
-    No coordinates: the user side of the pipeline never shares locations.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-d matrix (users x APs)")
-        if np.any(rows < SENTINEL_RSSI):
-            raise ValueError("RSSI values below the sentinel are invalid")
-        object.__setattr__(self, "rows", _readonly(rows))
-
-    @classmethod
-    def from_fingerprints(cls, fingerprints) -> "RssiMatrix":
-        if not fingerprints:
-            raise ValueError("need at least one fingerprint")
-        widths = {fp.n_aps for fp in fingerprints}
-        if len(widths) != 1:
-            raise ValueError(f"inconsistent AP counts: {sorted(widths)}")
-        return cls(np.stack([fp.rssi for fp in fingerprints]))
-
-    @property
-    def n_users(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def n_aps(self) -> int:
-        return int(self.rows.shape[1])
-
-
 def max_zone_count(n_aps: int, m_strongest: int) -> int:
     """Upper bound on distinct zones: C(n_aps, m_strongest).
 
@@ -140,36 +105,6 @@ class ZoneTable:
     @property
     def n_zones(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class ZoneVector:
-    """One-hot membership vector over the L zones."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size == 0:
-            raise ValueError("bits must be a nonempty 1-d vector")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be 0/1")
-        if int(bits.sum()) != 1:
-            raise ValueError("exactly one bit must be set")
-        object.__setattr__(self, "bits", _readonly(bits))
-
-    @property
-    def zone(self) -> int:
-        return int(np.argmax(self.bits))
-
-
-def one_hot(zone: int, l_zones: int) -> ZoneVector:
-    """Encode a zone index as a one-hot vector of length ``l_zones``."""
-    if not 0 <= zone < l_zones:
-        raise ValueError(f"zone {zone} out of range [0, {l_zones})")
-    bits = np.zeros(l_zones, dtype=np.uint8)
-    bits[zone] = 1
-    return ZoneVector(bits)
 
 
 @dataclass(frozen=True)

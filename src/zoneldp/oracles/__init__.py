@@ -20,9 +20,7 @@ from .base import (
     Report,
     TheReport,
     estimate_frequency,
-    rr_bit,
 )
-from . import cms, hr, olh, oue, rappor, the
 from .cms import CountMeanSketch
 from .hr import HadamardResponse
 from .olh import OptimizedLocalHashing
@@ -42,10 +40,8 @@ __all__ = [
     "ThresholdHistogramEncoding",
     "estimate_frequency",
     "make_mechanism",
-    "probabilities_for",
     "report_from_dict",
     "report_to_dict",
-    "rr_bit",
 ]
 
 
@@ -56,8 +52,6 @@ def make_mechanism(
     params: Optional[PrivacyParams] = None,
     *,
     cms_hash_seed: int = 0,
-    rappor_hash_seed: int = 0,
-    rappor_decoder: str = "lasso",
 ) -> FrequencyOracle:
     """Instantiate one mechanism; ``params`` supplies sizes and threshold.
 
@@ -81,38 +75,7 @@ def make_mechanism(
         return CountMeanSketch(
             l_zones, epsilon, k=params.cms_k, m=params.cms_m, hash_seed=cms_hash_seed
         )
-    return Rappor(
-        l_zones,
-        epsilon,
-        k=params.rappor_k,
-        m=params.rappor_m,
-        decoder=rappor_decoder,
-        hash_seed=rappor_hash_seed,
-    )
-
-
-def probabilities_for(
-    mechanism: str, epsilon: float, params: Optional[PrivacyParams] = None
-) -> PerturbProbabilities:
-    """The (p, q) pair each mechanism's aggregation debiases with.
-
-    For the sign-flip mechanism this is the flip pair; for the sketch and
-    cohort mechanisms it is the per-bit pair.
-    """
-    if mechanism == "OLH":
-        return olh.probabilities(epsilon)
-    if mechanism == "OUE":
-        return oue.probabilities(epsilon)
-    if mechanism == "THE":
-        theta = params.the_theta if params is not None else 1.0
-        return the.probabilities(epsilon, theta)
-    if mechanism == "HR":
-        return hr.probabilities(epsilon)
-    if mechanism == "CMS":
-        return cms.probabilities(epsilon)
-    if mechanism == "RAPPOR":
-        return rappor.probabilities(epsilon)
-    raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
+    return Rappor(l_zones, epsilon, k=params.rappor_k, m=params.rappor_m)
 
 
 # --- wire format ----------------------------------------------------------

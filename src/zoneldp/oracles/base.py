@@ -12,9 +12,8 @@ invariant under any permutation of the reports.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -37,18 +36,6 @@ class PerturbProbabilities:
             raise DegenerateProbabilities(f"p={self.p}, q={self.q} out of range")
         if not self.p > self.q:
             raise DegenerateProbabilities(f"p={self.p} must exceed q={self.q}")
-
-
-def rr_bit(bit: int, epsilon: float, rng: np.random.Generator) -> int:
-    """Randomized response on one bit: keep with probability e^eps/(e^eps+1)."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    keep = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
-    if rng.random() < keep:
-        return bit
-    return 1 - bit
 
 
 # uniforms drawn per block by one_hot_rr: bounds its scratch buffer
@@ -151,9 +138,9 @@ class FrequencyOracle(abc.ABC):
 
     perturb_batch() perturbs a whole population in vectorized form and
     returns a batch container whose reports() lists one report per user.
-    perturb() handles one user; by default it is a batch of one, so both
-    run the same sampler. aggregate() accepts either a sequence of reports
-    or a batch container.
+    perturb() handles one user as a batch of one, so each mechanism has a
+    single sampler. aggregate() accepts either a sequence of reports or a
+    batch container.
     """
 
     name: ClassVar[str]
@@ -165,12 +152,6 @@ class FrequencyOracle(abc.ABC):
             raise ValueError("epsilon must be positive")
         self.l_zones = int(l_zones)
         self.epsilon = float(epsilon)
-
-    def _check_zone(self, zone: int) -> int:
-        zone = int(zone)
-        if not 0 <= zone < self.l_zones:
-            raise ValueError(f"zone {zone} out of range [0, {self.l_zones})")
-        return zone
 
     def _check_zones(self, zones) -> np.ndarray:
         zones = np.asarray(zones, dtype=np.int64)
@@ -186,7 +167,7 @@ class FrequencyOracle(abc.ABC):
 
     def perturb(self, zone: int, rng: np.random.Generator) -> Report:
         """Perturb one user's zone into a report: a batch of one."""
-        return self.perturb_batch([self._check_zone(zone)], rng).reports()[0]
+        return self.perturb_batch([zone], rng).reports()[0]
 
     @abc.abstractmethod
     def perturb_batch(self, zones, rng: np.random.Generator):
@@ -196,9 +177,3 @@ class FrequencyOracle(abc.ABC):
     def aggregate(self, reports) -> FrequencyEstimate:
         """Reduce reports to per-zone estimated counts."""
 
-
-def batch_size(reports: Union[Sequence, object]) -> int:
-    """Report count of either a report sequence or a batch container."""
-    if hasattr(reports, "n_reports"):
-        return int(reports.n_reports)
-    return len(reports)

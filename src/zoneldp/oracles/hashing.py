@@ -2,10 +2,11 @@
 
 Python's builtin hash() is salted per process, so it cannot back a
 reproducible protocol. This module provides a splitmix-style finalizer in
-two exactly-matching flavors: scalar (python ints, used per report) and
-vectorized (uint64 arrays, used for batches, hash-family tables and
-aggregators). A hash function is identified by a 64-bit seed; reducing
-the mixed value modulo the bucket count yields the hashed bucket.
+two exactly-matching flavors: scalar (python ints, for single values and
+as the tests' reference) and vectorized (uint64 arrays, used for batches,
+hash-family tables and aggregators). A hash function is identified by a
+64-bit seed; reducing the mixed value modulo the bucket count yields the
+hashed bucket.
 """
 from __future__ import annotations
 
@@ -49,8 +50,11 @@ def hash_bucket_array(seeds, values, n_buckets: int) -> np.ndarray:
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     values = np.asarray(values, dtype=np.uint64)
-    combined = seeds + np.uint64(_VALUE_STEP) * (values + np.uint64(1))
-    return (mix64_array(combined) % np.uint64(n_buckets)).astype(np.int64)
+    # the hash wraps mod 2^64 by design; with a scalar operand numpy does
+    # the product in scalar math, which would warn on that wrap
+    with np.errstate(over="ignore"):
+        combined = seeds + np.uint64(_VALUE_STEP) * (values + np.uint64(1))
+        return (mix64_array(combined) % np.uint64(n_buckets)).astype(np.int64)
 
 
 def family_member_seed(base_seed: int, index):

@@ -80,14 +80,6 @@ class HadamardResponse(FrequencyOracle):
     def probabilities(self) -> PerturbProbabilities:
         return probabilities(self.epsilon)
 
-    def perturb(self, zone: int, rng: np.random.Generator) -> HrReport:
-        zone = self._check_zone(zone)
-        row = int(rng.integers(0, self.dim))
-        entry_sign = 1 - 2 * ((row & (zone + 1)).bit_count() & 1)
-        flip_keep = 1 if rng.random() < self._p_keep else -1
-        value = flip_keep * self._scale * math.sqrt(self.dim) * entry_sign
-        return HrReport(row_index=row, signed_value=value)
-
     def perturb_batch(self, zones, rng: np.random.Generator) -> HrBatch:
         zones = self._check_zones(zones)
         n = zones.size

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from .base import FrequencyOracle, OlhReport, PerturbProbabilities, estimate_frequency
-from .hashing import hash_bucket, hash_bucket_array
+from .hashing import hash_bucket_array
 
 # Report seeds stay below 2**63 so they survive JSON round-trips as plain ints.
 _SEED_BOUND = 1 << 63
@@ -81,19 +81,6 @@ class OptimizedLocalHashing(FrequencyOracle):
 
     def probabilities(self) -> PerturbProbabilities:
         return probabilities(self.epsilon)
-
-    def perturb(self, zone: int, rng: np.random.Generator) -> OlhReport:
-        zone = self._check_zone(zone)
-        seed = int(rng.integers(0, _SEED_BOUND, dtype=np.uint64))
-        true_bucket = hash_bucket(seed, zone, self.g)
-        if rng.random() < self._p_keep:
-            value = true_bucket
-        else:
-            # uniform over the OTHER g-1 buckets
-            value = int(rng.integers(0, self.g - 1))
-            if value >= true_bucket:
-                value += 1
-        return OlhReport(hash_seed=seed, value=value)
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OlhBatch:
         zones = self._check_zones(zones)

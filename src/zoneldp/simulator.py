@@ -156,9 +156,43 @@ def run_round(
     return oracle.aggregate(batch)
 
 
-def _round_rng(seed: int, mech_idx: int, eps_idx: int, trial: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, _ROUND_TAG, mech_idx, eps_idx, trial])
+def resolve_population(config: ExperimentConfig):
+    """The sweep's users as (zones, l_zones, drops), from the population stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _POPULATION_TAG]))
+    return config.population.resolve(rng)
+
+
+def run_trial(
+    config: ExperimentConfig,
+    mech_idx: int,
+    eps_idx: int,
+    trial: int,
+    zones: np.ndarray,
+    l_zones: int,
+    drops: DropCounts,
+    collect_reports: Optional[list] = None,
+) -> TrialResult:
+    """One round of the grid on the stream keyed by its grid position.
+
+    ``collect_reports`` is passed through to ``run_round``.
+    """
+    mechanism = config.mechanisms[mech_idx]
+    epsilon = config.epsilons[eps_idx]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, _ROUND_TAG, mech_idx, eps_idx, trial])
+    )
+    estimate = run_round(
+        zones, l_zones, mechanism, epsilon, config.params, rng, collect_reports
+    )
+    true_counts = np.bincount(zones, minlength=l_zones).astype(np.int64)
+    return TrialResult(
+        mechanism=mechanism,
+        epsilon=epsilon,
+        trial=trial,
+        true_counts=true_counts,
+        estimate=estimate,
+        metrics=metric_report(true_counts, estimate.raw),
+        diagnostics=drops,
     )
 
 
@@ -170,25 +204,10 @@ def _run_cell(
     l_zones: int,
     drops: DropCounts,
 ) -> List[TrialResult]:
-    mechanism = config.mechanisms[mech_idx]
-    epsilon = config.epsilons[eps_idx]
-    true_counts = np.bincount(zones, minlength=l_zones).astype(np.int64)
-    results = []
-    for trial in range(config.trials):
-        rng = _round_rng(config.seed, mech_idx, eps_idx, trial)
-        estimate = run_round(zones, l_zones, mechanism, epsilon, config.params, rng)
-        results.append(
-            TrialResult(
-                mechanism=mechanism,
-                epsilon=epsilon,
-                trial=trial,
-                true_counts=true_counts,
-                estimate=estimate,
-                metrics=metric_report(true_counts, estimate.raw),
-                diagnostics=drops,
-            )
-        )
-    return results
+    return [
+        run_trial(config, mech_idx, eps_idx, trial, zones, l_zones, drops)
+        for trial in range(config.trials)
+    ]
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
@@ -198,10 +217,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
     trials innermost) and are identical for any ``workers`` value: every
     round's PRNG stream is keyed by its grid position, never by schedule.
     """
-    pop_rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, _POPULATION_TAG])
-    )
-    zones, l_zones, drops = config.population.resolve(pop_rng)
+    zones, l_zones, drops = resolve_population(config)
     cells = [
         (mi, ei)
         for mi in range(len(config.mechanisms))

@@ -16,6 +16,7 @@ import pytest
 
 import zoneldp
 from zoneldp.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SEED_ENV, main
+from zoneldp.domain import MECHANISMS
 from zoneldp.zoning import load_zone_table
 
 SCHEMA = {
@@ -230,6 +231,32 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         assert plain.read_bytes() == traced.read_bytes()
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_matches_trial_zero_of_a_one_trial_sweep(self, workspace, capsys, mechanism):
+        config = self._write_config(workspace, mechanism=mechanism, epsilon=0.5)
+        out = workspace / "round.json"
+        assert run_cli(["simulate", "--config", config, "--out", out], capsys)[0] == EXIT_OK
+        sweep = workspace / "sweep.json"
+        sweep.write_text(
+            json.dumps(
+                {
+                    "mechanisms": [mechanism],
+                    "epsilons": [0.5],
+                    "trials": 1,
+                    "seed": 9,
+                    "population": {"counts": [30, 20, 10]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        run_dir = workspace / "run"
+        assert run_cli(["sweep", "--config", sweep, "--out", run_dir], capsys)[0] == EXIT_OK
+        (line,) = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        trial = json.loads(line)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        for key in ("true_counts", "raw", "n_reports", "metrics"):
+            assert payload[key] == trial[key], key
 
     def test_mechanism_specific_params_are_accepted(self, workspace, capsys):
         config = self._write_config(

@@ -8,11 +8,8 @@ from zoneldp.domain import (
     Fingerprint,
     FrequencyEstimate,
     PrivacyParams,
-    RssiMatrix,
     ZoneTable,
-    ZoneVector,
     max_zone_count,
-    one_hot,
 )
 
 
@@ -40,26 +37,6 @@ class TestFingerprint:
         fp = Fingerprint(rssi=[-40.0, -50.0])
         with pytest.raises(ValueError):
             fp.rssi[0] = 0.0
-
-
-class TestRssiMatrix:
-    def test_from_fingerprints_stacks_rows(self):
-        fps = [Fingerprint(rssi=[-40.0, -50.0]), Fingerprint(rssi=[-60.0, -70.0])]
-        matrix = RssiMatrix.from_fingerprints(fps)
-        assert matrix.n_users == 2
-        assert matrix.n_aps == 2
-        assert matrix.rows[1, 0] == -60.0
-
-    def test_from_fingerprints_rejects_mixed_widths(self):
-        fps = [Fingerprint(rssi=[-40.0, -50.0]), Fingerprint(rssi=[-60.0])]
-        with pytest.raises(ValueError):
-            RssiMatrix.from_fingerprints(fps)
-        with pytest.raises(ValueError):
-            RssiMatrix.from_fingerprints([])
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            RssiMatrix(rows=np.zeros(3))
 
 
 class TestMaxZoneCount:
@@ -132,29 +109,6 @@ class TestZoneTable:
             skipped_training=5,
         )
         assert a == b
-
-
-class TestZoneVector:
-    def test_one_hot_round_trip(self):
-        for l_zones in (1, 4, 9):
-            for zone in range(l_zones):
-                vec = one_hot(zone, l_zones)
-                assert vec.zone == zone
-                assert int(vec.bits.sum()) == 1
-
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError):
-            ZoneVector(bits=np.array([1, 1, 0]))
-        with pytest.raises(ValueError):
-            ZoneVector(bits=np.array([0, 0, 0]))
-        with pytest.raises(ValueError):
-            ZoneVector(bits=np.array([0, 2, 0]))
-
-    def test_one_hot_range_check(self):
-        with pytest.raises(ValueError):
-            one_hot(3, 3)
-        with pytest.raises(ValueError):
-            one_hot(-1, 3)
 
 
 class TestPrivacyParams:

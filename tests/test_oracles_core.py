@@ -1,19 +1,18 @@
-"""Shared oracle machinery: bit response, the closed-form estimator,
-probability pairs, report wire format, and the protocol hash."""
+"""Shared oracle machinery: the closed-form estimator, probability pairs,
+the scalar perturb, report wire format, and the protocol hash."""
 import io
 import math
 
 import numpy as np
 import pytest
 
-from zoneldp.domain import PrivacyParams
+from zoneldp.domain import MECHANISMS, PrivacyParams
 from zoneldp.errors import DegenerateProbabilities
 from zoneldp.oracles import (
     estimate_frequency,
-    probabilities_for,
+    make_mechanism,
     report_from_dict,
     report_to_dict,
-    rr_bit,
 )
 from zoneldp.oracles import read_reports, write_reports
 from zoneldp.oracles.base import (
@@ -24,7 +23,6 @@ from zoneldp.oracles.base import (
     PerturbProbabilities,
     RapporReport,
     TheReport,
-    batch_size,
 )
 from zoneldp.oracles.hashing import (
     family_member_seed,
@@ -53,37 +51,6 @@ class TestPerturbProbabilities:
             PerturbProbabilities(p=0.5, q=-0.1)
         with pytest.raises(DegenerateProbabilities):
             PerturbProbabilities(p=0.0, q=0.0)
-
-
-class TestRrBit:
-    def test_keep_rate_matches_closed_form(self):
-        # keep probability e^eps/(e^eps + 1) = 3/4 at eps = ln 3
-        rng = np.random.default_rng(101)
-        epsilon = math.log(3.0)
-        n = 1_000_000
-        kept = sum(rr_bit(1, epsilon, rng) for _ in range(n))
-        sigma = math.sqrt(0.75 * 0.25 / n)
-        assert abs(kept / n - 0.75) <= 3.0 * sigma
-
-    def test_zero_bit_is_symmetric(self):
-        rng = np.random.default_rng(103)
-        epsilon = math.log(3.0)
-        n = 200_000
-        flipped = sum(rr_bit(0, epsilon, rng) for _ in range(n))
-        sigma = math.sqrt(0.75 * 0.25 / n)
-        assert abs(flipped / n - 0.25) <= 3.0 * sigma
-
-    def test_deterministic_under_fixed_seed(self):
-        a = [rr_bit(1, 1.0, np.random.default_rng(5)) for _ in range(20)]
-        b = [rr_bit(1, 1.0, np.random.default_rng(5)) for _ in range(20)]
-        assert a == b
-
-    def test_validation(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            rr_bit(2, 1.0, rng)
-        with pytest.raises(ValueError):
-            rr_bit(1, 0.0, rng)
 
 
 class TestEstimateFrequency:
@@ -124,33 +91,52 @@ class TestEstimateFrequency:
             estimate_frequency(np.array([]), 0, probs)
 
 
+def probabilities(mechanism, epsilon, params=None):
+    return make_mechanism(mechanism, 4, epsilon, params).probabilities()
+
+
 class TestProbabilitiesFor:
     def test_known_pairs_at_ln3(self):
         epsilon = math.log(3.0)
-        oue = probabilities_for("OUE", epsilon)
+        oue = probabilities("OUE", epsilon)
         assert (oue.p, oue.q) == pytest.approx((0.5, 0.25), rel=1e-12)
-        olh = probabilities_for("OLH", epsilon)  # g = 4 here
+        olh = probabilities("OLH", epsilon)  # g = 4 here
         assert (olh.p, olh.q) == pytest.approx((0.5, 0.25), rel=1e-12)
-        hr = probabilities_for("HR", epsilon)
+        hr = probabilities("HR", epsilon)
         assert (hr.p, hr.q) == pytest.approx((0.75, 0.25), rel=1e-12)
 
     def test_theta_reaches_the_histogram_pair(self):
         params = PrivacyParams(epsilon=2.0, mechanism="THE", the_theta=0.5)
-        with_theta = probabilities_for("THE", 2.0, params)
-        default = probabilities_for("THE", 2.0)
+        with_theta = probabilities("THE", 2.0, params)
+        default = probabilities("THE", 2.0)
         assert with_theta.q > default.q  # lower threshold admits more noise
 
     def test_sketch_and_cohort_mechanisms_share_the_per_bit_pair(self):
         # both randomize single bits at budget eps/2
         for epsilon in (0.5, 1.0, 2.0):
-            cms = probabilities_for("CMS", epsilon)
-            rappor = probabilities_for("RAPPOR", epsilon)
+            cms = probabilities("CMS", epsilon)
+            rappor = probabilities("RAPPOR", epsilon)
             assert cms.p == pytest.approx(rappor.p, rel=1e-15)
             assert cms.q == pytest.approx(rappor.q, rel=1e-15)
 
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError):
-            probabilities_for("RR", 1.0)
+            probabilities("RR", 1.0)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_scalar_perturb_is_a_batch_of_one(mechanism):
+    mech = make_mechanism(mechanism, 6, 1.0)
+    for seed in range(3):
+        # each side keeps its generator across calls, so the draws each
+        # call consumes must match as well as the reports
+        scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for zone in range(6):
+            single = mech.perturb(zone, scalar_rng)
+            assert single == mech.perturb_batch([zone], batch_rng).reports()[0]
+    for zone in (-1, 6):
+        with pytest.raises(ValueError):
+            mech.perturb(zone, np.random.default_rng(0))
 
 
 class TestWireFormat:
@@ -185,9 +171,6 @@ class TestWireFormat:
         for report in self.REPORTS:
             json.dumps(report_to_dict(report))  # must not raise
 
-    def test_batch_size_on_sequences(self):
-        assert batch_size(self.REPORTS) == 6
-
 
 class TestProtocolHash:
     def test_scalar_and_vector_mix_agree_exactly(self):
@@ -206,6 +189,22 @@ class TestProtocolHash:
             got = hash_bucket_array(seeds, values.astype(np.uint64), g)
             for seed, value, bucket in zip(seeds.tolist(), values.tolist(), got.tolist()):
                 assert hash_bucket(seed, value, g) == bucket
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "seeds, values",
+        [
+            (5, np.array([0, 1, 2, 3], dtype=np.uint64)),
+            (np.array([1, 2, (1 << 63) - 1], dtype=np.uint64), 7),
+            ((1 << 63) - 1, 7),
+        ],
+        ids=["scalar-seed", "scalar-value", "both-scalar"],
+    )
+    def test_scalar_operands_wrap_without_warning(self, seeds, values):
+        got = hash_bucket_array(seeds, values, 9)
+        pairs = np.broadcast(seeds, values)
+        assert got.shape == pairs.shape
+        assert got.ravel().tolist() == [hash_bucket(s, v, 9) for s, v in pairs]
 
     def test_broadcasting_tabulates_the_family(self):
         seeds = np.array([11, 22, 33], dtype=np.uint64)
