@@ -38,9 +38,10 @@ class PerturbProbabilities:
             raise DegenerateProbabilities(f"p={self.p} must exceed q={self.q}")
 
 
-# uniforms drawn per block by one_hot_rr: bounds its scratch buffer
-# at 4 MB (512 rows at width 1024, 8192 rows at width 64)
-_UNIFORM_BLOCK = 1 << 19
+# cells per block of the blocked loops (one_hot_rr's uniforms, OLH's hash
+# replay): bounds each scratch array at 4 MB of 8-byte cells (512 rows at
+# width 1024, 8192 rows at width 64)
+_BLOCK_CELLS = 1 << 19
 
 
 def one_hot_rr(
@@ -51,14 +52,14 @@ def one_hot_rr(
     Row i has a 1 at ``positions[i]`` before randomization: that bit is
     reported as 1 with probability p and every other bit with probability
     q. Each bit is one uniform compared against its threshold. The
-    uniforms are drawn row-major in blocks of at most ``_UNIFORM_BLOCK``
+    uniforms are drawn row-major in blocks of at most ``_BLOCK_CELLS``
     into one reused buffer, so the stream is the same as a single
     ``rng.random((n, width))`` call while memory stays bounded for any n.
     """
     positions = np.asarray(positions, dtype=np.int64)
     n = positions.size
     bits = np.empty((n, width), dtype=np.uint8)
-    block_rows = max(1, _UNIFORM_BLOCK // width)
+    block_rows = max(1, _BLOCK_CELLS // width)
     buf = np.empty((min(block_rows, n), width))
     rows = np.arange(buf.shape[0])
     for start in range(0, n, block_rows):

@@ -8,8 +8,9 @@ every zone's column is orthogonal to the others AND carries signal.
 
 A user samples one row uniformly, reads the +/-1 entry at their zone's
 column, flips its sign with probability 1/(e^eps + 1), and scales the
-result so the estimate is unbiased. The aggregator sums each report's
-value against the same matrix entry for every candidate zone.
+result so the estimate is unbiased. The aggregator sums the reported signs
+per row, an exact integer vector of length d', and decodes it against the
+d' x L table of +/-1 entries at the zone columns.
 """
 from __future__ import annotations
 
@@ -76,6 +77,8 @@ class HadamardResponse(FrequencyOracle):
         e = math.exp(epsilon)
         self._p_keep = e / (e + 1.0)
         self._scale = scale_factor(epsilon)
+        # the one float every report carries, up to its sign
+        self._magnitude = self._scale * math.sqrt(self.dim)
 
     def probabilities(self) -> PerturbProbabilities:
         return probabilities(self.epsilon)
@@ -86,7 +89,7 @@ class HadamardResponse(FrequencyOracle):
         rows = rng.integers(0, self.dim, size=n).astype(np.uint64)
         signs = _sign_entries(rows, (zones + 1).astype(np.uint64))
         keeps = np.where(rng.random(n) < self._p_keep, 1, -1)
-        values = keeps * self._scale * math.sqrt(self.dim) * signs
+        values = keeps * signs * self._magnitude
         return HrBatch(row_indices=rows.astype(np.int64), signed_values=values)
 
     def _as_batch(self, reports: Union[Sequence[HrReport], HrBatch]) -> HrBatch:
@@ -104,12 +107,12 @@ class HadamardResponse(FrequencyOracle):
         rows = batch.row_indices
         if rows.min() < 0 or rows.max() >= self.dim:
             raise ValueError(f"row index out of range [0, {self.dim})")
-        # canonical order: float summation must not depend on report order
-        order = np.lexsort((batch.signed_values, rows))
-        rows = rows[order].astype(np.uint64)
-        values = batch.signed_values[order]
+        values = batch.signed_values
+        if np.any(np.abs(values) != self._magnitude):
+            raise ValueError(f"report magnitude must be {self._magnitude!r}")
+        # integer per-row sign sums: independent of report order
+        row_sums = np.bincount(rows, weights=np.sign(values), minlength=self.dim)
         columns = np.arange(1, self.l_zones + 1, dtype=np.uint64)
-        signs = _sign_entries(rows[:, None], columns[None, :])
-        contributions = values[:, None] * signs / math.sqrt(self.dim)
-        raw = contributions.sum(axis=0)
+        table = _sign_entries(np.arange(self.dim, dtype=np.uint64)[:, None], columns)
+        raw = self._scale * (row_sums @ table)
         return FrequencyEstimate.from_raw(raw, n)

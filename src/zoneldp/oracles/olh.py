@@ -15,7 +15,13 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from .base import FrequencyOracle, OlhReport, PerturbProbabilities, estimate_frequency
+from .base import (
+    _BLOCK_CELLS,
+    FrequencyOracle,
+    OlhReport,
+    PerturbProbabilities,
+    estimate_frequency,
+)
 from .hashing import hash_bucket_array
 
 # Report seeds stay below 2**63 so they survive JSON round-trips as plain ints.
@@ -109,9 +115,13 @@ class OptimizedLocalHashing(FrequencyOracle):
             batch.values.min() < 0 or batch.values.max() >= self.g
         ):
             raise ValueError(f"report value out of range [0, {self.g})")
-        # replay every user's hash over all zones: bucket matrix is n x L
+        # replay every user's hash over all zones, one bounded block of
+        # users at a time; the support counts are integers
         zone_ids = np.arange(self.l_zones, dtype=np.int64)
-        buckets = hash_bucket_array(batch.seeds[:, None], zone_ids[None, :], self.g)
-        support = buckets == batch.values[:, None]
-        counts = support.sum(axis=0)
+        step = max(1, _BLOCK_CELLS // self.l_zones)
+        counts = np.zeros(self.l_zones, dtype=np.int64)
+        for start in range(0, n, step):
+            block = slice(start, start + step)
+            buckets = hash_bucket_array(batch.seeds[block, None], zone_ids, self.g)
+            counts += (buckets == batch.values[block, None]).sum(axis=0)
         return estimate_frequency(counts, n, self.probabilities())

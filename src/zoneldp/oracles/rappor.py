@@ -12,7 +12,7 @@ permanent randomization round applies. The client step is the same
 
 Decoding debiases each cohort's bit counts and fits per-zone counts by
 nonnegative L1-regularized least squares (penalty weight picked on an
-even/odd cohort split), or by a plain least-squares fallback.
+even/odd cohort split; the full system is the sum of the two halves).
 """
 from __future__ import annotations
 
@@ -30,7 +30,10 @@ from .hashing import family_member_seed, hash_bucket_array
 
 # relative penalty grid; 0 keeps the unpenalized fit in the running
 _LAMBDA_GRID = (0.0, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
-_DECODERS = ("lasso", "lstsq")
+# coordinate-descent budget: at most this many sweeps, stopping once no
+# coordinate moves by more than this tolerance relative to the largest
+_LASSO_SWEEPS = 400
+_LASSO_TOL = 1e-12
 
 
 def flip_parameter(epsilon: float) -> float:
@@ -46,13 +49,7 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
     return PerturbProbabilities(p=1.0 - f / 2.0, q=f / 2.0)
 
 
-def nonneg_lasso(
-    gram: np.ndarray,
-    linear: np.ndarray,
-    penalty: float,
-    max_iter: int = 400,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def nonneg_lasso(gram: np.ndarray, linear: np.ndarray, penalty: float) -> np.ndarray:
     """Minimize 0.5 b'Gb - l'b + penalty*sum(b) over b >= 0.
 
     Cyclic coordinate descent with closed-form coordinate updates;
@@ -63,7 +60,7 @@ def nonneg_lasso(
     beta = np.zeros(size)
     diag = np.diag(gram)
     active = diag > 0
-    for _ in range(max_iter):
+    for _ in range(_LASSO_SWEEPS):
         delta = 0.0
         for v in range(size):
             if not active[v]:
@@ -72,7 +69,7 @@ def nonneg_lasso(
             new = max(0.0, residual / diag[v])
             delta = max(delta, abs(new - beta[v]))
             beta[v] = new
-        if delta <= tol * (1.0 + float(np.abs(beta).max())):
+        if delta <= _LASSO_TOL * (1.0 + float(np.abs(beta).max())):
             break
     return beta
 
@@ -102,17 +99,13 @@ class Rappor(FrequencyOracle):
         epsilon: float,
         k: int = 64,
         m: int = 1024,
-        decoder: str = "lasso",
         hash_seed: int = 0,
     ):
         super().__init__(l_zones, epsilon)
         if k < 1 or m < 1:
             raise ValueError("k and m must be >= 1")
-        if decoder not in _DECODERS:
-            raise ValueError(f"decoder must be one of {_DECODERS}")
         self.k = int(k)
         self.m = int(m)
-        self.decoder = decoder
         self.hash_seed = int(hash_seed)
         self._probs = probabilities(epsilon)
         seeds = family_member_seed(self.hash_seed, np.arange(self.m))
@@ -143,8 +136,9 @@ class Rappor(FrequencyOracle):
         bits = np.array([r.bits for r in reports], dtype=np.uint8)
         return RapporBatch(cohorts=cohorts, bits=bits)
 
-    def _normal_equations(self, weights, debiased):
-        """Gram matrix and linear term of the weighted least-squares fit.
+    def _normal_equations(self, targets, weights, debiased):
+        """Gram matrix and linear term of the weighted least-squares fit
+        over the cohorts whose rows are given.
 
         Model: debiased[c] ~ w_c * (one-hot design of cohort c) @ counts,
         w_c = n_c / n. Assembled from the target table without ever
@@ -153,11 +147,10 @@ class Rappor(FrequencyOracle):
         squared = weights**2
         gram = np.zeros((self.l_zones, self.l_zones))
         for u in range(self.l_zones):
-            same = self.targets == self.targets[:, u][:, None]  # m x L
+            same = targets == targets[:, u][:, None]  # cohorts x L
             gram[u] = squared @ same
-        cohort_ids = np.arange(self.m)[:, None]
-        picked = debiased[cohort_ids, self.targets]  # m x L
-        linear = weights @ picked
+        rows = np.arange(targets.shape[0])[:, None]
+        linear = weights @ debiased[rows, targets]
         return gram, linear
 
     def _lasso_with_holdout(self, gram, linear, halves):
@@ -201,17 +194,17 @@ class Rappor(FrequencyOracle):
         debiased = (bit_sums - cohort_sizes[:, None] * q) / (p - q)
         weights = cohort_sizes / n
 
-        gram, linear = self._normal_equations(weights, debiased)
-        halves = None
-        if self.decoder == "lasso":
-            halves = []
-            for parity in (0, 1):
-                w = np.where(np.arange(self.m) % 2 == parity, weights, 0.0)
-                halves.append(self._normal_equations(w, debiased))
-        raw = self._decode(gram, linear, halves)
+        halves = [
+            self._normal_equations(
+                self.targets[parity::2], weights[parity::2], debiased[parity::2]
+            )
+            for parity in (0, 1)
+        ]
+        (g_even, l_even), (g_odd, l_odd) = halves
+        raw = self._decode(g_even + g_odd, l_even + l_odd, halves)
         return FrequencyEstimate.from_raw(raw, n)
 
-    def _decode(self, gram, linear, halves=None) -> np.ndarray:
+    def _decode(self, gram, linear, halves) -> np.ndarray:
         """Solve the fit; zones with zero curvature are warned and pinned to 0."""
         dead = np.diag(gram) <= 0
         if dead.any():
@@ -220,14 +213,4 @@ class Rappor(FrequencyOracle):
                 SingularFitWarning,
                 stacklevel=2,
             )
-        if self.decoder == "lstsq":
-            keep = ~dead
-            raw = np.zeros(self.l_zones)
-            if keep.any():
-                raw[keep] = np.linalg.lstsq(
-                    gram[np.ix_(keep, keep)], linear[keep], rcond=None
-                )[0]
-            return raw
-        if halves is None:
-            halves = ((gram, linear), (gram, linear))
         return self._lasso_with_holdout(gram, linear, halves)

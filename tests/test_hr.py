@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ldp_enum
+from zoneldp.oracles.base import HrReport
 from zoneldp.oracles.hr import (
     HadamardResponse,
     HrBatch,
@@ -180,3 +181,33 @@ class TestAggregate:
         est = mech.aggregate([])
         assert est.raw.tolist() == [0.0] * 4
         assert est.n_reports == 0
+
+    def test_raw_is_the_scale_times_integer_sign_sums(self):
+        # reference in plain Python ints: for each zone, the reported sign
+        # times the +/-1 entry at the report's row and the zone's column
+        mech = HadamardResponse(l_zones=8, epsilon=1.0)
+        rng = np.random.default_rng(5)
+        batch = mech.perturb_batch(rng.integers(0, 8, size=3000), rng)
+        sums = [0] * 8
+        for row, value in zip(batch.row_indices.tolist(), batch.signed_values.tolist()):
+            sign = 1 if value > 0 else -1
+            for zone in range(8):
+                sums[zone] += sign * (1 - 2 * ((row & (zone + 1)).bit_count() & 1))
+        want = np.array([scale_factor(1.0) * total for total in sums])
+        assert np.array_equal(mech.aggregate(batch).raw, want)
+
+    def test_off_magnitude_value_rejected(self):
+        # only the sign enters the statistic, so any other magnitude than
+        # the one perturb reports is refused rather than silently rounded
+        mech = HadamardResponse(l_zones=4, epsilon=1.0)
+        magnitude = scale_factor(1.0) * math.sqrt(mech.dim)
+        for value in (0.0, math.nan, 2.0 * magnitude):
+            batch = HrBatch(
+                row_indices=np.array([1, 2], dtype=np.int64),
+                signed_values=np.array([magnitude, value]),
+            )
+            with pytest.raises(ValueError):
+                mech.aggregate(batch)
+            reports = [HrReport(1, magnitude), HrReport(2, value)]
+            with pytest.raises(ValueError):
+                mech.aggregate(reports)

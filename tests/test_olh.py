@@ -1,11 +1,13 @@
 """Local-hashing mechanism: domain size, privacy ratio, unbiasedness."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ldp_enum
-from zoneldp.oracles.hashing import hash_bucket
+from zoneldp.oracles.base import _BLOCK_CELLS, estimate_frequency
+from zoneldp.oracles.hashing import hash_bucket, hash_bucket_array
 from zoneldp.oracles.olh import (
     OlhBatch,
     OptimizedLocalHashing,
@@ -201,3 +203,39 @@ class TestAggregate:
         report = mech.perturb(2, rng)
         est = mech.aggregate([report])
         assert est.rounded().tolist() == [0, 0, 1, 0]
+
+
+class TestBlockedReplay:
+    """The aggregator replays the users' hashes in blocks of
+    ``_BLOCK_CELLS // L`` users; the reference is the whole n x L replay."""
+
+    L = 1000
+
+    def reference_raw(self, mech, batch):
+        zone_ids = np.arange(mech.l_zones, dtype=np.int64)
+        buckets = hash_bucket_array(batch.seeds[:, None], zone_ids[None, :], mech.g)
+        counts = (buckets == batch.values[:, None]).sum(axis=0)
+        return estimate_frequency(counts, batch.n_reports, mech.probabilities()).raw
+
+    def test_matches_the_whole_replay_at_block_edges(self):
+        mech = OptimizedLocalHashing(l_zones=self.L, epsilon=2.0)
+        step = _BLOCK_CELLS // self.L
+        for n in (step - 1, step, step + 1, 3 * step + 7):
+            rng = np.random.default_rng(n)
+            batch = mech.perturb_batch(rng.integers(0, self.L, size=n), rng)
+            got = mech.aggregate(batch).raw
+            assert np.array_equal(got, self.reference_raw(mech, batch)), n
+
+    def test_scratch_memory_is_bounded_by_the_block(self):
+        mech = OptimizedLocalHashing(l_zones=200, epsilon=1.0)
+        rng = np.random.default_rng(7)
+        n = 40_000  # the whole replay would hold 64 MB per n x L array
+        batch = mech.perturb_batch(rng.integers(0, 200, size=n), rng)
+        tracemalloc.start()
+        try:
+            mech.aggregate(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # hash_bucket_array keeps about four block-sized temporaries alive
+        assert peak <= 5 * 8 * _BLOCK_CELLS

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from zoneldp.oracles.base import (
-    _UNIFORM_BLOCK,
+    _BLOCK_CELLS,
     PerturbProbabilities,
     one_hot_rr,
 )
@@ -33,7 +33,7 @@ def reference_bits(positions, width, probs, rng):
 
 @pytest.mark.parametrize("width", [1024, 64])
 def test_matches_the_threshold_matrix_at_block_edges(width):
-    rows = _UNIFORM_BLOCK // width
+    rows = _BLOCK_CELLS // width
     for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
         positions = np.random.default_rng(n).integers(0, width, size=n)
         got = one_hot_rr(positions, width, PROBS, np.random.default_rng(31))
@@ -60,7 +60,7 @@ def test_scratch_memory_is_one_bounded_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - bits.nbytes <= 8 * _UNIFORM_BLOCK + (1 << 20)
+    assert peak - bits.nbytes <= 8 * _BLOCK_CELLS + (1 << 20)
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,15 @@ def test_scalar_perturb_is_a_batch_of_one(mechanism):
             mech.perturb(zone, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_class_defines_its_own_perturb_batch_and_aggregate(mechanism):
+    # the traced benchmark run wraps these two methods on the class itself
+    # (cls.__dict__), so an inherited one would go untraced or fail
+    cls = type(make_mechanism(mechanism, 8, 1.0))
+    assert "perturb_batch" in cls.__dict__
+    assert "aggregate" in cls.__dict__
+
+
 class TestWireFormat:
     REPORTS = [
         OlhReport(hash_seed=123456789, value=3),

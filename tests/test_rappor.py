@@ -88,8 +88,6 @@ class TestConstruction:
             Rappor(l_zones=4, epsilon=1.0, k=0)
         with pytest.raises(ValueError):
             Rappor(l_zones=4, epsilon=1.0, m=0)
-        with pytest.raises(ValueError):
-            Rappor(l_zones=4, epsilon=1.0, decoder="ridge")
 
     def test_target_table_shape_and_range(self):
         mech = Rappor(l_zones=6, epsilon=1.0, k=16, m=8)
@@ -160,7 +158,7 @@ class TestPerturb:
 class TestExactRecovery:
     """With a huge budget the bits are clean, and whenever the realized
     cohort mix is consistent with the fitted model the decoder must return
-    the exact histogram, for both solver choices.
+    the exact histogram.
 
     A multi-zone population with randomly drawn cohorts is NOT exactly
     recoverable even with clean bits: the fit models each zone as splitting
@@ -169,9 +167,9 @@ class TestExactRecovery:
     where the system is exactly consistent.
     """
 
-    @pytest.mark.parametrize("decoder", ["lasso", "lstsq"])
+    @pytest.mark.parametrize("decoder", ["lasso"])
     def test_single_zone_population_end_to_end(self, decoder):
-        mech = Rappor(l_zones=8, epsilon=50.0, k=64, m=4, hash_seed=0, decoder=decoder)
+        mech = Rappor(l_zones=8, epsilon=50.0, k=64, m=4, hash_seed=0)
         est = mech.aggregate(
             mech.perturb_batch(np.full(200, 3), np.random.default_rng(7))
         )
@@ -180,14 +178,14 @@ class TestExactRecovery:
         np.testing.assert_allclose(est.raw, expected, atol=1e-6)
         assert est.rounded().tolist() == [0, 0, 0, 200, 0, 0, 0, 0]
 
-    @pytest.mark.parametrize("decoder", ["lasso", "lstsq"])
+    @pytest.mark.parametrize("decoder", ["lasso"])
     def test_balanced_cohorts_recover_mixed_population(self, decoder):
         # each zone's users are spread evenly over the cohorts, so the
         # clean-bit system is exactly consistent; two cohorts of this
         # family have colliding zone pairs, which the fit resolves through
         # the non-colliding cohorts
         truth = np.array([48, 12, 0, 40, 24, 24, 32, 20])
-        mech = Rappor(l_zones=8, epsilon=50.0, k=64, m=4, hash_seed=0, decoder=decoder)
+        mech = Rappor(l_zones=8, epsilon=50.0, k=64, m=4, hash_seed=0)
         cohorts, rows = [], []
         for zone, count in enumerate(truth):
             for cohort in range(mech.m):
@@ -212,13 +210,14 @@ class TestSingularFitGuard:
     so the solver is exercised directly on a crafted system.
     """
 
-    @pytest.mark.parametrize("decoder", ["lasso", "lstsq"])
+    @pytest.mark.parametrize("decoder", ["lasso"])
     def test_dead_coordinate_warns_and_pins_to_zero(self, decoder):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=4, decoder=decoder)
+        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=4)
         gram = np.diag([1.0, 2.0, 0.0, 4.0])
         linear = np.array([3.0, 2.0, 5.0, 2.0])
+        halves = ((gram / 2, linear / 2), (gram / 2, linear / 2))
         with pytest.warns(SingularFitWarning, match="1 zone"):
-            raw = mech._decode(gram, linear)
+            raw = mech._decode(gram, linear, halves)
         np.testing.assert_allclose(raw, [3.0, 1.0, 0.0, 0.5])
 
     def test_clean_aggregate_does_not_warn(self):
@@ -277,7 +276,7 @@ class TestPrivacy:
 
 
 class TestAggregate:
-    @pytest.mark.parametrize("decoder", ["lasso", "lstsq"])
+    @pytest.mark.parametrize("decoder", ["lasso"])
     def test_unbiased_over_fresh_hash_families(self, decoder):
         # redraw the cohort hash family each trial; the trial mean must sit
         # within 3 standard errors of the truth in every zone
@@ -291,7 +290,6 @@ class TestAggregate:
                 k=16,
                 m=64,
                 hash_seed=100 + trial,
-                decoder=decoder,
             )
             rng = np.random.default_rng(10_100 + trial)
             raws.append(mech.aggregate(mech.perturb_batch(zones, rng)).raw)
@@ -317,6 +315,39 @@ class TestAggregate:
             bits=np.array([r.bits for r in reports], dtype=np.uint8),
         )
         assert np.array_equal(mech.aggregate(reports).raw, mech.aggregate(batch).raw)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_even_and_odd_halves_sum_to_the_full_assembly(self, m):
+        # aggregate assembles the normal equations once per cohort parity;
+        # their sum must be the system over all m cohorts (at m=1 the odd
+        # half is empty)
+        mech = Rappor(l_zones=6, epsilon=1.0, k=16, m=m, hash_seed=4)
+        rng = np.random.default_rng(41)
+        batch = mech.perturb_batch(rng.integers(0, 6, size=400), rng)
+        assemble = mech._normal_equations
+        calls = []
+
+        def spy(targets, weights, debiased):
+            calls.append((targets, weights, debiased))
+            return assemble(targets, weights, debiased)
+
+        mech._normal_equations = spy
+        mech.aggregate(batch)
+        assert len(calls) == 2
+        (t_even, w_even, d_even), (t_odd, w_odd, d_odd) = calls
+        assert np.array_equal(t_even, mech.targets[0::2])
+        assert np.array_equal(t_odd, mech.targets[1::2])
+        weights = np.empty(m)
+        weights[0::2], weights[1::2] = w_even, w_odd
+        np.testing.assert_allclose(
+            weights, np.bincount(batch.cohorts, minlength=m) / 400, rtol=1e-15
+        )
+        debiased = np.empty((m, mech.k))
+        debiased[0::2], debiased[1::2] = d_even, d_odd
+        gram, linear = assemble(mech.targets, weights, debiased)
+        (g_even, l_even), (g_odd, l_odd) = (assemble(*call) for call in calls)
+        np.testing.assert_allclose(g_even + g_odd, gram, rtol=1e-12)
+        np.testing.assert_allclose(l_even + l_odd, linear, rtol=1e-12)
 
     def test_empty_reports_give_zero_estimate(self):
         mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
