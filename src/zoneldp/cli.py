@@ -105,7 +105,10 @@ def _population_from_config(cfg: dict):
                 raise ConfigError(f'fingerprint population needs "{key}"')
         schema = load_schema(pop["schema"])
         _, fingerprints = load_fingerprints(pop["fingerprints"], schema)
-        table = load_zone_table(pop["table"])
+        try:
+            table = load_zone_table(pop["table"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad zone table {pop['table']}: {exc}") from exc
         return LookupPopulation(fingerprints=tuple(fingerprints), table=table)
     raise ConfigError('population must have "counts" or "fingerprints"')
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -70,6 +71,8 @@ def _parse_rssi(cell: str, marker: str, row_number: int, column: str) -> float:
         value = float(text)
     except ValueError:
         raise MalformedRow(row_number, f"column {column!r}: not a number: {text!r}")
+    if math.isnan(value) or value == math.inf:
+        raise MalformedRow(row_number, f"column {column!r}: not a finite RSSI: {text!r}")
     # anything at or below the sentinel level counts as not sensed
     return value if value > SENTINEL_RSSI else SENTINEL_RSSI
 

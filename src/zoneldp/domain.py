@@ -6,6 +6,7 @@ randomness, and is safe to share across worker processes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -19,6 +20,11 @@ SENTINEL_RSSI = -110.0
 # Canonical mechanism names, in the order used everywhere (reports, sweeps,
 # summaries). Membership in this tuple is what "valid mechanism" means.
 MECHANISMS = ("OLH", "OUE", "THE", "HR", "CMS", "RAPPOR")
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for floats, even 1.0, and bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -47,6 +53,8 @@ class Fingerprint:
             raise ValueError(
                 f"rssi values below the {SENTINEL_RSSI} dBm sentinel are invalid"
             )
+        if not np.all(np.isfinite(rssi)):
+            raise ValueError("rssi values must not be NaN or +inf")
         object.__setattr__(self, "rssi", _readonly(rssi))
         if self.location is not None:
             x, y = self.location
@@ -87,10 +95,18 @@ class ZoneTable:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("zone table must have at least one entry")
+        if not (_is_int(self.ap_count) and _is_int(self.strongest_count)):
+            raise ValueError("ap_count and strongest_count must be integers")
+        for zone in self.entries.values():
+            if not _is_int(zone):
+                raise ValueError(f"zone indices must be integers, got {zone!r}")
         zones = sorted(self.entries.values())
         if zones != list(range(len(zones))):
             raise ValueError("zone indices must be dense 0..L-1 without repeats")
         for key in self.entries:
+            for ap in key:
+                if not _is_int(ap):
+                    raise ValueError(f"AP ids must be integers, got {ap!r}")
             if len(key) != self.strongest_count:
                 raise ValueError(
                     f"key {sorted(key)} has size {len(key)}, "

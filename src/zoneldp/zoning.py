@@ -3,6 +3,19 @@
 A zone is the set of locations sharing the same M strongest access points.
 Building the table is an offline batch step over training fingerprints; the
 resulting table is public, immutable, and safe for concurrent lookups.
+
+Table building and lookup are one array pass over all rows: the rows are
+stacked into an (n, APs) matrix, one stable sort per row picks the M
+strongest APs (equal signals go to the lower AP id), and each sorted id set
+becomes a byte-string key that is matched against the table's sorted keys
+with ``searchsorted``. ``lookup_zone`` is that pass on a batch of one, and
+``strongest_aps`` is the plain scalar statement of the same rule, kept as a
+reference.
+
+Rows with fewer than M sensed APs (above the sentinel) are counted as
+insufficient and never matched. NaN and +inf RSSI values are rejected when a
+``Fingerprint`` is built, and a zone table rejects AP ids and zone indices
+that are not integers, so no key can be truncated into a different set.
 """
 from __future__ import annotations
 
@@ -35,6 +48,48 @@ def strongest_aps(rssi: np.ndarray, m: int) -> StrongestSet:
     return frozenset(int(i) for i in order[:m])
 
 
+def _strongest_sets(rssi: np.ndarray, m: int) -> np.ndarray:
+    """Ascending ids of the ``m`` strongest APs of every row with enough signals.
+
+    One stable argsort of every row of the (n, APs) matrix: the strongest
+    signal comes first and equal signals keep the lower AP id first, which
+    is the tie rule of :func:`strongest_aps`. Rows with fewer than ``m`` sensed APs
+    are dropped, so callers count them as ``n - len(result)``.
+    """
+    sufficient = np.count_nonzero(rssi > SENTINEL_RSSI, axis=1) >= m
+    top = np.argsort(-rssi, axis=1, kind="stable")[:, :m]
+    return np.sort(top[sufficient], axis=1)
+
+
+def _set_keys(ids: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row of ascending int64 AP ids.
+
+    Equal sets give equal keys for any AP count and any ``m``, and the keys
+    sort, so sets are matched with ``searchsorted``.
+    """
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    return ids.view(np.dtype((np.void, ids.itemsize * ids.shape[1])))[:, 0]
+
+
+def _zones_of(table: ZoneTable, ids: np.ndarray) -> np.ndarray:
+    """Zone of each row of ascending AP ids, or -1 where the set is unknown."""
+    table_keys = _set_keys(np.array([sorted(key) for key in table.entries]))
+    table_zones = np.fromiter(table.entries.values(), np.int64, table.n_zones)
+    order = np.argsort(table_keys)
+    table_keys, table_zones = table_keys[order], table_zones[order]
+
+    keys = _set_keys(ids)
+    at = np.minimum(np.searchsorted(table_keys, keys), table.n_zones - 1)
+    return np.where(table_keys[at] == keys, table_zones[at], -1)
+
+
+def _check_width(width: int, table: ZoneTable) -> None:
+    if width != table.ap_count:
+        raise ValueError(
+            f"rssi length {width} does not match table AP count {table.ap_count}"
+        )
+
+
 def build_zone_table(training: Sequence[Fingerprint], m: int) -> ZoneTable:
     """One zone per distinct strongest-AP set seen in the training data.
 
@@ -48,26 +103,21 @@ def build_zone_table(training: Sequence[Fingerprint], m: int) -> ZoneTable:
     if len(widths) != 1:
         raise ValueError(f"inconsistent AP counts in training data: {sorted(widths)}")
     n_aps = widths.pop()
+    if m < 1:
+        raise ValueError("m must be positive")
     if m > n_aps:
         raise ValueError(f"m={m} exceeds AP count {n_aps}")
 
-    entries: dict = {}
-    skipped = 0
-    for fp in training:
-        try:
-            key = strongest_aps(fp.rssi, m)
-        except InsufficientSignals:
-            skipped += 1
-            continue
-        if key not in entries:
-            entries[key] = len(entries)
-    if not entries:
+    ids = _strongest_sets(np.stack([fp.rssi for fp in training]), m)
+    if not len(ids):
         raise EmptyTable("every training fingerprint had too few sensed APs")
+    _, first = np.unique(_set_keys(ids), return_index=True)
+    first_seen = ids[np.sort(first)].tolist()
     return ZoneTable(
-        entries=entries,
+        entries={frozenset(aps): zone for zone, aps in enumerate(first_seen)},
         ap_count=n_aps,
         strongest_count=m,
-        skipped_training=skipped,
+        skipped_training=len(training) - len(ids),
     )
 
 
@@ -79,12 +129,15 @@ def lookup_zone(table: ZoneTable, rssi: np.ndarray) -> Optional[int]:
     ``table.strongest_count`` APs are sensed.
     """
     rssi = np.asarray(rssi, dtype=np.float64)
-    if rssi.size != table.ap_count:
-        raise ValueError(
-            f"rssi length {rssi.size} does not match table AP count {table.ap_count}"
+    _check_width(rssi.size, table)
+    ids = _strongest_sets(rssi.reshape(1, -1), table.strongest_count)
+    if not len(ids):
+        sensed = int(np.count_nonzero(rssi > SENTINEL_RSSI))
+        raise InsufficientSignals(
+            f"only {sensed} APs sensed, need {table.strongest_count}"
         )
-    key = strongest_aps(rssi, table.strongest_count)
-    return table.entries.get(key)
+    zone = int(_zones_of(table, ids)[0])
+    return None if zone < 0 else zone
 
 
 def zone_table_to_json(table: ZoneTable) -> str:
@@ -107,13 +160,11 @@ def zone_table_to_json(table: ZoneTable) -> str:
 
 def zone_table_from_json(text: str) -> ZoneTable:
     payload = json.loads(text)
-    entries = {
-        frozenset(entry["aps"]): int(entry["zone"]) for entry in payload["zones"]
-    }
+    entries = {frozenset(entry["aps"]): entry["zone"] for entry in payload["zones"]}
     return ZoneTable(
         entries=entries,
-        ap_count=int(payload["n_aps"]),
-        strongest_count=int(payload["m"]),
+        ap_count=payload["n_aps"],
+        strongest_count=payload["m"],
     )
 
 
@@ -133,19 +184,14 @@ def assign_zones(
     """Look up many fingerprints; returns (zones, n_insufficient, n_unmatched).
 
     Users whose rows cannot be mapped are excluded (a real aggregator never
-    hears from them) and tallied per cause.
+    hears from them) and tallied per cause. ``zones`` keeps input order.
     """
-    zones: List[int] = []
-    insufficient = 0
-    unmatched = 0
-    for fp in fingerprints:
-        try:
-            zone = lookup_zone(table, fp.rssi)
-        except InsufficientSignals:
-            insufficient += 1
-            continue
-        if zone is None:
-            unmatched += 1
-        else:
-            zones.append(zone)
-    return zones, insufficient, unmatched
+    rows = [fp.rssi for fp in fingerprints]
+    for width in {row.size for row in rows}:
+        _check_width(width, table)
+    if not rows:
+        return [], 0, 0
+    ids = _strongest_sets(np.stack(rows), table.strongest_count)
+    zones = _zones_of(table, ids)
+    matched = zones[zones >= 0]
+    return matched.tolist(), len(rows) - len(ids), len(ids) - len(matched)

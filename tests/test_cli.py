@@ -418,6 +418,31 @@ class TestSweep:
         result = json.loads(line)
         assert result["true_counts"] == [2, 2]
 
+    @pytest.mark.parametrize("damage", ["fractional_zone", "missing_m", "scalar_aps"])
+    def test_bad_zone_table_is_a_data_error(self, workspace, capsys, damage):
+        table = build_table(workspace, capsys)
+        payload = json.loads(table.read_text(encoding="utf-8"))
+        if damage == "fractional_zone":
+            payload["zones"][-1]["zone"] += 0.5
+        elif damage == "missing_m":
+            del payload["m"]
+        else:
+            payload["zones"][0]["aps"] = 0
+        table.write_text(json.dumps(payload), encoding="utf-8")
+        config = self._write_config(
+            workspace,
+            population={
+                "fingerprints": str(workspace / "fingerprints.csv"),
+                "schema": str(workspace / "schema.json"),
+                "table": str(table),
+            },
+        )
+        code, _, stderr = run_cli(
+            ["sweep", "--config", config, "--out", workspace / "run"], capsys
+        )
+        assert code == EXIT_DATA
+        assert "bad zone table" in stderr
+
     def test_missing_grid_axes_are_config_errors(self, workspace, capsys):
         for missing in ("mechanisms", "epsilons"):
             config = self._write_config(workspace)

@@ -82,6 +82,21 @@ class TestLoadFingerprints:
         _, fps = load_fingerprints(path, SCHEMA)
         assert fps[0].rssi[0] == SENTINEL_RSSI
 
+    def test_minus_inf_counts_as_not_sensed(self, tmp_path):
+        path = write_csv(tmp_path, "x,y,AP1,AP2,AP3\n1,2,-inf,-40,-50\n")
+        _, fps = load_fingerprints(path, SCHEMA)
+        assert fps[0].rssi[0] == SENTINEL_RSSI
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "+inf", "NaN"])
+    def test_nan_and_plus_inf_raise_with_row_number(self, tmp_path, cell):
+        path = write_csv(
+            tmp_path, f"x,y,AP1,AP2,AP3\n1,2,-40,-50,-60\n1,2,-40,-50,{cell}\n"
+        )
+        with pytest.raises(MalformedRow) as err:
+            load_fingerprints(path, SCHEMA)
+        assert err.value.row_number == 3
+        assert "AP3" in err.value.detail
+
     def test_floor_filter_keeps_matching_rows_only(self, tmp_path):
         schema = dict(SCHEMA, floor={"column": "level", "value": 2})
         path = write_csv(

@@ -27,6 +27,12 @@ class TestFingerprint:
         with pytest.raises(ValueError):
             Fingerprint(rssi=[-40.0, -120.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # -inf is below the sentinel; NaN and +inf would sort as strongest
+        with pytest.raises(ValueError):
+            Fingerprint(rssi=[bad, -40.0, -50.0])
+
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
             Fingerprint(rssi=[])
@@ -97,6 +103,30 @@ class TestZoneTable:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ZoneTable(entries={}, ap_count=3, strongest_count=2)
+
+    @pytest.mark.parametrize("ap", [0.5, 1.0, True])
+    def test_rejects_ap_id_that_is_not_an_integer(self, ap):
+        with pytest.raises(ValueError, match="AP ids must be integers"):
+            ZoneTable(
+                entries={frozenset({ap, 2}): 0}, ap_count=4, strongest_count=2
+            )
+
+    def test_accepts_numpy_integer_ids(self):
+        table = ZoneTable(
+            entries={frozenset({np.int64(0), np.int32(1)}): np.int64(0)},
+            ap_count=2,
+            strongest_count=2,
+        )
+        assert table.n_zones == 1
+
+    @pytest.mark.parametrize("zone", [0.0, 1.7])
+    def test_rejects_zone_index_that_is_not_an_integer(self, zone):
+        with pytest.raises(ValueError, match="zone indices must be integers"):
+            ZoneTable(
+                entries={frozenset({0, 1}): 0, frozenset({1, 2}): zone},
+                ap_count=3,
+                strongest_count=2,
+            )
 
     def test_skipped_training_does_not_affect_equality(self):
         a = ZoneTable(

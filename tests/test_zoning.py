@@ -1,8 +1,12 @@
 """Zone division: strongest-AP sets, table building, lookup, serialization."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from zoneldp.domain import SENTINEL_RSSI, Fingerprint, max_zone_count
+from zoneldp.domain import SENTINEL_RSSI, Fingerprint, ZoneTable, max_zone_count
 from zoneldp.errors import EmptyTable, InsufficientSignals
 from zoneldp.zoning import (
     assign_zones,
@@ -186,6 +190,25 @@ class TestSerialization:
         save_zone_table(table, path)
         assert load_zone_table(path) == table
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # 0.5 would truncate to AP 0 in an integer key and match {0, 1}
+            ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0.5, 1], "zone": 0}]}',
+             "AP ids must be integers"),
+            ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": 0},'
+             ' {"aps": [1, 2], "zone": 1.7}]}',
+             "zone indices must be integers"),
+            ('{"n_aps": 4.5, "m": 2, "zones": [{"aps": [0, 1], "zone": 0}]}',
+             "must be integers"),
+            ('{"n_aps": 4, "m": 2.0, "zones": [{"aps": [0, 1], "zone": 0}]}',
+             "must be integers"),
+        ],
+    )
+    def test_json_rejects_values_that_are_not_integers(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            zone_table_from_json(text)
+
     def test_json_shape(self):
         table = build_zone_table(
             [Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2
@@ -198,3 +221,116 @@ class TestSerialization:
             "m": 2,
             "zones": [{"aps": [0, 1], "zone": 0}],
         }
+
+
+def reference_entries(training, m):
+    """Plain-Python table build: first-seen zones of ``strongest_aps`` sets."""
+    entries, skipped = {}, 0
+    for fp in training:
+        try:
+            key = strongest_aps(fp.rssi, m)
+        except InsufficientSignals:
+            skipped += 1
+            continue
+        entries.setdefault(key, len(entries))
+    return entries, skipped
+
+
+def reference_zone(table, rssi):
+    """Plain-Python lookup of one row: a zone, None, or "insufficient"."""
+    try:
+        return table.entries.get(strongest_aps(rssi, table.strongest_count))
+    except InsufficientSignals:
+        return "insufficient"
+
+
+def tied_rows(rng, n, width):
+    """Integer-valued RSSI rows, so ties are common, with sentinel cells and rows."""
+    rssi = rng.integers(-56, -50, size=(n, width)).astype(np.float64)
+    rssi[rng.random((n, width)) < 0.3] = SENTINEL_RSSI
+    rssi[rng.random(n) < 0.05] = SENTINEL_RSSI
+    return [Fingerprint(rssi=row) for row in rssi]
+
+
+CASES = [(width, m) for width in (3, 24, 70) for m in (1, 2, 3, 4) if m <= width]
+
+
+class TestArrayPassMatchesReference:
+    @pytest.mark.parametrize("width,m", CASES)
+    def test_build_matches_first_seen_loop(self, width, m):
+        rng = np.random.default_rng([width, m])
+        training = tied_rows(rng, 400, width)
+        table = build_zone_table(training, m)
+        entries, skipped = reference_entries(training, m)
+        assert list(table.entries.items()) == list(entries.items())
+        assert table.skipped_training == skipped
+        expected = ZoneTable(entries=entries, ap_count=width, strongest_count=m)
+        assert zone_table_to_json(table) == zone_table_to_json(expected)
+
+    @pytest.mark.parametrize("width,m", CASES)
+    def test_lookup_matches_reference_row_for_row(self, width, m):
+        rng = np.random.default_rng([width, m, 1])
+        training = tied_rows(rng, 300, width)
+        built = build_zone_table(training, m)
+        # renumber the zones so table order and zone order differ
+        table = ZoneTable(
+            entries={key: built.n_zones - 1 - z for key, z in built.entries.items()},
+            ap_count=width,
+            strongest_count=m,
+        )
+        queries = training[::2] + tied_rows(rng, 300, width)
+        expected = [reference_zone(table, fp.rssi) for fp in queries]
+
+        zones, insufficient, unmatched = assign_zones(table, tuple(queries))
+        assert zones == [z for z in expected if isinstance(z, int)]
+        assert all(type(z) is int for z in zones)
+        assert insufficient == expected.count("insufficient")
+        assert unmatched == expected.count(None)
+        assert 0 < len(zones) and 0 < insufficient
+
+        for fp, want in zip(queries, expected):
+            if want == "insufficient":
+                with pytest.raises(InsufficientSignals):
+                    lookup_zone(table, fp.rssi)
+            else:
+                assert lookup_zone(table, fp.rssi) == want
+
+    def test_empty_input(self):
+        table = build_zone_table([Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2)
+        assert assign_zones(table, []) == ([], 0, 0)
+        assert assign_zones(table, ()) == ([], 0, 0)
+
+    def test_wrong_width_names_both_widths(self):
+        table = build_zone_table([Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2)
+        rows = [Fingerprint(rssi=[-40.0, -45.0, -90.0]),
+                Fingerprint(rssi=[-40.0, -45.0, -90.0, -50.0])]
+        with pytest.raises(ValueError, match="rssi length 4 .*AP count 3"):
+            assign_zones(table, rows)
+        with pytest.raises(ValueError, match="rssi length 4 .*AP count 3"):
+            assign_zones(table, rows[1:])
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations here
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkVenueLookup:
+    """Agreement with the benchmark's own lookup on its synthetic venue."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_counts_equal_independent_lookup(self, seed):
+        workloads = _benchmark_workloads()
+        venue = workloads.Venue(seed)
+        table = build_zone_table(
+            [Fingerprint(rssi=row) for row in venue.survey], workloads.VENUE_M
+        )
+        window = venue.rssi(5000)
+        zones, _, _ = assign_zones(table, tuple(Fingerprint(rssi=r) for r in window))
+        counts, matched = workloads.reference_lookup(table, window)
+        assert np.array_equal(np.bincount(zones, minlength=table.n_zones), counts)
+        assert len(zones) == matched
