@@ -13,27 +13,47 @@ permanent randomization round applies. The client step is the same
 Decoding debiases each cohort's bit counts and fits per-zone counts by
 nonnegative L1-regularized least squares (penalty weight picked on an
 even/odd cohort split; the full system is the sum of the two halves).
+The Gram matrix of the fit is counted from same-bucket zone pairs, which
+is O(m * (L + L^2/k)) rather than one m x L comparison per zone. Each fit
+solves its stationarity equations exactly on a support by Cholesky and
+keeps the solution only when coordinate descent's stopping rule certifies
+it; otherwise a coordinate-descent sweep moves the iterate and the solve
+is retried. Fits along the penalty grid are warm-started from the last.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch, SingularFitWarning
-from .base import FrequencyOracle, PerturbProbabilities, RapporReport, one_hot_rr
+from .base import (
+    _BLOCK_CELLS,
+    FrequencyOracle,
+    PerturbProbabilities,
+    RapporReport,
+    one_hot_rr,
+)
 from .hashing import family_member_seed, hash_bucket_array
 
 # relative penalty grid; 0 keeps the unpenalized fit in the running
 _LAMBDA_GRID = (0.0, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
-# coordinate-descent budget: at most this many sweeps, stopping once no
-# coordinate moves by more than this tolerance relative to the largest
+# coordinate-descent stopping rule: no coordinate moves by more than this
+# tolerance relative to the largest; at most this many sweeps
 _LASSO_SWEEPS = 400
 _LASSO_TOL = 1e-12
+# arrays of the pair pass alive at once; blocks are sized so that all of
+# them together fit in one _BLOCK_CELLS block
+_SCRATCH_ARRAYS = 8
+# support exchanges tried per exact solve
+_EXCHANGES = 4
+# a Cholesky pivot below this fraction of its diagonal entry marks the
+# support as collinear
+_PIVOT_RTOL = 1e-10
 
 
 def flip_parameter(epsilon: float) -> float:
@@ -49,29 +69,108 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
     return PerturbProbabilities(p=1.0 - f / 2.0, q=f / 2.0)
 
 
-def nonneg_lasso(gram: np.ndarray, linear: np.ndarray, penalty: float) -> np.ndarray:
+def nonneg_lasso(
+    gram: np.ndarray,
+    linear: np.ndarray,
+    penalty: float,
+    start: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Minimize 0.5 b'Gb - l'b + penalty*sum(b) over b >= 0.
 
-    Cyclic coordinate descent with closed-form coordinate updates;
-    deterministic for fixed inputs. Coordinates with zero curvature are
-    pinned at zero.
+    Each round solves ``G[F, F] b_F = (l - penalty)[F]`` exactly by
+    Cholesky on a support F: the support of the current iterate, changed
+    by a few vectorized exchanges (drop coordinates that came out
+    nonpositive, add inactive ones whose coordinate update would be
+    positive). A solution is returned only when cyclic coordinate
+    descent's own stopping rule holds for it, checked for all coordinates
+    at once. Otherwise one ordinary coordinate-descent sweep moves the
+    iterate and the solve is retried once its support changes; the sweeps
+    cover collinear or singular supports, so the result is the point
+    descent converges to. ``start`` warm-starts the iterate, for example
+    from the fit at a neighbouring penalty. Coordinates with zero
+    curvature are pinned at zero. Deterministic for fixed inputs.
     """
     size = linear.size
-    beta = np.zeros(size)
     diag = np.diag(gram)
-    active = diag > 0
+    live = diag > 0
+    target = linear - penalty
+    beta = np.zeros(size)
+    if start is not None:
+        beta[live] = np.maximum(start[live], 0.0)
+    tried = None
     for _ in range(_LASSO_SWEEPS):
-        delta = 0.0
-        for v in range(size):
-            if not active[v]:
-                continue
-            residual = linear[v] - penalty - (gram[v] @ beta - diag[v] * beta[v])
-            new = max(0.0, residual / diag[v])
-            delta = max(delta, abs(new - beta[v]))
-            beta[v] = new
-        if delta <= _LASSO_TOL * (1.0 + float(np.abs(beta).max())):
+        support = beta > 0
+        if tried is None or not np.array_equal(support, tried):
+            tried = support
+            found = _support_solve(gram, target, live, support)
+            if found is not None and _cd_converged(gram, target, diag, live, found):
+                return found
+        if _cd_sweep(gram, target, diag, live, beta) <= _LASSO_TOL * (
+            1.0 + float(np.abs(beta).max(initial=0.0))
+        ):
             break
     return beta
+
+
+def _cd_sweep(gram, target, diag, live, beta) -> float:
+    """One cyclic coordinate-descent sweep over the live coordinates, in
+    place; returns the largest coordinate move."""
+    delta = 0.0
+    for v in np.flatnonzero(live).tolist():
+        residual = target[v] - (gram[v] @ beta - diag[v] * beta[v])
+        new = max(0.0, residual / diag[v])
+        delta = max(delta, abs(new - beta[v]))
+        beta[v] = new
+    return delta
+
+
+def _cd_converged(gram, target, diag, live, beta) -> bool:
+    """Coordinate descent's stopping rule, checked for every live
+    coordinate at once: no closed-form update moves ``beta`` by more than
+    the tolerance."""
+    residual = (target - (gram @ beta - diag * beta))[live]
+    moves = np.maximum(0.0, residual / diag[live]) - beta[live]
+    scale = 1.0 + float(np.abs(beta).max(initial=0.0))
+    return float(np.abs(moves).max(initial=0.0)) <= _LASSO_TOL * scale
+
+
+def _support_solve(gram, target, live, support) -> Optional[np.ndarray]:
+    """Exact minimizer on a support reached by a few vectorized exchanges.
+
+    Returns the last solution that was positive on its whole support, or
+    None when every support tried was collinear or gave a nonpositive
+    coordinate.
+    """
+    candidate = None
+    for _ in range(_EXCHANGES):
+        beta = np.zeros(target.size)
+        index = np.flatnonzero(support)
+        try:
+            beta[index] = _spd_solve(gram[np.ix_(index, index)], target[index])
+        except np.linalg.LinAlgError:
+            break
+        kept = beta > 0
+        if kept.sum() < index.size:
+            support = kept
+            continue
+        candidate = beta
+        grow = live & ~support & (target - gram[:, index] @ beta[index] > 0)
+        if not grow.any():
+            break
+        support = support | grow
+    return candidate
+
+
+def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a symmetric positive definite matrix; raises LinAlgError
+    when a Cholesky pivot shows the columns to be (numerically) collinear,
+    since then the minimizer on the support is not unique."""
+    if not rhs.size:
+        return rhs
+    factor = np.linalg.cholesky(matrix)
+    if np.any(np.diag(factor) ** 2 <= _PIVOT_RTOL * np.diag(matrix)):
+        raise np.linalg.LinAlgError("collinear support")
+    return np.linalg.solve(matrix, rhs)
 
 
 @dataclass(frozen=True)
@@ -141,36 +240,71 @@ class Rappor(FrequencyOracle):
         over the cohorts whose rows are given.
 
         Model: debiased[c] ~ w_c * (one-hot design of cohort c) @ counts,
-        w_c = n_c / n. Assembled from the target table without ever
-        materializing the (m*k) x L design matrix.
+        w_c = n_c / n, so gram[u, v] sums w_c^2 over the cohorts where
+        zones u and v light the same bit. Only those same-bucket pairs are
+        visited: each cohort's row is sorted by bucket, and entry i is
+        paired with entries i + 1, i + 2, ... while the bucket matches.
+        That is O(rows * (L + L^2/k)) work. The (m*k) x L design matrix is
+        never built: cohorts are taken in blocks small enough that all
+        scratch arrays of a block fit one ``_BLOCK_CELLS`` block, so the
+        L x L result is the only large allocation.
         """
+        rows, size = targets.shape
         squared = weights**2
-        gram = np.zeros((self.l_zones, self.l_zones))
-        for u in range(self.l_zones):
-            same = targets == targets[:, u][:, None]  # cohorts x L
-            gram[u] = squared @ same
-        rows = np.arange(targets.shape[0])[:, None]
-        linear = weights @ debiased[rows, targets]
+        gram = np.zeros((size, size))
+        upper = gram.ravel()
+        linear = np.zeros(size)
+        step = max(1, _BLOCK_CELLS // (_SCRATCH_ARRAYS * size))
+        for start in range(0, rows, step):
+            block = targets[start : start + step]
+            cohorts = np.arange(block.shape[0])[:, None]
+            linear += weights[start : start + step] @ debiased[start + cohorts, block]
+            # stable sort of each cohort's buckets (a radix sort on the
+            # narrowest type that holds k - 1): equal buckets keep zone
+            # order, so every pair below has u < v
+            order = np.argsort(
+                block.astype(np.min_scalar_type(self.k - 1)), axis=1, kind="stable"
+            )
+            keys = (cohorts * self.k + np.take_along_axis(block, order, axis=1)).ravel()
+            zones = order.ravel()
+            pair_weights = squared[start + keys // self.k]
+            # entry i pairs with i + d while i + d is inside its key's run
+            ends = np.append(np.flatnonzero(np.diff(keys)) + 1, keys.size)
+            run_ends = np.repeat(ends, np.diff(ends, prepend=0))
+            hit = np.arange(keys.size)
+            for d in range(1, keys.size):
+                hit = hit[hit + d < run_ends[hit]]
+                if not hit.size:
+                    break
+                np.add.at(upper, zones[hit] * size + zones[hit + d], pair_weights[hit])
+        # mirror the upper triangle in strips, so no second L x L array
+        for lo in range(0, size, step):
+            gram[lo : lo + step] += gram[:, lo : lo + step].T
+        gram[np.diag_indices(size)] = squared.sum()
         return gram, linear
 
     def _lasso_with_holdout(self, gram, linear, halves):
+        """Penalty picked on the even/odd split, each half's fits chained
+        by warm starts along the grid; the full fit starts from the mean
+        of the two halves' fits at the chosen penalty."""
         lambda_max = float(np.max(linear, initial=0.0))
         if lambda_max <= 0.0:
             return nonneg_lasso(gram, linear, 0.0)
-        (g_even, l_even), (g_odd, l_odd) = halves
-        best_rel, best_score = _LAMBDA_GRID[0], None
+        best_rel, best_score, best_fits = _LAMBDA_GRID[0], None, None
+        fits = (None, None)
         for rel in _LAMBDA_GRID:
             penalty = rel * lambda_max
+            fits = tuple(
+                nonneg_lasso(g_fit, l_fit, penalty, warm)
+                for (g_fit, l_fit), warm in zip(halves, fits)
+            )
             score = 0.0
-            for g_fit, l_fit, g_out, l_out in (
-                (g_even, l_even, g_odd, l_odd),
-                (g_odd, l_odd, g_even, l_even),
-            ):
-                beta = nonneg_lasso(g_fit, l_fit, penalty)
+            for beta, (g_out, l_out) in zip(fits, halves[::-1]):
                 score += 0.5 * beta @ g_out @ beta - l_out @ beta
             if best_score is None or score < best_score - 1e-12:
-                best_rel, best_score = rel, score
-        return nonneg_lasso(gram, linear, best_rel * lambda_max)
+                best_rel, best_score, best_fits = rel, score, fits
+        start = 0.5 * (best_fits[0] + best_fits[1])
+        return nonneg_lasso(gram, linear, best_rel * lambda_max, start)
 
     def aggregate(self, reports) -> FrequencyEstimate:
         batch = self._as_batch(reports)

@@ -14,7 +14,8 @@ reference.
 
 Rows with fewer than M sensed APs (above the sentinel) are counted as
 insufficient and never matched. NaN and +inf RSSI values are rejected when a
-``Fingerprint`` is built, and a zone table rejects AP ids and zone indices
+``Fingerprint`` is built (``lookup_zone`` checks its raw vector the same
+way), and a zone table rejects AP ids and zone indices
 that are not integers, so no key can be truncated into a different set.
 """
 from __future__ import annotations
@@ -125,10 +126,12 @@ def lookup_zone(table: ZoneTable, rssi: np.ndarray) -> Optional[int]:
     """Map one RSSI vector to its zone, or None when its set is unknown.
 
     Runs entirely on the client: only the public table and the user's own
-    measurements are touched. Raises InsufficientSignals when fewer than
-    ``table.strongest_count`` APs are sensed.
+    measurements are touched. The vector is checked as a ``Fingerprint``
+    is (ValueError on NaN, +inf or a value below the sentinel). Raises
+    InsufficientSignals when fewer than ``table.strongest_count`` APs are
+    sensed.
     """
-    rssi = np.asarray(rssi, dtype=np.float64)
+    rssi = Fingerprint(rssi).rssi
     _check_width(rssi.size, table)
     ids = _strongest_sets(rssi.reshape(1, -1), table.strongest_count)
     if not len(ids):

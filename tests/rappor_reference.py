@@ -1,0 +1,49 @@
+"""Loop-form references for the RAPPOR decoder.
+
+``cd_nonneg_lasso`` is cyclic coordinate descent from zero, the solver the
+decoder used before exact support solves; ``loop_normal_equations`` builds
+the Gram matrix with one m x L comparison per zone. Both are slow and
+plain, and the tests hold the array-form decoder to them.
+"""
+import numpy as np
+
+# the sweep budget and stopping tolerance of the decoder's descent
+_LASSO_SWEEPS = 400
+_LASSO_TOL = 1e-12
+
+
+def cd_nonneg_lasso(gram: np.ndarray, linear: np.ndarray, penalty: float) -> np.ndarray:
+    """Minimize 0.5 b'Gb - l'b + penalty*sum(b) over b >= 0.
+
+    Cyclic coordinate descent with closed-form coordinate updates;
+    deterministic for fixed inputs. Coordinates with zero curvature are
+    pinned at zero.
+    """
+    size = linear.size
+    beta = np.zeros(size)
+    diag = np.diag(gram)
+    active = diag > 0
+    for _ in range(_LASSO_SWEEPS):
+        delta = 0.0
+        for v in range(size):
+            if not active[v]:
+                continue
+            residual = linear[v] - penalty - (gram[v] @ beta - diag[v] * beta[v])
+            new = max(0.0, residual / diag[v])
+            delta = max(delta, abs(new - beta[v]))
+            beta[v] = new
+        if delta <= _LASSO_TOL * (1.0 + float(np.abs(beta).max())):
+            break
+    return beta
+
+
+def loop_normal_equations(targets, weights, debiased, l_zones):
+    """Gram matrix and linear term with one comparison pass per zone."""
+    squared = weights**2
+    gram = np.zeros((l_zones, l_zones))
+    for u in range(l_zones):
+        same = targets == targets[:, u][:, None]  # cohorts x L
+        gram[u] = squared @ same
+    rows = np.arange(targets.shape[0])[:, None]
+    linear = weights @ debiased[rows, targets]
+    return gram, linear

@@ -5,14 +5,18 @@ clean reports, report privacy via an independent enumeration, the
 singular-fit guard, and the regularized aggregate.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import ldp_enum
+from rappor_reference import cd_nonneg_lasso, loop_normal_equations
 from zoneldp.errors import ParamMismatch, SingularFitWarning
+from zoneldp.oracles.base import _BLOCK_CELLS
 from zoneldp.oracles.rappor import (
+    _LAMBDA_GRID,
     Rappor,
     RapporBatch,
     flip_parameter,
@@ -80,6 +84,120 @@ class TestNonnegLasso:
             np.testing.assert_allclose(
                 nonneg_lasso(gram, linear, 0.0), target, atol=1e-8
             )
+
+
+def rappor_system(l_zones, m, k, seed, mutate=None):
+    """Normal equations of one simulated aggregate, assembled as
+    ``aggregate`` does; ``mutate`` may edit the target table first."""
+    mech = Rappor(l_zones, 1.0, k=k, m=m, hash_seed=seed)
+    if mutate is not None:
+        mutate(mech.targets)
+    rng = np.random.default_rng(seed)
+    n = 40 * l_zones
+    batch = mech.perturb_batch(rng.integers(0, l_zones, size=n), rng)
+    sizes = np.bincount(batch.cohorts, minlength=m)
+    sums = np.zeros((m, k))
+    np.add.at(sums, batch.cohorts, batch.bits)
+    probs = mech.probabilities()
+    debiased = (sums - sizes[:, None] * probs.q) / (probs.p - probs.q)
+    return mech._normal_equations(mech.targets, sizes / n, debiased)
+
+
+def assert_matches_descent(beta, gram, linear, penalty):
+    reference = cd_nonneg_lasso(gram, linear, penalty)
+    assert np.abs(beta - reference).max() <= 1e-8 * np.abs(reference).max()
+
+
+class TestSolverMatchesDescent:
+    """The exact support solve returns the point coordinate descent from
+    zero converges to, within 1e-8 relative, from any warm start."""
+
+    @pytest.mark.parametrize("l_zones, m, k", [(8, 64, 16), (60, 256, 32), (373, 1024, 64)])
+    def test_penalty_path_cold_and_warm(self, l_zones, m, k):
+        gram, linear = rappor_system(l_zones, m, k, seed=l_zones)
+        rng = np.random.default_rng(l_zones)
+        path = None
+        for rel in _LAMBDA_GRID:
+            penalty = rel * linear.max()
+            path = nonneg_lasso(gram, linear, penalty, path)
+            assert_matches_descent(path, gram, linear, penalty)
+            assert_matches_descent(nonneg_lasso(gram, linear, penalty), gram, linear, penalty)
+            scattered = rng.uniform(0.0, 2.0 * linear.max() / gram[0, 0], size=l_zones)
+            assert_matches_descent(
+                nonneg_lasso(gram, linear, penalty, scattered), gram, linear, penalty
+            )
+
+    @pytest.mark.parametrize(
+        "l_zones, m, k, seed, mutate",
+        [
+            (60, 1, 16, 5, None),  # one cohort: zones sharing a bucket are identical
+            (60, 2, 16, 5, None),  # rank at most 2k < L
+            (60, 4, 8, 5, None),  # rank at most mk < L
+            # zone 1 hashed like zone 0 everywhere: descent gives zone 0
+            # the mass, and an unchecked solve on the pair can pick zone 1
+            (40, 64, 16, 1, lambda t: t.__setitem__((slice(None), 1), t[:, 0])),
+        ],
+        ids=["m1", "m2", "mk-below-L", "collinear-pair"],
+    )
+    def test_singular_systems(self, l_zones, m, k, seed, mutate):
+        gram, linear = rappor_system(l_zones, m, k, seed, mutate)
+        for rel in _LAMBDA_GRID:
+            penalty = rel * linear.max()
+            assert_matches_descent(nonneg_lasso(gram, linear, penalty), gram, linear, penalty)
+
+    def test_dead_coordinate(self):
+        gram, linear = rappor_system(30, 64, 16, seed=6)
+        gram[3, :] = gram[:, 3] = 0.0
+        linear[3] = 10.0 * linear.max()
+        for rel in _LAMBDA_GRID:
+            penalty = rel * linear.max()
+            beta = nonneg_lasso(gram, linear, penalty, np.full(30, 1.0))
+            assert beta[3] == 0.0
+            assert_matches_descent(beta, gram, linear, penalty)
+
+
+class TestGramAssembly:
+    """The same-bucket pair assembly equals the comparison loop."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 1024])
+    @pytest.mark.parametrize("k", [8, 64])
+    def test_matches_comparison_loop(self, m, k):
+        # 20 zones: k = 8 forces shared buckets, k = 64 leaves most alone
+        mech = Rappor(l_zones=20, epsilon=1.0, k=k, m=m, hash_seed=m)
+        rng = np.random.default_rng(m + k)
+        weights = rng.integers(0, 30, size=m) / 400.0
+        debiased = rng.normal(size=(m, k))
+        gram, linear = mech._normal_equations(mech.targets, weights, debiased)
+        want_gram, want_linear = loop_normal_equations(mech.targets, weights, debiased, 20)
+        np.testing.assert_allclose(gram, want_gram, rtol=1e-12)
+        np.testing.assert_allclose(linear, want_linear, rtol=1e-12)
+
+    def test_matches_comparison_loop_across_blocks(self):
+        # at L = 373 the cohorts and the mirror strips span several blocks
+        mech = Rappor(l_zones=373, epsilon=1.0, k=64, m=1024, hash_seed=9)
+        rng = np.random.default_rng(9)
+        weights = rng.integers(0, 30, size=1024) / 17_000.0
+        debiased = rng.normal(size=(1024, 64))
+        gram, linear = mech._normal_equations(mech.targets, weights, debiased)
+        want_gram, want_linear = loop_normal_equations(mech.targets, weights, debiased, 373)
+        np.testing.assert_allclose(gram, want_gram, rtol=1e-12)
+        np.testing.assert_allclose(linear, want_linear, rtol=1e-12)
+
+    def test_scratch_stays_within_blocks(self):
+        # 1024 cohorts at L = 1733 hold about 24M same-bucket pairs; the
+        # assembly may hold the L x L result and a block's worth besides
+        mech = Rappor(l_zones=1733, epsilon=1.0, k=64, m=1024, hash_seed=0)
+        rng = np.random.default_rng(0)
+        weights = rng.integers(0, 40, size=1024) / 20_000.0
+        debiased = rng.normal(size=(1024, 64))
+        tracemalloc.start()
+        try:
+            gram, linear = mech._normal_equations(mech.targets, weights, debiased)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = peak - gram.nbytes - linear.nbytes
+        assert scratch <= 2 * _BLOCK_CELLS * 8
 
 
 class TestConstruction:

@@ -126,6 +126,30 @@ class TestLookup:
         with pytest.raises(ValueError):
             lookup_zone(table, np.array([-40.0, -45.0, -50.0]))
 
+    @pytest.mark.parametrize(
+        "rssi",
+        [[np.inf, -90.0, -40.0], [np.nan, -45.0, -40.0], [-40.0, SENTINEL_RSSI - 1, -45.0]],
+    )
+    def test_rejects_what_a_fingerprint_rejects(self, rssi):
+        # the raw vector gets the Fingerprint checks; unchecked, +inf ranks
+        # strongest and NaN counts as not sensed, so both rows map to a zone
+        table = build_zone_table(
+            [
+                Fingerprint(rssi=[-40.0, -45.0, -90.0]),
+                Fingerprint(rssi=[-90.0, -45.0, -40.0]),
+                Fingerprint(rssi=[-40.0, -90.0, -45.0]),
+            ],
+            m=2,
+        )
+        with pytest.raises(ValueError, match="rssi values"):
+            lookup_zone(table, np.array(rssi))
+        # finite rows, the sentinel included, map as before
+        assert lookup_zone(table, np.array([-90.0, -45.0, -40.0])) == 1
+        assert lookup_zone(table, np.array([-41.0, -44.0, SENTINEL_RSSI])) == 0
+        assert lookup_zone(table, np.array([-30.0, -90.0, -35.0])) == 2
+        with pytest.raises(InsufficientSignals):
+            lookup_zone(table, np.array([-40.0, SENTINEL_RSSI, SENTINEL_RSSI]))
+
     def test_partition_is_permutation_invariant(self):
         # zone membership depends on the set of strongest ids only, so two
         # users whose vectors share that set always land together
