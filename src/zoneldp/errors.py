@@ -45,8 +45,8 @@ class DegenerateRange(ZoneLdpError):
     """A normalized metric was asked for on a constant vector (zero range)."""
 
 
-class ParamMismatch(ZoneLdpError):
-    """Reports disagree with the aggregator's parameters (domain size, sketch shape)."""
+class ParamMismatch(ZoneLdpError, ValueError):
+    """Reports do not fit the aggregator (malformed field, domain, width, shape)."""
 
 
 class SingularFitWarning(UserWarning):

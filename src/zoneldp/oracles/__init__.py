@@ -6,9 +6,11 @@ into a report; the aggregator reduces reports to debiased per-zone counts.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Optional
 
 from ..domain import MECHANISMS, PrivacyParams
+from ..errors import ParamMismatch
 from .base import (
     CmsReport,
     FrequencyOracle,
@@ -103,12 +105,16 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(data: dict) -> Report:
-    cls = _REPORT_TYPES[data["mech"]]
-    payload = {
-        field: tuple(value) if isinstance(value, list) else value
-        for field, value in data["payload"].items()
-    }
-    return cls(**payload)
+    """Inverse of report_to_dict; ParamMismatch names an unknown ``mech``
+    tag or payload keys that are not the report's fields."""
+    tag, payload = data["mech"], data["payload"]
+    if tag not in _REPORT_TYPES:
+        raise ParamMismatch(f"unknown report tag {tag!r}; expected one of {MECHANISMS}")
+    cls = _REPORT_TYPES[tag]
+    names = [f.name for f in fields(cls)]
+    if sorted(payload) != sorted(names):
+        raise ParamMismatch(f"{tag} report fields are {names}, got {sorted(payload)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
 
 
 def write_reports(reports, fh) -> None:

@@ -8,17 +8,23 @@ estimates. The three mechanisms that report a randomized one-hot bit row
 randomizer, ``one_hot_rr``. Aggregators reduce reports to integer
 sufficient statistics before doing float arithmetic, so the estimate is
 invariant under any permutation of the reports.
+
+Each mechanism's reports travel between perturb_batch and aggregate as a
+``ReportBatch``: one array per report field, under the report's own field
+names. ``ReportBatch.of`` is the single place where report lists from
+outside enter an aggregator, so it is also where they are checked.
 """
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import ClassVar, Union
+import itertools
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union, get_type_hints
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from ..errors import DegenerateProbabilities
+from ..errors import DegenerateProbabilities, ParamMismatch
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,82 @@ def estimate_frequency(
     return FrequencyEstimate.from_raw(raw, n)
 
 
+class ReportBatch:
+    """Many reports of one mechanism as one array per report field.
+
+    A subclass is a frozen dataclass whose fields are the fields of its
+    ``report_type``, in the same order and under the same (wire) names,
+    with one numpy dtype per field in ``dtypes``. Scalar report fields
+    become 1-d arrays and tuple fields n x width arrays; uint8 fields hold
+    bits.
+    """
+
+    report_type: ClassVar[type]
+    dtypes: ClassVar[tuple]
+
+    @property
+    def n_reports(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def reports(self) -> list:
+        """One report per user, holding plain Python values."""
+        columns = [
+            a.tolist() if a.ndim == 1 else list(map(tuple, a.tolist()))
+            for a in (getattr(self, f.name) for f in fields(self))
+        ]
+        return list(itertools.starmap(self.report_type, zip(*columns)))
+
+    @classmethod
+    def of(cls, reports) -> "ReportBatch":
+        """``reports`` itself if it is this batch type, else a sequence of
+        ``report_type`` reports converted field by field.
+
+        Raises ParamMismatch, truncating nothing, for a report of another
+        type, an integer field holding a float or a bool, a bit outside
+        {0, 1}, a non-finite float field, a value outside its dtype, or
+        rows of unequal width.
+        """
+        if isinstance(reports, cls):
+            return reports
+        reports = list(reports)
+        if any(type(r) is not cls.report_type for r in reports):
+            raise ParamMismatch(f"{cls.__name__} takes only {cls.report_type.__name__}s")
+        hints = get_type_hints(cls.report_type)
+        return cls(*(
+            _column(reports, f.name, dtype, hints[f.name] is tuple)
+            for f, dtype in zip(fields(cls), cls.dtypes)
+        ))
+
+
+def _column(reports: list, name: str, dtype, rows: bool) -> np.ndarray:
+    """One report field as a checked array; ``rows`` if each value is a tuple."""
+    values = [getattr(r, name) for r in reports]
+    dtype = np.dtype(dtype)
+    integral = dtype.kind in "iu"
+    cells = itertools.chain.from_iterable(values) if rows else values
+    try:
+        types = set(map(type, cells))
+    except TypeError:
+        raise ParamMismatch(f"report field {name!r} must hold tuples") from None
+    allowed = (int,) if integral else (int, float)
+    bad = [t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, allowed)]
+    if bad:
+        what = "integers" if integral else "numbers"
+        raise ParamMismatch(f"report field {name!r} holds {min(bad)}, not {what}")
+    try:
+        array = np.array(values, dtype=dtype)
+    except (ValueError, OverflowError) as exc:  # unequal rows, out of dtype range
+        raise ParamMismatch(f"report field {name!r}: {exc}") from None
+    if dtype == np.uint8 and array.size and array.max() > 1:
+        raise ParamMismatch(f"report field {name!r} holds a bit other than 0 or 1")
+    if not integral and not np.isfinite(array).all():
+        raise ParamMismatch(f"report field {name!r} holds a non-finite value")
+    return array
+
+
 # --- report payloads -------------------------------------------------------
-# One frozen dataclass per mechanism, field names matching the wire format.
+# One frozen dataclass per mechanism, field names matching the wire format,
+# each followed by its batch: the same fields as arrays.
 
 
 @dataclass(frozen=True)
@@ -104,13 +184,35 @@ class OlhReport:
 
 
 @dataclass(frozen=True)
+class OlhBatch(ReportBatch):
+    report_type = OlhReport
+    dtypes = (np.uint64, np.int64)
+    hash_seed: np.ndarray
+    value: np.ndarray
+
+
+@dataclass(frozen=True)
 class OueReport:
     bits: tuple  # L bits
 
 
 @dataclass(frozen=True)
+class OueBatch(ReportBatch):
+    report_type = OueReport
+    dtypes = (np.uint8,)
+    bits: np.ndarray  # n x L
+
+
+@dataclass(frozen=True)
 class TheReport:
     values: tuple  # L noisy reals
+
+
+@dataclass(frozen=True)
+class TheBatch(ReportBatch):
+    report_type = TheReport
+    dtypes = (np.float64,)
+    values: np.ndarray  # n x L
 
 
 @dataclass(frozen=True)
@@ -120,15 +222,39 @@ class HrReport:
 
 
 @dataclass(frozen=True)
+class HrBatch(ReportBatch):
+    report_type = HrReport
+    dtypes = (np.int64, np.float64)
+    row_index: np.ndarray
+    signed_value: np.ndarray
+
+
+@dataclass(frozen=True)
 class CmsReport:
     hash_index: int  # which family member the user applied, in [0, k)
     bits: tuple  # m bits
 
 
 @dataclass(frozen=True)
+class CmsBatch(ReportBatch):
+    report_type = CmsReport
+    dtypes = (np.int64, np.uint8)
+    hash_index: np.ndarray
+    bits: np.ndarray  # n x m
+
+
+@dataclass(frozen=True)
 class RapporReport:
     cohort: int  # user's cohort, in [0, m)
     bits: tuple  # k bits
+
+
+@dataclass(frozen=True)
+class RapporBatch(ReportBatch):
+    report_type = RapporReport
+    dtypes = (np.int64, np.uint8)
+    cohort: np.ndarray
+    bits: np.ndarray  # n x k
 
 
 Report = Union[OlhReport, OueReport, TheReport, HrReport, CmsReport, RapporReport]
@@ -138,7 +264,7 @@ class FrequencyOracle(abc.ABC):
     """Perturb/aggregate pair for one mechanism at fixed (l_zones, epsilon).
 
     perturb_batch() perturbs a whole population in vectorized form and
-    returns a batch container whose reports() lists one report per user.
+    returns a ReportBatch whose reports() lists one report per user.
     perturb() handles one user as a batch of one, so each mechanism has a
     single sampler. aggregate() accepts either a sequence of reports or a
     batch container.

@@ -18,14 +18,13 @@ the family seed each round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
-from .base import CmsReport, FrequencyOracle, PerturbProbabilities, one_hot_rr
+from .base import CmsBatch, FrequencyOracle, PerturbProbabilities, one_hot_rr
 from .hashing import family_member_seed, hash_bucket_array
 
 
@@ -35,22 +34,6 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
         raise ValueError("epsilon must be positive")
     half = math.exp(epsilon / 2.0)
     return PerturbProbabilities(p=half / (half + 1.0), q=1.0 / (half + 1.0))
-
-
-@dataclass(frozen=True)
-class CmsBatch:
-    hash_indices: np.ndarray  # int64 in [0, k)
-    bits: np.ndarray  # n x m uint8
-
-    @property
-    def n_reports(self) -> int:
-        return int(self.hash_indices.size)
-
-    def reports(self) -> list:
-        return [
-            CmsReport(hash_index=j, bits=tuple(row))
-            for j, row in zip(self.hash_indices.tolist(), self.bits.tolist())
-        ]
 
 
 class CountMeanSketch(FrequencyOracle):
@@ -85,22 +68,10 @@ class CountMeanSketch(FrequencyOracle):
         zones = self._check_zones(zones)
         indices = rng.integers(0, self.k, size=zones.size)
         bits = one_hot_rr(self.targets[indices, zones], self.m, self._probs, rng)
-        return CmsBatch(hash_indices=indices.astype(np.int64), bits=bits)
-
-    def _as_batch(self, reports: Union[Sequence[CmsReport], CmsBatch]) -> CmsBatch:
-        if isinstance(reports, CmsBatch):
-            return reports
-        if not len(reports):
-            return CmsBatch(
-                hash_indices=np.zeros(0, dtype=np.int64),
-                bits=np.zeros((0, self.m), dtype=np.uint8),
-            )
-        indices = np.array([r.hash_index for r in reports], dtype=np.int64)
-        bits = np.array([r.bits for r in reports], dtype=np.uint8)
-        return CmsBatch(hash_indices=indices, bits=bits)
+        return CmsBatch(hash_index=indices.astype(np.int64), bits=bits)
 
     def aggregate(self, reports) -> FrequencyEstimate:
-        batch = self._as_batch(reports)
+        batch = CmsBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
@@ -108,13 +79,13 @@ class CountMeanSketch(FrequencyOracle):
             raise ParamMismatch(
                 f"report width {batch.bits.shape[1]} != sketch width {self.m}"
             )
-        if batch.hash_indices.min() < 0 or batch.hash_indices.max() >= self.k:
+        if batch.hash_index.min() < 0 or batch.hash_index.max() >= self.k:
             raise ParamMismatch(f"hash index out of range [0, {self.k})")
         p, q = self._probs.p, self._probs.q
-        row_counts = np.bincount(batch.hash_indices, minlength=self.k)
+        row_counts = np.bincount(batch.hash_index, minlength=self.k)
         bit_sums = np.zeros((self.k, self.m), dtype=np.int64)
         for j in range(self.k):
-            mask = batch.hash_indices == j
+            mask = batch.hash_index == j
             if mask.any():
                 bit_sums[j] = batch.bits[mask].sum(axis=0, dtype=np.int64)
         debiased = (bit_sums - row_counts[:, None] * q) / (p - q)

@@ -15,13 +15,13 @@ d' x L table of +/-1 entries at the zone columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from .base import FrequencyOracle, HrReport, PerturbProbabilities
+from ..errors import ParamMismatch
+from .base import FrequencyOracle, HrBatch, PerturbProbabilities
 
 
 def padded_dimension(l_zones: int) -> int:
@@ -52,22 +52,6 @@ def _sign_entries(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return 1 - 2 * parity
 
 
-@dataclass(frozen=True)
-class HrBatch:
-    row_indices: np.ndarray  # int64 in [0, d')
-    signed_values: np.ndarray  # float64
-
-    @property
-    def n_reports(self) -> int:
-        return int(self.row_indices.size)
-
-    def reports(self) -> list:
-        return [
-            HrReport(row_index=r, signed_value=v)
-            for r, v in zip(self.row_indices.tolist(), self.signed_values.tolist())
-        ]
-
-
 class HadamardResponse(FrequencyOracle):
     name: ClassVar[str] = "HR"
 
@@ -90,26 +74,19 @@ class HadamardResponse(FrequencyOracle):
         signs = _sign_entries(rows, (zones + 1).astype(np.uint64))
         keeps = np.where(rng.random(n) < self._p_keep, 1, -1)
         values = keeps * signs * self._magnitude
-        return HrBatch(row_indices=rows.astype(np.int64), signed_values=values)
-
-    def _as_batch(self, reports: Union[Sequence[HrReport], HrBatch]) -> HrBatch:
-        if isinstance(reports, HrBatch):
-            return reports
-        rows = np.array([r.row_index for r in reports], dtype=np.int64)
-        values = np.array([r.signed_value for r in reports], dtype=np.float64)
-        return HrBatch(row_indices=rows, signed_values=values)
+        return HrBatch(row_index=rows.astype(np.int64), signed_value=values)
 
     def aggregate(self, reports) -> FrequencyEstimate:
-        batch = self._as_batch(reports)
+        batch = HrBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
-        rows = batch.row_indices
+        rows = batch.row_index
         if rows.min() < 0 or rows.max() >= self.dim:
-            raise ValueError(f"row index out of range [0, {self.dim})")
-        values = batch.signed_values
+            raise ParamMismatch(f"row index out of range [0, {self.dim})")
+        values = batch.signed_value
         if np.any(np.abs(values) != self._magnitude):
-            raise ValueError(f"report magnitude must be {self._magnitude!r}")
+            raise ParamMismatch(f"report magnitude must be {self._magnitude!r}")
         # integer per-row sign sums: independent of report order
         row_sums = np.bincount(rows, weights=np.sign(values), minlength=self.dim)
         columns = np.arange(1, self.l_zones + 1, dtype=np.uint64)

@@ -9,16 +9,16 @@ every user's hash over all zones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
+from ..errors import ParamMismatch
 from .base import (
     _BLOCK_CELLS,
     FrequencyOracle,
-    OlhReport,
+    OlhBatch,
     PerturbProbabilities,
     estimate_frequency,
 )
@@ -60,22 +60,6 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
     return PerturbProbabilities(p=e / (e + g - 1.0), q=1.0 / g)
 
 
-@dataclass(frozen=True)
-class OlhBatch:
-    seeds: np.ndarray  # uint64, one hash seed per user
-    values: np.ndarray  # int64 buckets in [0, g)
-
-    @property
-    def n_reports(self) -> int:
-        return int(self.seeds.size)
-
-    def reports(self) -> list:
-        return [
-            OlhReport(hash_seed=s, value=v)
-            for s, v in zip(self.seeds.tolist(), self.values.tolist())
-        ]
-
-
 class OptimizedLocalHashing(FrequencyOracle):
     name: ClassVar[str] = "OLH"
 
@@ -97,24 +81,15 @@ class OptimizedLocalHashing(FrequencyOracle):
         others = rng.integers(0, self.g - 1, size=n)
         others = others + (others >= true_buckets)
         values = np.where(keep, true_buckets, others)
-        return OlhBatch(seeds=seeds, values=values.astype(np.int64))
-
-    def _as_batch(self, reports: Union[Sequence[OlhReport], OlhBatch]) -> OlhBatch:
-        if isinstance(reports, OlhBatch):
-            return reports
-        seeds = np.array([r.hash_seed for r in reports], dtype=np.uint64)
-        values = np.array([r.value for r in reports], dtype=np.int64)
-        return OlhBatch(seeds=seeds, values=values)
+        return OlhBatch(hash_seed=seeds, value=values.astype(np.int64))
 
     def aggregate(self, reports) -> FrequencyEstimate:
-        batch = self._as_batch(reports)
+        batch = OlhBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
-        if batch.values.size and (
-            batch.values.min() < 0 or batch.values.max() >= self.g
-        ):
-            raise ValueError(f"report value out of range [0, {self.g})")
+        if batch.value.min() < 0 or batch.value.max() >= self.g:
+            raise ParamMismatch(f"report value out of range [0, {self.g})")
         # replay every user's hash over all zones, one bounded block of
         # users at a time; the support counts are integers
         zone_ids = np.arange(self.l_zones, dtype=np.int64)
@@ -122,6 +97,6 @@ class OptimizedLocalHashing(FrequencyOracle):
         counts = np.zeros(self.l_zones, dtype=np.int64)
         for start in range(0, n, step):
             block = slice(start, start + step)
-            buckets = hash_bucket_array(batch.seeds[block, None], zone_ids, self.g)
-            counts += (buckets == batch.values[block, None]).sum(axis=0)
+            buckets = hash_bucket_array(batch.hash_seed[block, None], zone_ids, self.g)
+            counts += (buckets == batch.value[block, None]).sum(axis=0)
         return estimate_frequency(counts, n, self.probabilities())

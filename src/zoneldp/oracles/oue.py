@@ -9,15 +9,15 @@ with the zone itself as the bit position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
+from ..errors import ParamMismatch
 from .base import (
     FrequencyOracle,
-    OueReport,
+    OueBatch,
     PerturbProbabilities,
     estimate_frequency,
     one_hot_rr,
@@ -28,18 +28,6 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return PerturbProbabilities(p=0.5, q=1.0 / (math.exp(epsilon) + 1.0))
-
-
-@dataclass(frozen=True)
-class OueBatch:
-    bits: np.ndarray  # n x L uint8
-
-    @property
-    def n_reports(self) -> int:
-        return int(self.bits.shape[0])
-
-    def reports(self) -> list:
-        return [OueReport(bits=tuple(row)) for row in self.bits.tolist()]
 
 
 class OptimizedUnaryEncoding(FrequencyOracle):
@@ -56,20 +44,13 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         zones = self._check_zones(zones)
         return OueBatch(bits=one_hot_rr(zones, self.l_zones, self._probs, rng))
 
-    def _as_batch(self, reports: Union[Sequence[OueReport], OueBatch]) -> OueBatch:
-        if isinstance(reports, OueBatch):
-            return reports
-        if not len(reports):
-            return OueBatch(bits=np.zeros((0, self.l_zones), dtype=np.uint8))
-        return OueBatch(bits=np.array([r.bits for r in reports], dtype=np.uint8))
-
     def aggregate(self, reports) -> FrequencyEstimate:
-        batch = self._as_batch(reports)
+        batch = OueBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
         if batch.bits.shape[1] != self.l_zones:
-            raise ValueError(
+            raise ParamMismatch(
                 f"report width {batch.bits.shape[1]} != l_zones {self.l_zones}"
             )
         counts = batch.bits.sum(axis=0, dtype=np.int64)

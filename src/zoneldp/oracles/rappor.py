@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .base import (
     _BLOCK_CELLS,
     FrequencyOracle,
     PerturbProbabilities,
-    RapporReport,
+    RapporBatch,
     one_hot_rr,
 )
 from .hashing import family_member_seed, hash_bucket_array
@@ -173,22 +172,6 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs)
 
 
-@dataclass(frozen=True)
-class RapporBatch:
-    cohorts: np.ndarray  # int64 in [0, m)
-    bits: np.ndarray  # n x k uint8
-
-    @property
-    def n_reports(self) -> int:
-        return int(self.cohorts.size)
-
-    def reports(self) -> list:
-        return [
-            RapporReport(cohort=c, bits=tuple(row))
-            for c, row in zip(self.cohorts.tolist(), self.bits.tolist())
-        ]
-
-
 class Rappor(FrequencyOracle):
     name: ClassVar[str] = "RAPPOR"
 
@@ -219,21 +202,7 @@ class Rappor(FrequencyOracle):
         zones = self._check_zones(zones)
         cohorts = rng.integers(0, self.m, size=zones.size)
         bits = one_hot_rr(self.targets[cohorts, zones], self.k, self._probs, rng)
-        return RapporBatch(cohorts=cohorts.astype(np.int64), bits=bits)
-
-    def _as_batch(
-        self, reports: Union[Sequence[RapporReport], RapporBatch]
-    ) -> RapporBatch:
-        if isinstance(reports, RapporBatch):
-            return reports
-        if not len(reports):
-            return RapporBatch(
-                cohorts=np.zeros(0, dtype=np.int64),
-                bits=np.zeros((0, self.k), dtype=np.uint8),
-            )
-        cohorts = np.array([r.cohort for r in reports], dtype=np.int64)
-        bits = np.array([r.bits for r in reports], dtype=np.uint8)
-        return RapporBatch(cohorts=cohorts, bits=bits)
+        return RapporBatch(cohort=cohorts.astype(np.int64), bits=bits)
 
     def _normal_equations(self, targets, weights, debiased):
         """Gram matrix and linear term of the weighted least-squares fit
@@ -307,7 +276,7 @@ class Rappor(FrequencyOracle):
         return nonneg_lasso(gram, linear, best_rel * lambda_max, start)
 
     def aggregate(self, reports) -> FrequencyEstimate:
-        batch = self._as_batch(reports)
+        batch = RapporBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
@@ -315,13 +284,13 @@ class Rappor(FrequencyOracle):
             raise ParamMismatch(
                 f"report width {batch.bits.shape[1]} != bit length {self.k}"
             )
-        if batch.cohorts.min() < 0 or batch.cohorts.max() >= self.m:
+        if batch.cohort.min() < 0 or batch.cohort.max() >= self.m:
             raise ParamMismatch(f"cohort out of range [0, {self.m})")
         p, q = self._probs.p, self._probs.q
-        cohort_sizes = np.bincount(batch.cohorts, minlength=self.m).astype(np.float64)
+        cohort_sizes = np.bincount(batch.cohort, minlength=self.m).astype(np.float64)
         # per-(cohort, bit) sums via one flat bincount; bit sums are exact
         # integers in float64, so the result is order-independent
-        flat = (batch.cohorts[:, None] * self.k + np.arange(self.k)).ravel()
+        flat = (batch.cohort[:, None] * self.k + np.arange(self.k)).ravel()
         bit_sums = np.bincount(
             flat, weights=batch.bits.ravel().astype(np.float64), minlength=self.m * self.k
         ).reshape(self.m, self.k)

@@ -10,13 +10,13 @@ p = 1 - F(theta - 1) for the true zone, q = 1 - F(theta) elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from .base import FrequencyOracle, PerturbProbabilities, TheReport, estimate_frequency
+from ..errors import ParamMismatch
+from .base import FrequencyOracle, PerturbProbabilities, TheBatch, estimate_frequency
 
 
 def laplace_cdf(x: float, scale: float) -> float:
@@ -34,18 +34,6 @@ def probabilities(epsilon: float, theta: float = 1.0) -> PerturbProbabilities:
     q = 1.0 - laplace_cdf(theta, scale)
     # p > q holds for every finite theta because the CDF is strictly increasing
     return PerturbProbabilities(p=p, q=q)
-
-
-@dataclass(frozen=True)
-class TheBatch:
-    values: np.ndarray  # n x L float64
-
-    @property
-    def n_reports(self) -> int:
-        return int(self.values.shape[0])
-
-    def reports(self) -> list:
-        return [TheReport(values=tuple(row)) for row in self.values.tolist()]
 
 
 class ThresholdHistogramEncoding(FrequencyOracle):
@@ -67,20 +55,13 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         values[np.arange(n), zones] += 1.0
         return TheBatch(values=values)
 
-    def _as_batch(self, reports: Union[Sequence[TheReport], TheBatch]) -> TheBatch:
-        if isinstance(reports, TheBatch):
-            return reports
-        if not len(reports):
-            return TheBatch(values=np.zeros((0, self.l_zones)))
-        return TheBatch(values=np.array([r.values for r in reports], dtype=np.float64))
-
     def aggregate(self, reports) -> FrequencyEstimate:
-        batch = self._as_batch(reports)
+        batch = TheBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
         if batch.values.shape[1] != self.l_zones:
-            raise ValueError(
+            raise ParamMismatch(
                 f"report width {batch.values.shape[1]} != l_zones {self.l_zones}"
             )
         counts = (batch.values >= self.theta).sum(axis=0, dtype=np.int64)

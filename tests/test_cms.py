@@ -92,7 +92,7 @@ class TestPerturb:
         zones = np.tile(np.arange(4), 5)
         first = mech.perturb_batch(zones, np.random.default_rng(9))
         second = mech.perturb_batch(zones, np.random.default_rng(9))
-        assert np.array_equal(first.hash_indices, second.hash_indices)
+        assert np.array_equal(first.hash_index, second.hash_index)
         assert np.array_equal(first.bits, second.bits)
 
     def test_batch_bit_rates_match_the_pair(self):
@@ -101,7 +101,7 @@ class TestPerturb:
         mech = CountMeanSketch(l_zones=4, epsilon=2.0, k=4, m=16, hash_seed=1)
         n = 20_000
         batch = mech.perturb_batch(np.full(n, 1), np.random.default_rng(21))
-        own = mech.targets[batch.hash_indices, 1]
+        own = mech.targets[batch.hash_index, 1]
         target_hits = int(batch.bits[np.arange(n), own].sum())
         probs = mech.probabilities()
         sigma = math.sqrt(probs.p * (1 - probs.p) * n)
@@ -134,7 +134,7 @@ class TestPerturb:
         batch = mech.perturb_batch(
             np.zeros(n, dtype=np.int64), np.random.default_rng(5)
         )
-        counts = np.bincount(batch.hash_indices, minlength=8)
+        counts = np.bincount(batch.hash_index, minlength=8)
         sigma = math.sqrt(n * (1 / 8) * (7 / 8))
         assert np.all(np.abs(counts - n / 8) < 5 * sigma)
 
@@ -183,7 +183,7 @@ class TestPrivacy:
         batch = mech.perturb_batch(
             np.zeros(n, dtype=np.int64), np.random.default_rng(17)
         )
-        codes = batch.hash_indices * 16 + batch.bits @ (1 << np.arange(4))
+        codes = batch.hash_index * 16 + batch.bits @ (1 << np.arange(4))
         observed = np.bincount(codes, minlength=32) / n
         for key, prob in dist.items():
             code = key[0] * 16 + sum(bit << i for i, bit in enumerate(key[1:]))
@@ -229,7 +229,7 @@ class TestAggregate:
         batch = mech.perturb_batch(rng.integers(0, 5, size=500), rng)
         perm = rng.permutation(500)
         shuffled = CmsBatch(
-            hash_indices=batch.hash_indices[perm], bits=batch.bits[perm]
+            hash_index=batch.hash_index[perm], bits=batch.bits[perm]
         )
         assert np.array_equal(mech.aggregate(batch).raw, mech.aggregate(shuffled).raw)
 
@@ -238,7 +238,7 @@ class TestAggregate:
         rng = np.random.default_rng(13)
         reports = [mech.perturb(int(zone), rng) for zone in rng.integers(0, 4, size=60)]
         batch = CmsBatch(
-            hash_indices=np.array([r.hash_index for r in reports], dtype=np.int64),
+            hash_index=np.array([r.hash_index for r in reports], dtype=np.int64),
             bits=np.array([r.bits for r in reports], dtype=np.uint8),
         )
         assert np.array_equal(mech.aggregate(reports).raw, mech.aggregate(batch).raw)
@@ -252,7 +252,7 @@ class TestAggregate:
     def test_rejects_wrong_sketch_width(self):
         mech = CountMeanSketch(l_zones=4, epsilon=1.0, k=3, m=8)
         bad = CmsBatch(
-            hash_indices=np.zeros(2, dtype=np.int64),
+            hash_index=np.zeros(2, dtype=np.int64),
             bits=np.zeros((2, 9), dtype=np.uint8),
         )
         with pytest.raises(ParamMismatch):
@@ -261,7 +261,7 @@ class TestAggregate:
     def test_rejects_hash_index_out_of_range(self):
         mech = CountMeanSketch(l_zones=4, epsilon=1.0, k=3, m=8)
         bad = CmsBatch(
-            hash_indices=np.array([0, 3], dtype=np.int64),
+            hash_index=np.array([0, 3], dtype=np.int64),
             bits=np.zeros((2, 8), dtype=np.uint8),
         )
         with pytest.raises(ParamMismatch):

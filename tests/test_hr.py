@@ -71,7 +71,7 @@ class TestPerturb:
         mech = HadamardResponse(l_zones=3, epsilon=1.0)
         rng = np.random.default_rng(197)
         batch = mech.perturb_batch(np.zeros(40_000, dtype=np.int64), rng)
-        counts = np.bincount(batch.row_indices, minlength=mech.dim)
+        counts = np.bincount(batch.row_index, minlength=mech.dim)
         sigma = math.sqrt(40_000 * (1 / mech.dim) * (1 - 1 / mech.dim))
         assert np.all(np.abs(counts - 40_000 / mech.dim) <= 5.0 * sigma)
 
@@ -98,7 +98,7 @@ class TestPerturb:
         rng = np.random.default_rng(211)
         batch = mech.perturb_batch(rng.integers(0, 6, size=1000), rng)
         magnitude = scale_factor(2.0) * math.sqrt(mech.dim)
-        assert np.allclose(np.abs(batch.signed_values), magnitude, rtol=1e-12)
+        assert np.allclose(np.abs(batch.signed_value), magnitude, rtol=1e-12)
 
 
 class TestPrivacyRatio:
@@ -124,9 +124,9 @@ class TestPrivacyRatio:
         rng = np.random.default_rng(223)
         n = 60_000
         batch = mech.perturb_batch(np.full(n, 1), rng)
-        signs = np.sign(batch.signed_values).astype(np.int64)
+        signs = np.sign(batch.signed_value).astype(np.int64)
         observed = {}
-        for row, sign in zip(batch.row_indices.tolist(), signs.tolist()):
+        for row, sign in zip(batch.row_index.tolist(), signs.tolist()):
             observed[(row, sign)] = observed.get((row, sign), 0) + 1
         expected = ldp_enum.hr_dist(1, 4, epsilon)
         for outcome, prob in expected.items():
@@ -154,8 +154,8 @@ class TestAggregate:
         batch = mech.perturb_batch(rng.integers(0, 6, size=5000), rng)
         perm = rng.permutation(5000)
         shuffled = HrBatch(
-            row_indices=batch.row_indices[perm],
-            signed_values=batch.signed_values[perm],
+            row_index=batch.row_index[perm],
+            signed_value=batch.signed_value[perm],
         )
         assert np.array_equal(mech.aggregate(batch).raw, mech.aggregate(shuffled).raw)
 
@@ -164,14 +164,14 @@ class TestAggregate:
         rng = np.random.default_rng(233)
         reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=300)]
         assert np.array_equal(
-            mech.aggregate(reports).raw, mech.aggregate(mech._as_batch(reports)).raw
+            mech.aggregate(reports).raw, mech.aggregate(HrBatch.of(reports)).raw
         )
 
     def test_row_out_of_range_rejected(self):
         mech = HadamardResponse(l_zones=4, epsilon=1.0)
         bad = HrBatch(
-            row_indices=np.array([mech.dim], dtype=np.int64),
-            signed_values=np.array([1.0]),
+            row_index=np.array([mech.dim], dtype=np.int64),
+            signed_value=np.array([1.0]),
         )
         with pytest.raises(ValueError):
             mech.aggregate(bad)
@@ -189,7 +189,7 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         batch = mech.perturb_batch(rng.integers(0, 8, size=3000), rng)
         sums = [0] * 8
-        for row, value in zip(batch.row_indices.tolist(), batch.signed_values.tolist()):
+        for row, value in zip(batch.row_index.tolist(), batch.signed_value.tolist()):
             sign = 1 if value > 0 else -1
             for zone in range(8):
                 sums[zone] += sign * (1 - 2 * ((row & (zone + 1)).bit_count() & 1))
@@ -203,8 +203,8 @@ class TestAggregate:
         magnitude = scale_factor(1.0) * math.sqrt(mech.dim)
         for value in (0.0, math.nan, 2.0 * magnitude):
             batch = HrBatch(
-                row_indices=np.array([1, 2], dtype=np.int64),
-                signed_values=np.array([magnitude, value]),
+                row_index=np.array([1, 2], dtype=np.int64),
+                signed_value=np.array([magnitude, value]),
             )
             with pytest.raises(ValueError):
                 mech.aggregate(batch)

@@ -109,9 +109,9 @@ class TestPerturb:
         rng = np.random.default_rng(79)
         batch = mech.perturb_batch(np.full(40_000, 2), rng)
         hits = np.mean(
-            batch.values
+            batch.value
             == np.array(
-                [hash_bucket(s, 2, mech.g) for s in batch.seeds.tolist()]
+                [hash_bucket(s, 2, mech.g) for s in batch.hash_seed.tolist()]
             )
         )
         keep = math.exp(1.0) / (math.exp(1.0) + mech.g - 1.0)
@@ -168,14 +168,14 @@ class TestAggregate:
         rng = np.random.default_rng(97)
         batch = mech.perturb_batch(rng.integers(0, 6, size=5000), rng)
         perm = rng.permutation(5000)
-        shuffled = OlhBatch(seeds=batch.seeds[perm], values=batch.values[perm])
+        shuffled = OlhBatch(hash_seed=batch.hash_seed[perm], value=batch.value[perm])
         assert np.array_equal(mech.aggregate(batch).raw, mech.aggregate(shuffled).raw)
 
     def test_report_sequence_equals_batch(self):
         mech = OptimizedLocalHashing(l_zones=4, epsilon=1.0)
         rng = np.random.default_rng(101)
         reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=300)]
-        batch = mech._as_batch(reports)
+        batch = OlhBatch.of(reports)
         assert np.array_equal(
             mech.aggregate(reports).raw, mech.aggregate(batch).raw
         )
@@ -189,8 +189,8 @@ class TestAggregate:
     def test_out_of_range_report_value_rejected(self):
         mech = OptimizedLocalHashing(l_zones=4, epsilon=1.0)
         bad = OlhBatch(
-            seeds=np.array([1], dtype=np.uint64),
-            values=np.array([mech.g], dtype=np.int64),
+            hash_seed=np.array([1], dtype=np.uint64),
+            value=np.array([mech.g], dtype=np.int64),
         )
         with pytest.raises(ValueError):
             mech.aggregate(bad)
@@ -213,8 +213,8 @@ class TestBlockedReplay:
 
     def reference_raw(self, mech, batch):
         zone_ids = np.arange(mech.l_zones, dtype=np.int64)
-        buckets = hash_bucket_array(batch.seeds[:, None], zone_ids[None, :], mech.g)
-        counts = (buckets == batch.values[:, None]).sum(axis=0)
+        buckets = hash_bucket_array(batch.hash_seed[:, None], zone_ids[None, :], mech.g)
+        counts = (buckets == batch.value[:, None]).sum(axis=0)
         return estimate_frequency(counts, batch.n_reports, mech.probabilities()).raw
 
     def test_matches_the_whole_replay_at_block_edges(self):

@@ -1,13 +1,18 @@
 """Shared oracle machinery: the closed-form estimator, probability pairs,
-the scalar perturb, report wire format, and the protocol hash."""
+the scalar perturb, report batches and their checks, report wire format,
+and the protocol hash."""
+import dataclasses
+import importlib.util
 import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zoneldp.domain import MECHANISMS, PrivacyParams
-from zoneldp.errors import DegenerateProbabilities
+from zoneldp.errors import DegenerateProbabilities, ParamMismatch
 from zoneldp.oracles import (
     estimate_frequency,
     make_mechanism,
@@ -148,6 +153,101 @@ def test_class_defines_its_own_perturb_batch_and_aggregate(mechanism):
     assert "aggregate" in cls.__dict__
 
 
+# small sketch and bloom shapes, so a hand-written bit row fits them
+SMALL = PrivacyParams(epsilon=1.0, mechanism="CMS", cms_k=4, cms_m=4, rappor_k=4, rappor_m=8)
+
+
+def _small_batch(mechanism):
+    mech = make_mechanism(mechanism, 4, 1.0, SMALL)
+    return mech, mech.perturb_batch(np.arange(40) % 4, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_batch_fields_are_the_report_fields(mechanism):
+    # field names and order carry over, and perturb_batch -> reports ->
+    # JSON lines -> of gives back the same arrays
+    _, batch = _small_batch(mechanism)
+    cls = type(batch)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == [f.name for f in dataclasses.fields(cls.report_type)]
+    assert len(cls.dtypes) == len(names)
+    assert cls.of(batch) is batch
+    buffer = io.StringIO()
+    write_reports(batch.reports(), buffer)
+    buffer.seek(0)
+    again = cls.of(list(read_reports(buffer)))
+    assert again.n_reports == batch.n_reports == 40
+    for name in names:
+        before, after = getattr(batch, name), getattr(again, name)
+        assert (after.dtype, after.shape) == (before.dtype, before.shape)
+        assert np.array_equal(after, before)
+
+
+MALFORMED = [
+    pytest.param("OLH", "value", 0.5, id="OLH-float"),
+    pytest.param("OLH", "value", True, id="OLH-bool"),
+    pytest.param("OLH", "hash_seed", -1, id="OLH-negative-seed"),
+    pytest.param("OLH", "hash_seed", 1 << 64, id="OLH-seed-past-uint64"),
+    pytest.param("OUE", "bits", (2, 0, 0, 0), id="OUE-bit-2"),
+    pytest.param("OUE", "bits", (True, False, False, False), id="OUE-bools"),
+    pytest.param("OUE", "bits", (1, 0, 0), id="OUE-short-row"),
+    pytest.param("OUE", "bits", 1, id="OUE-scalar-row"),
+    pytest.param("THE", "values", (math.inf, 0.0, 0.0, 0.0), id="THE-inf"),
+    pytest.param("THE", "values", (math.nan, 0.0, 0.0, 0.0), id="THE-nan"),
+    pytest.param("THE", "values", ("1.5", 0.0, 0.0, 0.0), id="THE-string"),
+    pytest.param("HR", "row_index", 1.7, id="HR-float"),
+    pytest.param("HR", "row_index", True, id="HR-bool"),
+    pytest.param("HR", "signed_value", math.inf, id="HR-inf"),
+    pytest.param("CMS", "bits", (2, 0, 0, 0), id="CMS-bit-2"),
+    pytest.param("CMS", "hash_index", 1.5, id="CMS-float"),
+    pytest.param("CMS", "hash_index", np.int64(1), id="CMS-numpy-int"),
+    pytest.param("RAPPOR", "cohort", 2.0, id="RAPPOR-float"),
+    pytest.param("RAPPOR", "bits", (0, 0, -1, 0), id="RAPPOR-bit-minus-1"),
+    pytest.param("RAPPOR", "bits", (0, 0, 1, 0.0), id="RAPPOR-float-bit"),
+]
+
+
+@pytest.mark.parametrize("mechanism, field, value", MALFORMED)
+def test_report_lists_that_do_not_fit_are_rejected(mechanism, field, value):
+    # nothing is truncated or wrapped into range on the way in
+    mech, batch = _small_batch(mechanism)
+    reports = batch.reports()
+    reports[1] = dataclasses.replace(reports[1], **{field: value})
+    with pytest.raises(ParamMismatch, match=field):
+        mech.aggregate(reports)
+    with pytest.raises(ParamMismatch, match=field):
+        type(batch).of(reports)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_reports_of_another_mechanism_are_rejected(mechanism):
+    mech, batch = _small_batch(mechanism)
+    other = MECHANISMS[(MECHANISMS.index(mechanism) + 1) % len(MECHANISMS)]
+    reports = batch.reports()
+    reports[0] = _small_batch(other)[1].reports()[0]
+    with pytest.raises(ParamMismatch, match=type(batch).__name__):
+        mech.aggregate(reports)
+
+
+def _benchmark_tracing():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_traced_report_bytes_are_the_field_arrays(mechanism):
+    # the traced run counts oracles.<mech>.report_bytes with batch_nbytes
+    _, batch = _small_batch(mechanism)
+    arrays = [getattr(batch, f.name) for f in dataclasses.fields(batch)]
+    expected = sum(a.nbytes for a in arrays)
+    assert expected > 0
+    assert _benchmark_tracing().batch_nbytes(batch) == expected
+
+
 class TestWireFormat:
     REPORTS = [
         OlhReport(hash_seed=123456789, value=3),
@@ -173,6 +273,19 @@ class TestWireFormat:
         write_reports(self.REPORTS, buffer)
         buffer.seek(0)
         assert list(read_reports(buffer)) == self.REPORTS
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"mech": "RR", "payload": {"value": 1}}, "'RR'"),
+            ({"mech": "OLH", "payload": {"hash_seed": 1, "value": 0, "zone": 2}}, "zone"),
+            ({"mech": "OLH", "payload": {"hash_seed": 1}}, "value"),
+            ({"mech": "HR", "payload": {"row": 1, "signed_value": 1.0}}, "row"),
+        ],
+    )
+    def test_unknown_tags_and_fields_are_rejected(self, data, named):
+        with pytest.raises(ParamMismatch, match=named):
+            report_from_dict(data)
 
     def test_payloads_are_plain_json_types(self):
         import json

@@ -95,9 +95,9 @@ def rappor_system(l_zones, m, k, seed, mutate=None):
     rng = np.random.default_rng(seed)
     n = 40 * l_zones
     batch = mech.perturb_batch(rng.integers(0, l_zones, size=n), rng)
-    sizes = np.bincount(batch.cohorts, minlength=m)
+    sizes = np.bincount(batch.cohort, minlength=m)
     sums = np.zeros((m, k))
-    np.add.at(sums, batch.cohorts, batch.bits)
+    np.add.at(sums, batch.cohort, batch.bits)
     probs = mech.probabilities()
     debiased = (sums - sizes[:, None] * probs.q) / (probs.p - probs.q)
     return mech._normal_equations(mech.targets, sizes / n, debiased)
@@ -243,7 +243,7 @@ class TestPerturb:
         zones = np.tile(np.arange(4), 5)
         first = mech.perturb_batch(zones, np.random.default_rng(9))
         second = mech.perturb_batch(zones, np.random.default_rng(9))
-        assert np.array_equal(first.cohorts, second.cohorts)
+        assert np.array_equal(first.cohort, second.cohort)
         assert np.array_equal(first.bits, second.bits)
 
     def test_batch_bit_rates_match_the_pair(self):
@@ -252,7 +252,7 @@ class TestPerturb:
         mech = Rappor(l_zones=4, epsilon=2.0, k=16, m=4, hash_seed=1)
         n = 20_000
         batch = mech.perturb_batch(np.full(n, 1), np.random.default_rng(23))
-        own = mech.targets[batch.cohorts, 1]
+        own = mech.targets[batch.cohort, 1]
         target_hits = int(batch.bits[np.arange(n), own].sum())
         probs = mech.probabilities()
         sigma = math.sqrt(probs.p * (1 - probs.p) * n)
@@ -268,7 +268,7 @@ class TestPerturb:
         batch = mech.perturb_batch(
             np.zeros(n, dtype=np.int64), np.random.default_rng(5)
         )
-        counts = np.bincount(batch.cohorts, minlength=8)
+        counts = np.bincount(batch.cohort, minlength=8)
         sigma = math.sqrt(n * (1 / 8) * (7 / 8))
         assert np.all(np.abs(counts - n / 8) < 5 * sigma)
 
@@ -313,7 +313,7 @@ class TestExactRecovery:
                     row[mech.targets[cohort, zone]] = 1
                     rows.append(row)
         batch = RapporBatch(
-            cohorts=np.array(cohorts, dtype=np.int64),
+            cohort=np.array(cohorts, dtype=np.int64),
             bits=np.array(rows, dtype=np.uint8),
         )
         est = mech.aggregate(batch)
@@ -385,7 +385,7 @@ class TestPrivacy:
         batch = mech.perturb_batch(
             np.zeros(n, dtype=np.int64), np.random.default_rng(29)
         )
-        codes = batch.cohorts * 16 + batch.bits @ (1 << np.arange(4))
+        codes = batch.cohort * 16 + batch.bits @ (1 << np.arange(4))
         observed = np.bincount(codes, minlength=32) / n
         for key, prob in dist.items():
             code = key[0] * 16 + sum(bit << i for i, bit in enumerate(key[1:]))
@@ -421,7 +421,7 @@ class TestAggregate:
         rng = np.random.default_rng(31)
         batch = mech.perturb_batch(rng.integers(0, 5, size=500), rng)
         perm = rng.permutation(500)
-        shuffled = RapporBatch(cohorts=batch.cohorts[perm], bits=batch.bits[perm])
+        shuffled = RapporBatch(cohort=batch.cohort[perm], bits=batch.bits[perm])
         assert np.array_equal(mech.aggregate(batch).raw, mech.aggregate(shuffled).raw)
 
     def test_report_sequence_matches_batch(self):
@@ -429,7 +429,7 @@ class TestAggregate:
         rng = np.random.default_rng(13)
         reports = [mech.perturb(int(zone), rng) for zone in rng.integers(0, 4, size=60)]
         batch = RapporBatch(
-            cohorts=np.array([r.cohort for r in reports], dtype=np.int64),
+            cohort=np.array([r.cohort for r in reports], dtype=np.int64),
             bits=np.array([r.bits for r in reports], dtype=np.uint8),
         )
         assert np.array_equal(mech.aggregate(reports).raw, mech.aggregate(batch).raw)
@@ -458,7 +458,7 @@ class TestAggregate:
         weights = np.empty(m)
         weights[0::2], weights[1::2] = w_even, w_odd
         np.testing.assert_allclose(
-            weights, np.bincount(batch.cohorts, minlength=m) / 400, rtol=1e-15
+            weights, np.bincount(batch.cohort, minlength=m) / 400, rtol=1e-15
         )
         debiased = np.empty((m, mech.k))
         debiased[0::2], debiased[1::2] = d_even, d_odd
@@ -476,7 +476,7 @@ class TestAggregate:
     def test_rejects_wrong_bit_width(self):
         mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
         bad = RapporBatch(
-            cohorts=np.zeros(2, dtype=np.int64),
+            cohort=np.zeros(2, dtype=np.int64),
             bits=np.zeros((2, 17), dtype=np.uint8),
         )
         with pytest.raises(ParamMismatch):
@@ -485,7 +485,7 @@ class TestAggregate:
     def test_rejects_cohort_out_of_range(self):
         mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
         bad = RapporBatch(
-            cohorts=np.array([0, 8], dtype=np.int64),
+            cohort=np.array([0, 8], dtype=np.int64),
             bits=np.zeros((2, 16), dtype=np.uint8),
         )
         with pytest.raises(ParamMismatch):

@@ -175,7 +175,7 @@ class TestAggregate:
         rng = np.random.default_rng(191)
         reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=200)]
         assert np.array_equal(
-            mech.aggregate(reports).raw, mech.aggregate(mech._as_batch(reports)).raw
+            mech.aggregate(reports).raw, mech.aggregate(TheBatch.of(reports)).raw
         )
 
     def test_wrong_width_rejected(self):
