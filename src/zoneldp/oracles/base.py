@@ -5,7 +5,9 @@ Every mechanism is a perturb/aggregate pair. Perturbation runs client-side
 on a single zone index; aggregation reduces many reports to per-zone count
 estimates. The three mechanisms that report a randomized one-hot bit row
 (OUE over the L zones, CMS and RAPPOR over a hashed row) share one client
-randomizer, ``one_hot_rr``. Aggregators reduce reports to integer
+randomizer, ``one_hot_rr``, which fills large batches on several threads
+from jump-ahead copies of the caller's PCG64 generator without changing a
+bit of the output. Aggregators reduce reports to integer
 sufficient statistics before doing float arithmetic, so the estimate is
 invariant under any permutation of the reports.
 
@@ -17,7 +19,11 @@ outside enter an aggregator, so it is also where they are checked.
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union, get_type_hints
 
@@ -50,6 +56,14 @@ class PerturbProbabilities:
 _BLOCK_CELLS = 1 << 19
 
 
+def _cores() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def one_hot_rr(
     positions, width: int, probs: PerturbProbabilities, rng: np.random.Generator
 ) -> np.ndarray:
@@ -57,18 +71,75 @@ def one_hot_rr(
 
     Row i has a 1 at ``positions[i]`` before randomization: that bit is
     reported as 1 with probability p and every other bit with probability
-    q. Each bit is one uniform compared against its threshold. The
-    uniforms are drawn row-major in blocks of at most ``_BLOCK_CELLS``
-    into one reused buffer, so the stream is the same as a single
-    ``rng.random((n, width))`` call while memory stays bounded for any n.
+    q. Each bit is one uniform compared against its threshold, and the
+    uniforms are the row-major stream of a single ``rng.random((n, width))``
+    call, which leaves ``rng`` where that call would.
+
+    Memory stays bounded for any n: rows are filled in blocks, each
+    thread drawing into one reused buffer, ``_BLOCK_CELLS`` cells over all
+    threads. When ``rng`` is a PCG64 or PCG64DXSM generator and there is
+    more than one block of work, one thread per available core (at most
+    one per block) fills blocks: the calling thread and threads started
+    and joined within the call. Each holds a copy of ``rng`` and jumps it
+    ahead to the first cell of every block it takes, so it reads that
+    block's part of the same stream. A thread takes the next unfilled
+    block when it is free, so a core that runs slowly fills fewer blocks.
+    Other bit generators cannot skip ahead exactly and fill every block
+    in order on ``rng`` itself.
     """
     positions = np.asarray(positions, dtype=np.int64)
     n = positions.size
     bits = np.empty((n, width), dtype=np.uint8)
-    block_rows = max(1, _BLOCK_CELLS // width)
+    threads = 1
+    # only these bit generators' advance(k) skips exactly the k 64-bit words
+    # that k doubles from Generator.random consume
+    jumpable = type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
+    if jumpable and n * width > _BLOCK_CELLS:
+        threads = min(_cores(), -(-n * width // _BLOCK_CELLS))
+    block_rows = max(1, _BLOCK_CELLS // (threads * width))
+    starts, lock = iter(range(0, n, block_rows)), threading.Lock()
+
+    def claim():
+        """First row of the next unfilled block, None when all are taken."""
+        with lock:
+            return next(starts, None)
+
+    fill = functools.partial(_fill, bits, positions, claim, block_rows, probs)
+    if threads == 1:
+        fill(rng)
+        return bits
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(fill, _copy(rng)) for _ in range(threads - 1)]
+        fill(_copy(rng))
+    for future in futures:
+        future.result()
+    # advance() drops the buffered 32-bit half that random() never touches
+    buffered = rng.bit_generator.state
+    rng.bit_generator.advance(n * width)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
+    rng.bit_generator.state = state
+    return bits
+
+
+def _copy(rng: np.random.Generator) -> np.random.Generator:
+    """A generator on its own copy of ``rng``'s bit generator state."""
+    bit_generator = type(rng.bit_generator)()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
+def _fill(bits, positions, claim, block_rows: int, probs: PerturbProbabilities, rng):
+    """Fills each block of ``block_rows`` rows whose first row ``claim()``
+    hands out (in increasing order) with the uniforms at that row's offset
+    in ``rng``'s stream, counted from where ``rng`` stood on entry."""
+    n, width = bits.shape
     buf = np.empty((min(block_rows, n), width))
     rows = np.arange(buf.shape[0])
-    for start in range(0, n, block_rows):
+    done = 0  # rows of the stream that rng has passed
+    while (start := claim()) is not None:
+        if start > done:
+            rng.bit_generator.advance((start - done) * width)
         stop = min(start + block_rows, n)
         uniforms = buf[: stop - start]
         rng.random(out=uniforms)
@@ -76,7 +147,7 @@ def one_hot_rr(
         np.less(uniforms, probs.q, out=out.view(np.bool_))
         r, targets = rows[: stop - start], positions[start:stop]
         out[r, targets] = uniforms[r, targets] < probs.p
-    return bits
+        done = stop
 
 
 def estimate_frequency(

@@ -216,14 +216,19 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
     Results come back in grid order (mechanisms outer, epsilons inner,
     trials innermost) and are identical for any ``workers`` value: every
     round's PRNG stream is keyed by its grid position, never by schedule.
+    Each (mechanism, epsilon) cell is one task, so at most one worker
+    process per cell is started; with one, the grid runs in this process.
     """
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     zones, l_zones, drops = resolve_population(config)
     cells = [
         (mi, ei)
         for mi in range(len(config.mechanisms))
         for ei in range(len(config.epsilons))
     ]
-    if workers <= 1:
+    workers = min(workers, len(cells))
+    if workers == 1:
         chunks = [_run_cell(config, mi, ei, zones, l_zones, drops) for mi, ei in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

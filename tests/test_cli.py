@@ -375,6 +375,20 @@ class TestSweep:
         for name in ("results.jsonl", "summary.csv", "zone_stats.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, config_value", [("0", None), ("-3", None), (None, 0)]
+    )
+    def test_workers_below_one_are_config_errors(self, workspace, capsys, flag, config_value):
+        overrides = {} if config_value is None else {"workers": config_value}
+        config = self._write_config(workspace, **overrides)
+        argv = ["sweep", "--config", config, "--out", workspace / "run"]
+        if flag is not None:
+            argv += ["--workers", flag]
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert "config error" in stderr and "workers" in stderr
+        assert not (workspace / "run").exists()
+
     def test_trials_flag_overrides_config(self, workspace, capsys):
         config = self._write_config(workspace)
         code, stdout, _ = run_cli(

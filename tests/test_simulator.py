@@ -4,12 +4,15 @@ Covers population sources, config validation, single rounds, sweep
 reproducibility across worker counts, summary statistics with hand-checked
 per-zone error rates, CSV rendering, and result serialization.
 """
+import dataclasses
 import io
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from zoneldp import simulator
 from zoneldp.domain import (
     MECHANISMS,
     Fingerprint,
@@ -225,6 +228,44 @@ class TestRunSweep:
         parallel = io.StringIO()
         write_results(run_sweep(config, workers=2), parallel)
         assert serial.getvalue() == parallel.getvalue()
+
+    @pytest.mark.parametrize("workers, pool_sizes", [(64, [4]), (3, [3]), (2, [2])])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, workers, pool_sizes):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each task in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        config = self._config()  # 2 mechanisms x 2 epsilons
+        pooled = io.StringIO()
+        write_results(run_sweep(config, workers=workers), pooled)
+        assert sizes == pool_sizes
+        serial = io.StringIO()
+        write_results(run_sweep(config, workers=1), serial)
+        assert pooled.getvalue() == serial.getvalue()
+        one_cell = dataclasses.replace(config, mechanisms=("OUE",), epsilons=(1.0,))
+        run_sweep(one_cell, workers=64)
+        assert sizes == pool_sizes  # one cell runs in this process
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(self._config(), workers=workers)
 
     def test_lookup_population_conserves_users(self):
         table, training = _tiny_table()
