@@ -9,10 +9,12 @@ Exit codes: 0 ok, 1 usage/config, 2 I/O, 3 data.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from .dataio import load_fingerprints, load_schema
@@ -79,11 +81,13 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve_seed(flag_value, cfg: dict) -> int:
+def _resolve_seed(flag_value, cfg: dict):
+    """The flag's seed, else the config's, else the environment's, else 0;
+    ``ExperimentConfig`` checks whichever it is."""
     if flag_value is not None:
-        return int(flag_value)
+        return flag_value
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return cfg["seed"]
     env = os.environ.get(SEED_ENV)
     if env:
         try:
@@ -98,7 +102,7 @@ def _population_from_config(cfg: dict):
     if not isinstance(pop, dict):
         raise ConfigError('config needs a "population" object')
     if "counts" in pop:
-        return CountsPopulation(counts=tuple(pop["counts"]))
+        return CountsPopulation(counts=pop["counts"])
     if "fingerprints" in pop:
         for key in ("schema", "table"):
             if key not in pop:
@@ -113,10 +117,10 @@ def _population_from_config(cfg: dict):
     raise ConfigError('population must have "counts" or "fingerprints"')
 
 
-_PARAM_KEYS = ("the_theta", "cms_k", "cms_m", "rappor_k", "rappor_m")
+_PARAM_KEYS = tuple(f.name for f in fields(PrivacyParams))
 
 
-def _params_from_config(cfg: dict, mechanism: str, epsilon: float) -> PrivacyParams:
+def _params_from_config(cfg: dict) -> PrivacyParams:
     sizes = cfg.get("params", {})
     if not isinstance(sizes, dict):
         raise ConfigError('"params" must be a JSON object')
@@ -124,7 +128,7 @@ def _params_from_config(cfg: dict, mechanism: str, epsilon: float) -> PrivacyPar
     if unknown:
         raise ConfigError(f"unknown params keys {unknown}; expected {_PARAM_KEYS}")
     try:
-        return PrivacyParams(epsilon=epsilon, mechanism=mechanism, **sizes)
+        return PrivacyParams(**sizes)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -156,15 +160,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f'config needs "mechanism", one of {MECHANISMS}')
     if "epsilon" not in cfg:
         raise ConfigError('config needs "epsilon"')
-    epsilon = float(cfg["epsilon"])
     seed = _resolve_seed(args.seed, cfg)
-    params = _params_from_config(cfg, mechanism, epsilon)
+    params = _params_from_config(cfg)
     population = _population_from_config(cfg)
 
     # the round is trial 0 of a one-cell sweep grid, on the sweep's streams
     config = ExperimentConfig(
         mechanisms=(mechanism,),
-        epsilons=(epsilon,),
+        epsilons=(cfg["epsilon"],),
         trials=1,
         seed=seed,
         population=population,
@@ -179,8 +182,6 @@ def cmd_simulate(args) -> int:
     )
     _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     if args.reports_out:
-        import io
-
         buffer = io.StringIO()
         write_reports(collected, buffer)
         _atomic_write(args.reports_out, buffer.getvalue())
@@ -190,32 +191,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    mechanisms = cfg.get("mechanisms")
-    if not mechanisms:
-        raise ConfigError('config needs a nonempty "mechanisms" list')
-    epsilons = cfg.get("epsilons")
-    if not epsilons:
-        raise ConfigError('config needs a nonempty "epsilons" list')
-    trials = int(args.trials if args.trials is not None else cfg.get("trials", 20))
     seed = _resolve_seed(args.seed, cfg)
-    workers = int(args.workers if args.workers is not None else cfg.get("workers", 1))
-    params = _params_from_config(cfg, mechanisms[0], float(epsilons[0]))
-    population = _population_from_config(cfg)
-
     config = ExperimentConfig(
-        mechanisms=tuple(mechanisms),
-        epsilons=tuple(float(e) for e in epsilons),
-        trials=trials,
+        mechanisms=cfg.get("mechanisms"),
+        epsilons=cfg.get("epsilons"),
+        trials=args.trials if args.trials is not None else cfg.get("trials", 20),
         seed=seed,
-        population=population,
-        params=params,
+        params=_params_from_config(cfg),
+        population=_population_from_config(cfg),
     )
+    workers = args.workers if args.workers is not None else cfg.get("workers", 1)
     results = run_sweep(config, workers=workers)
     summary = summarize(results)
 
     out_dir = Path(args.out)
-    import io
-
     buffer = io.StringIO()
     write_results(results, buffer)
     _atomic_write(out_dir / "results.jsonl", buffer.getvalue())
@@ -302,9 +291,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ZoneLdpError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -27,6 +27,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy reals, integers included; False for bools
+    and strings."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
@@ -125,15 +131,16 @@ class ZoneTable:
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy level, mechanism choice, and per-mechanism sizes for a round.
+    """Per-mechanism sizes for a round; the mechanism and the privacy
+    level are given next to it, never inside it.
 
-    Defaults for the sizes follow the usual telemetry-scale settings: a
-    128-function, 1024-column sketch and a 64-bit, 1024-cohort bloom layout,
-    with a unit threshold for the noisy-histogram mechanism.
+    Defaults follow the usual telemetry-scale settings: a 128-function,
+    1024-column sketch and a 64-bit, 1024-cohort bloom layout, with a unit
+    threshold for the noisy-histogram mechanism. Raises ValueError, and
+    coerces nothing, unless the threshold is a finite real and every size
+    an integer >= 1 (CMS's width >= 2, for its collision correction).
     """
 
-    epsilon: float
-    mechanism: str
     the_theta: float = 1.0
     cms_k: int = 128
     cms_m: int = 1024
@@ -141,15 +148,12 @@ class PrivacyParams:
     rappor_m: int = 1024
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(
-                f"unknown mechanism {self.mechanism!r}; expected one of {MECHANISMS}"
-            )
+        if not (_is_real(self.the_theta) and math.isfinite(self.the_theta)):
+            raise ValueError(f"the_theta must be a finite real, got {self.the_theta!r}")
         for name in ("cms_k", "cms_m", "rappor_k", "rappor_m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value, least = getattr(self, name), 2 if name == "cms_m" else 1
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

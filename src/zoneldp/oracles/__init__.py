@@ -55,16 +55,13 @@ def make_mechanism(
     *,
     cms_hash_seed: int = 0,
 ) -> FrequencyOracle:
-    """Instantiate one mechanism; ``params`` supplies sizes and threshold.
-
-    The mechanism and epsilon arguments are authoritative; the same-named
-    fields inside ``params`` are ignored here so a single params template
-    can serve a whole sweep grid.
+    """Instantiate one mechanism; ``params`` supplies sizes and threshold
+    (the defaults when None), so one params value serves a whole sweep grid.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
     if params is None:
-        params = PrivacyParams(epsilon=epsilon, mechanism=mechanism)
+        params = PrivacyParams()
     if mechanism == "OLH":
         return OptimizedLocalHashing(l_zones, epsilon)
     if mechanism == "OUE":

@@ -1,15 +1,19 @@
 """Shared oracle machinery: probability pairs, report types, the debiased
-frequency estimator, and the mechanism base class.
+frequency estimator, the mechanism base class and the hashed sketch.
 
 Every mechanism is a perturb/aggregate pair. Perturbation runs client-side
 on a single zone index; aggregation reduces many reports to per-zone count
-estimates. The three mechanisms that report a randomized one-hot bit row
-(OUE over the L zones, CMS and RAPPOR over a hashed row) share one client
-randomizer, ``one_hot_rr``, which fills large batches on several threads
-from jump-ahead copies of the caller's PCG64 generator without changing a
-bit of the output. Aggregators reduce reports to integer
-sufficient statistics before doing float arithmetic, so the estimate is
-invariant under any permutation of the reports.
+estimates. Each mechanism is defined by its (p, q) pair, which the base
+class returns from ``probabilities()``. The three mechanisms that report a
+randomized one-hot bit row (OUE over the L zones, CMS and RAPPOR over a
+hashed row) share one client randomizer, ``one_hot_rr``, which fills large
+batches on several threads from jump-ahead copies of the caller's PCG64
+generator without changing a bit of the output. CMS and RAPPOR are one
+``HashedSketch``: the same hash table, client and debiased per-(row, bit)
+sums under their own size names, each with its own decoder. Aggregators
+reduce reports to integer sufficient statistics before doing float
+arithmetic, so the estimate is invariant under any permutation of the
+reports.
 
 Each mechanism's reports travel between perturb_batch and aggregate as a
 ``ReportBatch``: one array per report field, under the report's own field
@@ -21,6 +25,7 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +36,7 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import DegenerateProbabilities, ParamMismatch
+from .hashing import family_member_seed, hash_bucket_array
 
 
 @dataclass(frozen=True)
@@ -342,6 +348,7 @@ class FrequencyOracle(abc.ABC):
     """
 
     name: ClassVar[str]
+    _probs: PerturbProbabilities  # set by each mechanism's constructor
 
     def __init__(self, l_zones: int, epsilon: float):
         if l_zones < 1:
@@ -359,9 +366,9 @@ class FrequencyOracle(abc.ABC):
             raise ValueError(f"zone indices out of range [0, {self.l_zones})")
         return zones
 
-    @abc.abstractmethod
     def probabilities(self) -> PerturbProbabilities:
         """The (p, q) pair the aggregator debiases with."""
+        return self._probs
 
     def perturb(self, zone: int, rng: np.random.Generator) -> Report:
         """Perturb one user's zone into a report: a batch of one."""
@@ -375,3 +382,57 @@ class FrequencyOracle(abc.ABC):
     def aggregate(self, reports) -> FrequencyEstimate:
         """Reduce reports to per-zone estimated counts."""
 
+
+
+class HashedSketch(FrequencyOracle):
+    """A rows x width hashed one-hot sketch (Erlingsson et al., "RAPPOR",
+    CCS 2014), the client and statistic that CMS and RAPPOR share.
+
+    Row r of a public hash family, seeded from ``hash_seed``, sends zone v
+    to bit ``targets[r, v]``. A client draws one row uniformly, sets its
+    zone's bit in a width-bit row and randomizes every bit with
+    ``one_hot_rr`` at budget eps/2 per bit. A zone change moves exactly two
+    bits, so the whole report is eps-private. The aggregator checks a
+    batch against the sketch, reduces it to per-(row, bit) sums and
+    debiases them. A subclass names the sizes, the report batch (row index
+    field first, then the bits), the reduction and the decoder.
+    """
+
+    def __init__(
+        self, l_zones: int, epsilon: float, rows: int, width: int, hash_seed: int
+    ):
+        super().__init__(l_zones, epsilon)
+        if rows < 1 or width < 1:
+            raise ValueError("sketch rows and width must be >= 1")
+        self.hash_seed = int(hash_seed)
+        self._width = int(width)
+        half = math.exp(self.epsilon / 2.0)
+        self._probs = PerturbProbabilities(p=half / (half + 1.0), q=1.0 / (half + 1.0))
+        seeds = family_member_seed(self.hash_seed, np.arange(int(rows)))
+        zone_ids = np.arange(self.l_zones, dtype=np.uint64)
+        # rows x L table of hashed positions, shared by clients and aggregator
+        self.targets = hash_bucket_array(seeds[:, None], zone_ids[None, :], self._width)
+
+    def _perturb_rows(self, zones, rng: np.random.Generator):
+        """Each user's uniformly drawn row index and randomized bit row."""
+        zones = self._check_zones(zones)
+        rows = rng.integers(0, self.targets.shape[0], size=zones.size)
+        bits = one_hot_rr(self.targets[rows, zones], self._width, self._probs, rng)
+        return rows, bits
+
+    def _row_sizes(self, batch: ReportBatch) -> np.ndarray:
+        """Reports per row of a nonempty batch; ParamMismatch for rows of
+        the wrong width or a row index out of range (naming its field)."""
+        index_field = fields(batch)[0].name
+        rows, width = self.targets.shape[0], batch.bits.shape[1]
+        if width != self._width:
+            raise ParamMismatch(f"report width {width} != sketch width {self._width}")
+        index = getattr(batch, index_field)
+        if index.min() < 0 or index.max() >= rows:
+            raise ParamMismatch(f"{index_field} out of range [0, {rows})")
+        return np.bincount(index, minlength=rows)
+
+    def _debias(self, bit_sums: np.ndarray, row_sizes: np.ndarray) -> np.ndarray:
+        """Per-(row, bit) sums minus their noise floor, over p - q."""
+        p, q = self._probs.p, self._probs.q
+        return (bit_sums - row_sizes[:, None] * q) / (p - q)

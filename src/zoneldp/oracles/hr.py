@@ -58,21 +58,17 @@ class HadamardResponse(FrequencyOracle):
     def __init__(self, l_zones: int, epsilon: float):
         super().__init__(l_zones, epsilon)
         self.dim = padded_dimension(l_zones)
-        e = math.exp(epsilon)
-        self._p_keep = e / (e + 1.0)
+        self._probs = probabilities(epsilon)
         self._scale = scale_factor(epsilon)
         # the one float every report carries, up to its sign
         self._magnitude = self._scale * math.sqrt(self.dim)
-
-    def probabilities(self) -> PerturbProbabilities:
-        return probabilities(self.epsilon)
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> HrBatch:
         zones = self._check_zones(zones)
         n = zones.size
         rows = rng.integers(0, self.dim, size=n).astype(np.uint64)
         signs = _sign_entries(rows, (zones + 1).astype(np.uint64))
-        keeps = np.where(rng.random(n) < self._p_keep, 1, -1)
+        keeps = np.where(rng.random(n) < self._probs.p, 1, -1)
         values = keeps * signs * self._magnitude
         return HrBatch(row_index=rows.astype(np.int64), signed_value=values)
 

@@ -66,18 +66,14 @@ class OptimizedLocalHashing(FrequencyOracle):
     def __init__(self, l_zones: int, epsilon: float):
         super().__init__(l_zones, epsilon)
         self.g = domain_size(epsilon)
-        e = math.exp(epsilon)
-        self._p_keep = e / (e + self.g - 1.0)
-
-    def probabilities(self) -> PerturbProbabilities:
-        return probabilities(self.epsilon)
+        self._probs = probabilities(epsilon)
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OlhBatch:
         zones = self._check_zones(zones)
         n = zones.size
         seeds = rng.integers(0, _SEED_BOUND, size=n, dtype=np.uint64)
         true_buckets = hash_bucket_array(seeds, zones, self.g)
-        keep = rng.random(n) < self._p_keep
+        keep = rng.random(n) < self._probs.p
         others = rng.integers(0, self.g - 1, size=n)
         others = others + (others >= true_buckets)
         values = np.where(keep, true_buckets, others)
@@ -99,4 +95,4 @@ class OptimizedLocalHashing(FrequencyOracle):
             block = slice(start, start + step)
             buckets = hash_bucket_array(batch.hash_seed[block, None], zone_ids, self.g)
             counts += (buckets == batch.value[block, None]).sum(axis=0)
-        return estimate_frequency(counts, n, self.probabilities())
+        return estimate_frequency(counts, n, self._probs)

@@ -37,9 +37,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         super().__init__(l_zones, epsilon)
         self._probs = probabilities(epsilon)
 
-    def probabilities(self) -> PerturbProbabilities:
-        return self._probs
-
     def perturb_batch(self, zones, rng: np.random.Generator) -> OueBatch:
         zones = self._check_zones(zones)
         return OueBatch(bits=one_hot_rr(zones, self.l_zones, self._probs, rng))

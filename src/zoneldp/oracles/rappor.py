@@ -7,8 +7,9 @@ per cohort (different bits in different cohorts, which is what makes the
 decoding well-posed). The bit vector is then reported with flip parameter
 f = 2/(e^{eps/2} + 1): a set bit stays 1 with probability 1 - f/2, a clear
 bit turns 1 with probability f/2. One report per user, so only this
-permanent randomization round applies. The client step is the same
-``one_hot_rr`` that CMS and OUE use; only the decoder differs.
+permanent randomization round applies. This is the client of
+``HashedSketch`` with m rows (cohorts) of width k, the same sketch CMS
+uses with its sizes named the other way round; only the decoder differs.
 
 Decoding debiases each cohort's bit counts and fits per-zone counts by
 nonnegative L1-regularized least squares (penalty weight picked on an
@@ -22,22 +23,14 @@ is retried. Fits along the penalty grid are warm-started from the last.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from typing import ClassVar, Optional
 
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from ..errors import ParamMismatch, SingularFitWarning
-from .base import (
-    _BLOCK_CELLS,
-    FrequencyOracle,
-    PerturbProbabilities,
-    RapporBatch,
-    one_hot_rr,
-)
-from .hashing import family_member_seed, hash_bucket_array
+from ..errors import SingularFitWarning
+from .base import _BLOCK_CELLS, HashedSketch, RapporBatch
 
 # relative penalty grid; 0 keeps the unpenalized fit in the running
 _LAMBDA_GRID = (0.0, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -53,19 +46,6 @@ _EXCHANGES = 4
 # a Cholesky pivot below this fraction of its diagonal entry marks the
 # support as collinear
 _PIVOT_RTOL = 1e-10
-
-
-def flip_parameter(epsilon: float) -> float:
-    """f = 2/(e^{eps/2} + 1); the two moved bits compose to budget eps."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return 2.0 / (math.exp(epsilon / 2.0) + 1.0)
-
-
-def probabilities(epsilon: float) -> PerturbProbabilities:
-    """Per-bit pair (1 - f/2, f/2)."""
-    f = flip_parameter(epsilon)
-    return PerturbProbabilities(p=1.0 - f / 2.0, q=f / 2.0)
 
 
 def nonneg_lasso(
@@ -172,7 +152,7 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs)
 
 
-class Rappor(FrequencyOracle):
+class Rappor(HashedSketch):
     name: ClassVar[str] = "RAPPOR"
 
     def __init__(
@@ -183,26 +163,12 @@ class Rappor(FrequencyOracle):
         m: int = 1024,
         hash_seed: int = 0,
     ):
-        super().__init__(l_zones, epsilon)
-        if k < 1 or m < 1:
-            raise ValueError("k and m must be >= 1")
+        super().__init__(l_zones, epsilon, rows=m, width=k, hash_seed=hash_seed)
         self.k = int(k)
         self.m = int(m)
-        self.hash_seed = int(hash_seed)
-        self._probs = probabilities(epsilon)
-        seeds = family_member_seed(self.hash_seed, np.arange(self.m))
-        zone_ids = np.arange(self.l_zones, dtype=np.uint64)
-        # m x L table: the bit position zone v lights in cohort c
-        self.targets = hash_bucket_array(seeds[:, None], zone_ids[None, :], self.k)
-
-    def probabilities(self) -> PerturbProbabilities:
-        return self._probs
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> RapporBatch:
-        zones = self._check_zones(zones)
-        cohorts = rng.integers(0, self.m, size=zones.size)
-        bits = one_hot_rr(self.targets[cohorts, zones], self.k, self._probs, rng)
-        return RapporBatch(cohort=cohorts.astype(np.int64), bits=bits)
+        return RapporBatch(*self._perturb_rows(zones, rng))
 
     def _normal_equations(self, targets, weights, debiased):
         """Gram matrix and linear term of the weighted least-squares fit
@@ -280,21 +246,14 @@ class Rappor(FrequencyOracle):
         n = batch.n_reports
         if n == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
-        if batch.bits.shape[1] != self.k:
-            raise ParamMismatch(
-                f"report width {batch.bits.shape[1]} != bit length {self.k}"
-            )
-        if batch.cohort.min() < 0 or batch.cohort.max() >= self.m:
-            raise ParamMismatch(f"cohort out of range [0, {self.m})")
-        p, q = self._probs.p, self._probs.q
-        cohort_sizes = np.bincount(batch.cohort, minlength=self.m).astype(np.float64)
+        cohort_sizes = self._row_sizes(batch)
         # per-(cohort, bit) sums via one flat bincount; bit sums are exact
         # integers in float64, so the result is order-independent
         flat = (batch.cohort[:, None] * self.k + np.arange(self.k)).ravel()
         bit_sums = np.bincount(
             flat, weights=batch.bits.ravel().astype(np.float64), minlength=self.m * self.k
         ).reshape(self.m, self.k)
-        debiased = (bit_sums - cohort_sizes[:, None] * q) / (p - q)
+        debiased = self._debias(bit_sums, cohort_sizes)
         weights = cohort_sizes / n
 
         halves = [

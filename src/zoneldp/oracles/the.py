@@ -45,9 +45,6 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         self.scale = 2.0 / self.epsilon
         self._probs = probabilities(self.epsilon, self.theta)
 
-    def probabilities(self) -> PerturbProbabilities:
-        return self._probs
-
     def perturb_batch(self, zones, rng: np.random.Generator) -> TheBatch:
         zones = self._check_zones(zones)
         n = zones.size

@@ -16,7 +16,14 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import MECHANISMS, FrequencyEstimate, PrivacyParams, ZoneTable
+from .domain import (
+    MECHANISMS,
+    FrequencyEstimate,
+    PrivacyParams,
+    ZoneTable,
+    _is_int,
+    _is_real,
+)
 from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .oracles import make_mechanism
@@ -42,6 +49,14 @@ class DropCounts:
         return self.insufficient_signals + self.unmatched
 
 
+def _items(value, name: str) -> tuple:
+    """The items of a list or tuple; ConfigError for anything else,
+    strings included."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class CountsPopulation:
     """Population given directly as per-zone counts."""
@@ -49,11 +64,12 @@ class CountsPopulation:
     counts: Tuple[int, ...]
 
     def __post_init__(self):
-        if not self.counts or any(c < 0 for c in self.counts):
-            raise ConfigError("counts must be nonempty and nonnegative")
-        if sum(self.counts) < 1:
+        counts = _items(self.counts, "counts")
+        if not counts or not all(_is_int(c) and c >= 0 for c in counts):
+            raise ConfigError("counts must be nonempty and nonnegative integers")
+        if sum(counts) < 1:
             raise ConfigError("population must have at least one user")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
 
     def resolve(self, rng: np.random.Generator):
         from .dataio import synth_population
@@ -90,25 +106,27 @@ class ExperimentConfig:
     trials: int
     seed: int
     population: PopulationSource
-    params: Optional[PrivacyParams] = field(default=None)  # sizes/theta template
+    params: Optional[PrivacyParams] = field(default_factory=PrivacyParams)
 
     def __post_init__(self):
-        if not self.mechanisms:
+        """Checks every field once, coercing nothing: ConfigError unless the
+        grid axes are nonempty lists of known mechanisms and of finite
+        positive reals, trials is an integer >= 1 and seed one >= 0."""
+        mechanisms = _items(self.mechanisms, "mechanisms")
+        if not mechanisms:
             raise ConfigError("mechanisms must be nonempty")
-        unknown = [m for m in self.mechanisms if m not in MECHANISMS]
+        unknown = [m for m in mechanisms if m not in MECHANISMS]
         if unknown:
             raise ConfigError(f"unknown mechanisms {unknown}; expected {MECHANISMS}")
-        if not self.epsilons or any(not e > 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be nonempty and positive")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if self.params is None:
-            template = PrivacyParams(
-                epsilon=self.epsilons[0], mechanism=self.mechanisms[0]
-            )
-            object.__setattr__(self, "params", template)
+        epsilons = _items(self.epsilons, "epsilons")
+        if not epsilons or not all(_is_real(e) and 0 < e < math.inf for e in epsilons):
+            raise ConfigError(f"epsilons must be finite positive reals, got {epsilons!r}")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "mechanisms", mechanisms)
+        object.__setattr__(self, "epsilons", tuple(float(e) for e in epsilons))
 
 
 @dataclass(frozen=True)
@@ -219,8 +237,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
     Each (mechanism, epsilon) cell is one task, so at most one worker
     process per cell is started; with one, the grid runs in this process.
     """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if not (_is_int(workers) and workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     zones, l_zones, drops = resolve_population(config)
     cells = [
         (mi, ei)

@@ -470,6 +470,92 @@ class TestSweep:
             assert "config error" in stderr
 
 
+BASE_CONFIGS = {
+    "simulate": {
+        "mechanism": "OUE",
+        "epsilon": 1.0,
+        "population": {"counts": [30, 20, 10]},
+        "seed": 9,
+    },
+    "sweep": {
+        "mechanisms": ["OLH", "CMS"],
+        "epsilons": [0.5, 2.0],
+        "trials": 2,
+        "seed": 4,
+        "population": {"counts": [30, 20, 10]},
+    },
+}
+
+MALFORMED_CONFIGS = [
+    # (command, config changes (None deletes the key), extra flags, env seed)
+    ("sweep", {"workers": "two"}, [], None),
+    ("sweep", {"workers": True}, [], None),
+    ("sweep", {"workers": 1.5}, [], None),
+    ("sweep", {"seed": "abc"}, [], None),
+    ("sweep", {"seed": 1.9}, [], None),
+    ("sweep", {"seed": True}, [], None),
+    ("sweep", {"seed": -1}, [], None),
+    ("sweep", {}, ["--seed", "-1"], None),
+    ("sweep", {"seed": None}, [], "-1"),
+    ("simulate", {}, ["--seed", "-2"], None),
+    ("sweep", {"trials": 1.7}, [], None),
+    ("sweep", {"trials": True}, [], None),
+    ("sweep", {"trials": "3"}, [], None),
+    ("sweep", {"epsilons": ["a"]}, [], None),
+    ("sweep", {"epsilons": "12"}, [], None),
+    ("sweep", {"epsilons": [True]}, [], None),
+    ("sweep", {"epsilons": 2.0}, [], None),
+    ("sweep", {"epsilons": [1.0, float("inf")]}, [], None),
+    ("sweep", {"mechanisms": "OLH"}, [], None),
+    ("sweep", {"mechanisms": None}, [], None),
+    ("sweep", {"population": {"counts": "ab"}}, [], None),
+    ("sweep", {"population": {"counts": 7}}, [], None),
+    ("sweep", {"population": {"counts": [3.7, 4]}}, [], None),
+    ("sweep", {"population": {"counts": [True, 4]}}, [], None),
+    ("simulate", {"epsilon": "x"}, [], None),
+    ("simulate", {"epsilon": True}, [], None),
+    ("simulate", {"epsilon": [1.0]}, [], None),
+    ("sweep", {"params": {"cms_m": 1}}, [], None),
+    ("sweep", {"params": {"cms_k": 1.5}}, [], None),
+    ("sweep", {"params": {"cms_k": "8"}}, [], None),
+    ("sweep", {"params": {"rappor_k": True}}, [], None),
+    ("simulate", {"mechanism": "THE", "params": {"the_theta": float("nan")}}, [], None),
+    ("simulate", {"params": {"the_theta": "1"}}, [], None),
+]
+
+
+def _case_id(case) -> str:
+    command, changes, flags, env_seed = case
+    env = [f"{SEED_ENV}={env_seed}"] if env_seed else []
+    return " ".join([command, json.dumps(changes), *flags, *env])
+
+
+@pytest.mark.parametrize(
+    "command, changes, flags, env_seed",
+    MALFORMED_CONFIGS,
+    ids=[_case_id(case) for case in MALFORMED_CONFIGS],
+)
+def test_malformed_config_is_a_config_error(
+    workspace, capsys, monkeypatch, command, changes, flags, env_seed
+):
+    cfg = dict(BASE_CONFIGS[command], **changes)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    config = workspace / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    if env_seed is None:
+        monkeypatch.delenv(SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV, env_seed)
+    out = workspace / "out"
+    code, _, stderr = run_cli(
+        [command, "--config", config, "--out", out, *flags], capsys
+    )
+    assert code == EXIT_USAGE, stderr
+    assert "config error" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
 class TestSummarize:
     def test_reproduces_the_sweep_summary(self, workspace, capsys):
         config = TestSweep()._write_config(workspace)

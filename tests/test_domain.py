@@ -1,9 +1,11 @@
 """Core type validation and the small combinatorial helpers."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from zoneldp.domain import (
-    MECHANISMS,
     SENTINEL_RSSI,
     Fingerprint,
     FrequencyEstimate,
@@ -143,24 +145,39 @@ class TestZoneTable:
 
 class TestPrivacyParams:
     def test_defaults(self):
-        params = PrivacyParams(epsilon=2.0, mechanism="OLH")
+        params = PrivacyParams()
         assert params.the_theta == 1.0
         assert (params.cms_k, params.cms_m) == (128, 1024)
         assert (params.rappor_k, params.rappor_m) == (64, 1024)
+        # sizes only: the mechanism and epsilon travel next to the params
+        assert [f.name for f in dataclasses.fields(PrivacyParams)] == [
+            "the_theta", "cms_k", "cms_m", "rappor_k", "rappor_m"
+        ]
 
-    def test_mechanism_membership(self):
-        for name in MECHANISMS:
-            PrivacyParams(epsilon=1.0, mechanism=name)
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, mechanism="RR")
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("cms_k", 0),
+            ("rappor_m", 0),
+            ("rappor_k", -2),
+            ("cms_m", 1),  # the collision correction divides by m - 1
+            ("cms_k", 1.5),
+            ("cms_k", 8.0),
+            ("rappor_m", "8"),
+            ("cms_m", True),
+            ("the_theta", math.nan),
+            ("the_theta", math.inf),
+            ("the_theta", "1.0"),
+            ("the_theta", False),
+        ],
+    )
+    def test_rejects_bad_sizes(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PrivacyParams(**{name: value})
 
-    def test_rejects_nonpositive_epsilon_and_sizes(self):
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=0.0, mechanism="OUE")
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, mechanism="CMS", cms_k=0)
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, mechanism="RAPPOR", rappor_m=0)
+    def test_accepts_integer_theta_and_numpy_sizes(self):
+        params = PrivacyParams(the_theta=2, cms_k=np.int64(4), cms_m=2)
+        assert (params.the_theta, params.cms_k, params.cms_m) == (2, 4, 2)
 
 
 class TestFrequencyEstimate:

@@ -93,6 +93,20 @@ def test_scalar_perturb_is_one_reference_row(mech, rows, width, row_field):
         assert report.bits == tuple(want[0].tolist())
 
 
+@pytest.mark.parametrize("rows, width", [(16, 1024), (8, 4), (1, 64)])
+def test_cms_and_rappor_are_one_sketch(rows, width):
+    # CMS's k rows of width m are RAPPOR's m cohorts of width k: the same
+    # table, and the same row draws and bits from the same generator
+    cms = CountMeanSketch(9, 1.0, k=rows, m=width, hash_seed=5)
+    rappor = Rappor(9, 1.0, k=width, m=rows, hash_seed=5)
+    assert np.array_equal(cms.targets, rappor.targets)
+    zones = np.random.default_rng(1).integers(0, 9, size=700)
+    a = cms.perturb_batch(zones, np.random.default_rng(2))
+    b = rappor.perturb_batch(zones, np.random.default_rng(2))
+    assert np.array_equal(a.hash_index, b.cohort)
+    assert np.array_equal(a.bits, b.bits)
+
+
 def test_oue_batch_is_the_threshold_matrix_over_zones():
     oue = OptimizedUnaryEncoding(300, 1.0)
     zones = np.random.default_rng(4).integers(0, 300, size=2000)

@@ -111,7 +111,7 @@ class TestProbabilitiesFor:
         assert (hr.p, hr.q) == pytest.approx((0.75, 0.25), rel=1e-12)
 
     def test_theta_reaches_the_histogram_pair(self):
-        params = PrivacyParams(epsilon=2.0, mechanism="THE", the_theta=0.5)
+        params = PrivacyParams(the_theta=0.5)
         with_theta = probabilities("THE", 2.0, params)
         default = probabilities("THE", 2.0)
         assert with_theta.q > default.q  # lower threshold admits more noise
@@ -154,7 +154,7 @@ def test_class_defines_its_own_perturb_batch_and_aggregate(mechanism):
 
 
 # small sketch and bloom shapes, so a hand-written bit row fits them
-SMALL = PrivacyParams(epsilon=1.0, mechanism="CMS", cms_k=4, cms_m=4, rappor_k=4, rappor_m=8)
+SMALL = PrivacyParams(cms_k=4, cms_m=4, rappor_k=4, rappor_m=8)
 
 
 def _small_batch(mechanism):

@@ -1,8 +1,9 @@
 """Tests for the cohort-hashed bit-vector mechanism.
 
-Covers the flip parameter, the nonnegative lasso solver, exact decoding on
+Covers the per-bit pair, the nonnegative lasso solver, exact decoding on
 clean reports, report privacy via an independent enumeration, the
-singular-fit guard, and the regularized aggregate.
+singular-fit guard, and the regularized aggregate. Cases it shares with
+CMS, the same hashed sketch, come from sketch_cases.
 """
 import math
 import tracemalloc
@@ -12,40 +13,42 @@ import numpy as np
 import pytest
 
 import ldp_enum
+import sketch_cases
 from rappor_reference import cd_nonneg_lasso, loop_normal_equations
-from zoneldp.errors import ParamMismatch, SingularFitWarning
+from zoneldp.errors import SingularFitWarning
 from zoneldp.oracles.base import _BLOCK_CELLS
-from zoneldp.oracles.rappor import (
-    _LAMBDA_GRID,
-    Rappor,
-    RapporBatch,
-    flip_parameter,
-    nonneg_lasso,
-    probabilities,
-)
+from zoneldp.oracles.rappor import _LAMBDA_GRID, Rappor, RapporBatch, nonneg_lasso
+
+
+class Cohorts(sketch_cases.Sketch):
+    batch_type = RapporBatch
+    row_field = "cohort"
+
+    @staticmethod
+    def make(l_zones, epsilon, rows, width, hash_seed=0):
+        return Rappor(l_zones, epsilon, k=width, m=rows, hash_seed=hash_seed)
+
+
+class TestProbabilities(Cohorts, sketch_cases.Probabilities):
+    pass
+
+
+def flip_rate(epsilon):
+    # f = 2/(e^{eps/2} + 1), recovered from the pair the mechanism reports
+    return 2.0 * Rappor(l_zones=4, epsilon=epsilon, k=8, m=4).probabilities().q
 
 
 class TestFlipParameter:
     def test_frozen_value_at_eps_two(self):
         # hand-computed from the definition: f = 2/(e^{eps/2} + 1)
-        assert flip_parameter(2.0) == pytest.approx(0.5378828427399902, rel=1e-15)
-
-    def test_decreases_with_budget(self):
-        grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-        values = [flip_parameter(e) for e in grid]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(0.0 < f < 1.0 for f in values)
+        assert flip_rate(2.0) == pytest.approx(0.5378828427399902, rel=1e-15)
 
     def test_per_bit_pair_derives_from_f(self):
         for epsilon in (0.5, 1.0, 2.0):
-            f = flip_parameter(epsilon)
-            probs = probabilities(epsilon)
+            f = 2.0 / (math.exp(epsilon / 2.0) + 1.0)
+            probs = Rappor(l_zones=4, epsilon=epsilon, k=8, m=4).probabilities()
             assert probs.p == pytest.approx(1.0 - f / 2.0, rel=1e-15)
             assert probs.q == pytest.approx(f / 2.0, rel=1e-15)
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            flip_parameter(0.0)
 
 
 class TestNonnegLasso:
@@ -200,77 +203,16 @@ class TestGramAssembly:
         assert scratch <= 2 * _BLOCK_CELLS * 8
 
 
-class TestConstruction:
+class TestConstruction(Cohorts, sketch_cases.Construction):
     def test_rejects_bad_sizes_and_decoder(self):
         with pytest.raises(ValueError):
             Rappor(l_zones=4, epsilon=1.0, k=0)
         with pytest.raises(ValueError):
             Rappor(l_zones=4, epsilon=1.0, m=0)
 
-    def test_target_table_shape_and_range(self):
-        mech = Rappor(l_zones=6, epsilon=1.0, k=16, m=8)
-        assert mech.targets.shape == (8, 6)
-        assert mech.targets.min() >= 0
-        assert mech.targets.max() < 16
 
-    def test_family_seed_changes_the_table(self):
-        a = Rappor(l_zones=8, epsilon=1.0, k=32, m=8, hash_seed=0)
-        b = Rappor(l_zones=8, epsilon=1.0, k=32, m=8, hash_seed=1)
-        assert not np.array_equal(a.targets, b.targets)
-
-
-class TestPerturb:
-    def test_report_shape(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        report = mech.perturb(2, np.random.default_rng(3))
-        assert 0 <= report.cohort < 8
-        assert len(report.bits) == 16
-        assert set(report.bits) <= {0, 1}
-
-    def test_rejects_zone_out_of_range(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            mech.perturb(4, rng)
-        with pytest.raises(ValueError):
-            mech.perturb_batch([0, -1], rng)
-
-    def test_deterministic_under_seeded_generator(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        assert mech.perturb(1, np.random.default_rng(9)) == mech.perturb(
-            1, np.random.default_rng(9)
-        )
-        zones = np.tile(np.arange(4), 5)
-        first = mech.perturb_batch(zones, np.random.default_rng(9))
-        second = mech.perturb_batch(zones, np.random.default_rng(9))
-        assert np.array_equal(first.cohort, second.cohort)
-        assert np.array_equal(first.bits, second.bits)
-
-    def test_batch_bit_rates_match_the_pair(self):
-        # the bit the cohort hash points at stays set with probability p,
-        # every other bit fires with probability q; 3 sigma bands
-        mech = Rappor(l_zones=4, epsilon=2.0, k=16, m=4, hash_seed=1)
-        n = 20_000
-        batch = mech.perturb_batch(np.full(n, 1), np.random.default_rng(23))
-        own = mech.targets[batch.cohort, 1]
-        target_hits = int(batch.bits[np.arange(n), own].sum())
-        probs = mech.probabilities()
-        sigma = math.sqrt(probs.p * (1 - probs.p) * n)
-        assert abs(target_hits - probs.p * n) < 3 * sigma
-        other_hits = int(batch.bits.sum()) - target_hits
-        cells = n * (mech.k - 1)
-        sigma = math.sqrt(probs.q * (1 - probs.q) * cells)
-        assert abs(other_hits - probs.q * cells) < 3 * sigma
-
-    def test_cohorts_roughly_uniform(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        n = 40_000
-        batch = mech.perturb_batch(
-            np.zeros(n, dtype=np.int64), np.random.default_rng(5)
-        )
-        counts = np.bincount(batch.cohort, minlength=8)
-        sigma = math.sqrt(n * (1 / 8) * (7 / 8))
-        assert np.all(np.abs(counts - n / 8) < 5 * sigma)
+class TestPerturb(Cohorts, sketch_cases.Perturb):
+    test_cohorts_roughly_uniform = sketch_cases.Perturb.row_index_roughly_uniform
 
 
 class TestExactRecovery:
@@ -393,7 +335,10 @@ class TestPrivacy:
             assert abs(observed[code] - prob) < 4 * sigma + 1e-12
 
 
-class TestAggregate:
+class TestAggregate(Cohorts, sketch_cases.Aggregate):
+    test_rejects_wrong_bit_width = sketch_cases.Aggregate.rejects_wrong_width
+    test_rejects_cohort_out_of_range = sketch_cases.Aggregate.rejects_row_index_out_of_range
+
     @pytest.mark.parametrize("decoder", ["lasso"])
     def test_unbiased_over_fresh_hash_families(self, decoder):
         # redraw the cohort hash family each trial; the trial mean must sit
@@ -415,24 +360,6 @@ class TestAggregate:
         stderr = raws.std(axis=0, ddof=1) / math.sqrt(len(raws))
         assert np.all(stderr > 0)
         assert np.all(np.abs(raws.mean(axis=0) - truth) < 3 * stderr)
-
-    def test_order_independent(self):
-        mech = Rappor(l_zones=5, epsilon=1.0, k=16, m=8, hash_seed=2)
-        rng = np.random.default_rng(31)
-        batch = mech.perturb_batch(rng.integers(0, 5, size=500), rng)
-        perm = rng.permutation(500)
-        shuffled = RapporBatch(cohort=batch.cohort[perm], bits=batch.bits[perm])
-        assert np.array_equal(mech.aggregate(batch).raw, mech.aggregate(shuffled).raw)
-
-    def test_report_sequence_matches_batch(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8, hash_seed=2)
-        rng = np.random.default_rng(13)
-        reports = [mech.perturb(int(zone), rng) for zone in rng.integers(0, 4, size=60)]
-        batch = RapporBatch(
-            cohort=np.array([r.cohort for r in reports], dtype=np.int64),
-            bits=np.array([r.bits for r in reports], dtype=np.uint8),
-        )
-        assert np.array_equal(mech.aggregate(reports).raw, mech.aggregate(batch).raw)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_even_and_odd_halves_sum_to_the_full_assembly(self, m):
@@ -466,27 +393,3 @@ class TestAggregate:
         (g_even, l_even), (g_odd, l_odd) = (assemble(*call) for call in calls)
         np.testing.assert_allclose(g_even + g_odd, gram, rtol=1e-12)
         np.testing.assert_allclose(l_even + l_odd, linear, rtol=1e-12)
-
-    def test_empty_reports_give_zero_estimate(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        est = mech.aggregate([])
-        assert est.n_reports == 0
-        assert np.array_equal(est.raw, np.zeros(4))
-
-    def test_rejects_wrong_bit_width(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        bad = RapporBatch(
-            cohort=np.zeros(2, dtype=np.int64),
-            bits=np.zeros((2, 17), dtype=np.uint8),
-        )
-        with pytest.raises(ParamMismatch):
-            mech.aggregate(bad)
-
-    def test_rejects_cohort_out_of_range(self):
-        mech = Rappor(l_zones=4, epsilon=1.0, k=16, m=8)
-        bad = RapporBatch(
-            cohort=np.array([0, 8], dtype=np.int64),
-            bits=np.zeros((2, 16), dtype=np.uint8),
-        )
-        with pytest.raises(ParamMismatch):
-            mech.aggregate(bad)
