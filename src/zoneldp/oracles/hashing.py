@@ -27,13 +27,27 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Avalanche-mix uint64 values elementwise; matches mix64 bit for bit."""
-    z = x.astype(np.uint64, copy=True)
+def mix64_array(x) -> np.ndarray:
+    """Avalanche-mix uint64 values elementwise; matches mix64 bit for bit.
+
+    ``x`` is left as it is; a 0-d input gives a numpy scalar.
+    """
+    z = np.array(x, dtype=np.uint64)  # a copy, mixed in place
+    _mix_in_place(z)
+    return z if z.ndim else z[()]
+
+
+def _mix_in_place(z: np.ndarray) -> None:
+    """The mix64 finalizer on a uint64 array, overwriting it; one scratch
+    array of the same size serves every shift."""
+    shifted = np.empty_like(z)
     z += np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    for shift, multiplier in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
 
 
 def hash_bucket(seed: int, value: int, n_buckets: int) -> int:
@@ -46,15 +60,24 @@ def hash_bucket_array(seeds, values, n_buckets: int) -> np.ndarray:
     """Vectorized hash_bucket; ``seeds`` and ``values`` broadcast together.
 
     hash_bucket_array(seeds[:, None], values[None, :], g) tabulates every
-    listed hash function over every value in one pass.
+    listed hash function over every value in one pass. The int64 result is
+    the only array of the broadcast shape it allocates, apart from one
+    scratch array; the inputs are left as they are, and 0-d inputs give a
+    numpy scalar.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     values = np.asarray(values, dtype=np.uint64)
-    # the hash wraps mod 2^64 by design; with a scalar operand numpy does
-    # the product in scalar math, which would warn on that wrap
+    # the hash wraps mod 2^64 by design; with a 0-d operand numpy does the
+    # arithmetic in scalar math, which would warn on that wrap
     with np.errstate(over="ignore"):
-        combined = seeds + np.uint64(_VALUE_STEP) * (values + np.uint64(1))
-        return (mix64_array(combined) % np.uint64(n_buckets)).astype(np.int64)
+        step = (values + np.uint64(1)) * np.uint64(_VALUE_STEP)
+    z = np.empty(np.broadcast_shapes(seeds.shape, step.shape), dtype=np.uint64)
+    np.add(seeds, step, out=z)
+    _mix_in_place(z)
+    z %= np.uint64(n_buckets)
+    # the values that astype(np.int64) gives, without a copy
+    buckets = z.view(np.int64)
+    return buckets if buckets.ndim else buckets[()]
 
 
 def family_member_seed(base_seed: int, index):

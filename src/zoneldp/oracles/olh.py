@@ -16,11 +16,12 @@ import numpy as np
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
 from .base import (
-    _BLOCK_CELLS,
+    _SMALL_BLOCK_CELLS,
     FrequencyOracle,
     OlhBatch,
     PerturbProbabilities,
     estimate_frequency,
+    run_blocks,
 )
 from .hashing import hash_bucket_array
 
@@ -86,13 +87,16 @@ class OptimizedLocalHashing(FrequencyOracle):
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
         if batch.value.min() < 0 or batch.value.max() >= self.g:
             raise ParamMismatch(f"report value out of range [0, {self.g})")
-        # replay every user's hash over all zones, one bounded block of
-        # users at a time; the support counts are integers
-        zone_ids = np.arange(self.l_zones, dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // self.l_zones)
-        counts = np.zeros(self.l_zones, dtype=np.int64)
-        for start in range(0, n, step):
-            block = slice(start, start + step)
-            buckets = hash_bucket_array(batch.hash_seed[block, None], zone_ids, self.g)
-            counts += (buckets == batch.value[block, None]).sum(axis=0)
+        zone_ids = np.arange(self.l_zones, dtype=np.uint64)
+
+        def replay(start, stop, _):
+            """Support counts of one block of users: each user's hash over
+            all zones, compared with the reported bucket."""
+            seeds = batch.hash_seed[start:stop, None]
+            buckets = hash_bucket_array(seeds, zone_ids, self.g)
+            return np.count_nonzero(buckets == batch.value[start:stop, None], axis=0)
+
+        # integer counts: the block sums are the same in any order
+        blocks = run_blocks(n, self.l_zones, replay, cells=_SMALL_BLOCK_CELLS)
+        counts = np.sum(blocks, axis=0)
         return estimate_frequency(counts, n, self._probs)

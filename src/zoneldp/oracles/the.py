@@ -16,7 +16,14 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
-from .base import FrequencyOracle, PerturbProbabilities, TheBatch, estimate_frequency
+from .base import (
+    _SMALL_BLOCK_CELLS,
+    FrequencyOracle,
+    PerturbProbabilities,
+    TheBatch,
+    estimate_frequency,
+    run_blocks,
+)
 
 
 def laplace_cdf(x: float, scale: float) -> float:
@@ -48,7 +55,13 @@ class ThresholdHistogramEncoding(FrequencyOracle):
     def perturb_batch(self, zones, rng: np.random.Generator) -> TheBatch:
         zones = self._check_zones(zones)
         n = zones.size
-        values = rng.laplace(0.0, self.scale, (n, self.l_zones))
+        values = np.empty((n, self.l_zones))
+
+        def fill(start, stop, gen):
+            values[start:stop] = gen.laplace(0.0, self.scale, (stop - start, self.l_zones))
+
+        # equal to one rng.laplace(0.0, scale, (n, L)) draw for any core count
+        run_blocks(n, self.l_zones, fill, rng, cells=_SMALL_BLOCK_CELLS)
         values[np.arange(n), zones] += 1.0
         return TheBatch(values=values)
 

@@ -5,8 +5,8 @@ Building the table is an offline batch step over training fingerprints; the
 resulting table is public, immutable, and safe for concurrent lookups.
 
 Table building and lookup are one array pass over all rows: the rows are
-stacked into an (n, APs) matrix, one stable sort per row picks the M
-strongest APs (equal signals go to the lower AP id), and each sorted id set
+joined into an (n, APs) matrix, M passes of ``argmax`` pick the M strongest
+APs of each row (equal signals go to the lower AP id), and each sorted id set
 becomes a byte-string key that is matched against the table's sorted keys
 with ``searchsorted``. ``lookup_zone`` is that pass on a batch of one, and
 ``strongest_aps`` is the plain scalar statement of the same rule, kept as a
@@ -52,14 +52,20 @@ def strongest_aps(rssi: np.ndarray, m: int) -> StrongestSet:
 def _strongest_sets(rssi: np.ndarray, m: int) -> np.ndarray:
     """Ascending ids of the ``m`` strongest APs of every row with enough signals.
 
-    One stable argsort of every row of the (n, APs) matrix: the strongest
-    signal comes first and equal signals keep the lower AP id first, which
-    is the tie rule of :func:`strongest_aps`. Rows with fewer than ``m`` sensed APs
-    are dropped, so callers count them as ``n - len(result)``.
+    ``m`` passes of ``argmax`` over the rows with at least ``m`` sensed APs,
+    each setting its pick to -inf: ``argmax`` returns the first maximum, so
+    equal signals go to the lower AP id, which is the tie rule of
+    :func:`strongest_aps`. Rows with fewer than ``m`` sensed APs are
+    dropped, so callers count them as ``n - len(result)``.
     """
     sufficient = np.count_nonzero(rssi > SENTINEL_RSSI, axis=1) >= m
-    top = np.argsort(-rssi, axis=1, kind="stable")[:, :m]
-    return np.sort(top[sufficient], axis=1)
+    remaining = rssi[sufficient]  # a copy, so the picks can be masked
+    rows = np.arange(len(remaining))
+    top = np.empty((len(remaining), m), dtype=np.int64)
+    for j in range(m):
+        top[:, j] = np.argmax(remaining, axis=1)
+        remaining[rows, top[:, j]] = -np.inf
+    return np.sort(top, axis=1)
 
 
 def _set_keys(ids: np.ndarray) -> np.ndarray:
@@ -109,7 +115,8 @@ def build_zone_table(training: Sequence[Fingerprint], m: int) -> ZoneTable:
     if m > n_aps:
         raise ValueError(f"m={m} exceeds AP count {n_aps}")
 
-    ids = _strongest_sets(np.stack([fp.rssi for fp in training]), m)
+    rssi = np.concatenate([fp.rssi for fp in training]).reshape(len(training), n_aps)
+    ids = _strongest_sets(rssi, m)
     if not len(ids):
         raise EmptyTable("every training fingerprint had too few sensed APs")
     _, first = np.unique(_set_keys(ids), return_index=True)
@@ -194,7 +201,9 @@ def assign_zones(
         _check_width(width, table)
     if not rows:
         return [], 0, 0
-    ids = _strongest_sets(np.stack(rows), table.strongest_count)
+    ids = _strongest_sets(
+        np.concatenate(rows).reshape(len(rows), table.ap_count), table.strongest_count
+    )
     zones = _zones_of(table, ids)
     matched = zones[zones >= 0]
     return matched.tolist(), len(rows) - len(ids), len(ids) - len(matched)

@@ -1,9 +1,14 @@
-"""Every top-level import in the package is used or re-exported.
+"""Every top-level import in the package is used or re-exported, and only
+the block scheduler starts threads.
 
 No linter ships with the package's toolchain, so this is the check that
 catches imports left behind when code moves between modules: a name that
 a module imports at top level must be read somewhere in that module or be
-listed in its ``__all__``.
+listed in its ``__all__``. Threads belong to ``oracles/base.py`` alone,
+whose ``run_blocks`` keeps results independent of the core count, so no
+other module may import ``threading`` or a thread pool. The sweep's
+process pool (``ProcessPoolExecutor`` in ``simulator.py``) starts no
+thread in the calling code and stays allowed.
 """
 import ast
 from pathlib import Path
@@ -77,3 +82,58 @@ def test_the_check_sees_an_unused_import():
     )
     used = read_names(tree) | exported_names(tree)
     assert sorted(n for n in imported_names(tree) if n not in used) == ["List", "os"]
+
+
+SCHEDULER = PACKAGE / "oracles" / "base.py"
+# the concurrent.futures package itself holds ThreadPoolExecutor
+THREAD_NAMES = {
+    "concurrent",
+    "concurrent.futures",
+    "concurrent.futures.*",
+    "concurrent.futures.ThreadPoolExecutor",
+}
+
+
+def gives_threads(name: str) -> bool:
+    """Whether importing the dotted ``name`` gives a module threads."""
+    return (
+        name in THREAD_NAMES
+        or name.split(".")[0] in ("threading", "_thread")
+        or name.startswith("concurrent.futures.thread")
+    )
+
+
+def thread_imports(tree: ast.Module) -> list:
+    """(line, dotted name) of every import, at any depth, that gives the
+    module threads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if gives_threads(name)]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(PACKAGE)) for p in MODULES]
+)
+def test_only_the_block_scheduler_imports_threads(path):
+    found = thread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    if path == SCHEDULER:
+        assert found, "the scheduler no longer imports threading"
+    else:
+        assert not found, f"{path.name} imports threads: {found}"
+
+
+def test_the_check_sees_a_thread_import():
+    tree = ast.parse(
+        "import threading\nimport concurrent.futures as cf\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+        "def f():\n    from _thread import start_new_thread\n"
+    )
+    assert [line for line, _ in thread_imports(tree)] == [1, 2, 3, 4, 6]

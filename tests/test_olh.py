@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ldp_enum
-from zoneldp.oracles.base import _BLOCK_CELLS, estimate_frequency
+from zoneldp.oracles.base import _SMALL_BLOCK_CELLS, estimate_frequency
 from zoneldp.oracles.hashing import hash_bucket, hash_bucket_array
 from zoneldp.oracles.olh import (
     OlhBatch,
@@ -207,7 +207,8 @@ class TestAggregate:
 
 class TestBlockedReplay:
     """The aggregator replays the users' hashes in blocks of
-    ``_BLOCK_CELLS // L`` users; the reference is the whole n x L replay."""
+    ``_SMALL_BLOCK_CELLS // L`` users on one core; the reference is the whole
+    n x L replay."""
 
     L = 1000
 
@@ -219,7 +220,7 @@ class TestBlockedReplay:
 
     def test_matches_the_whole_replay_at_block_edges(self):
         mech = OptimizedLocalHashing(l_zones=self.L, epsilon=2.0)
-        step = _BLOCK_CELLS // self.L
+        step = _SMALL_BLOCK_CELLS // self.L
         for n in (step - 1, step, step + 1, 3 * step + 7):
             rng = np.random.default_rng(n)
             batch = mech.perturb_batch(rng.integers(0, self.L, size=n), rng)
@@ -237,5 +238,6 @@ class TestBlockedReplay:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # hash_bucket_array keeps about four block-sized temporaries alive
-        assert peak <= 5 * 8 * _BLOCK_CELLS
+        # a block holds its hashes, one scratch array and the comparison
+        # with the reports, 17 bytes a cell, over all threads
+        assert peak <= 3 * 8 * _SMALL_BLOCK_CELLS

@@ -1,12 +1,14 @@
-"""The one-hot randomizer that OUE, CMS and RAPPOR clients share, and the
-scalar perturb() that runs a batch of one.
+"""The one-hot randomizer that OUE, CMS and RAPPOR clients share, the
+scalar perturb() that runs a batch of one, and the block scheduler that
+also runs THE's Laplace noise and OLH's hash replay.
 
 The reference is the direct construction: a threshold matrix holding q
 everywhere and p at each row's target bit, compared against one
-rng.random((n, width)) draw. The blocked randomizer must give the same
-bits for the same seed, at every block boundary, for any number of row
-segments it splits the stream into, and must leave the generator where
-that one draw leaves it.
+rng.random((n, width)) draw, and for THE one rng.laplace((n, L)) draw. The
+blocked samplers must give the same values for the same seed, at every
+block boundary, for any number of row segments they split the stream
+into, and must leave the generator where that one draw leaves it. OLH's
+support counts must not depend on the core count.
 """
 import os
 import subprocess
@@ -23,10 +25,12 @@ import zoneldp
 from zoneldp.oracles import base
 from zoneldp.oracles.base import (
     _BLOCK_CELLS,
+    _SMALL_BLOCK_CELLS,
     PerturbProbabilities,
     one_hot_rr,
 )
 from zoneldp.oracles.cms import CountMeanSketch
+from zoneldp.oracles.olh import OptimizedLocalHashing
 from zoneldp.oracles.oue import OptimizedUnaryEncoding
 from zoneldp.oracles.rappor import Rappor
 from zoneldp.oracles.the import ThresholdHistogramEncoding
@@ -136,8 +140,8 @@ def test_the_scalar_perturb_is_one_laplace_row():
 
 @pytest.fixture()
 def split(monkeypatch):
-    """``split(cores)`` makes ``cores`` CPUs visible to one_hot_rr and
-    returns an empty list that then collects every generator copy the
+    """``split(cores)`` makes ``cores`` CPUs visible to the block scheduler
+    and returns an empty list that then collects every generator copy the
     threads fill from: one per thread when a call splits, none otherwise."""
     copies = []
     copy = base._copy
@@ -156,8 +160,8 @@ def split(monkeypatch):
     return set_cores
 
 
-def expected_threads(n, width, cores):
-    threads = min(cores, -(-n * width // base._BLOCK_CELLS))
+def expected_threads(n, width, cores, cells=_BLOCK_CELLS):
+    threads = min(cores, -(-n * width // cells))
     return threads if threads > 1 else 0
 
 
@@ -188,31 +192,26 @@ def test_more_threads_than_rows(split, monkeypatch, width):
         assert len(copies) == min(5, 4 * n) > n
 
 
-def test_blocks_go_to_whichever_thread_is_free(split, monkeypatch):
+def test_blocks_go_to_whichever_thread_is_free(split):
     # the calling thread starts late, so the other threads take its blocks
-    fill = base._fill
-    taken = []  # per block filled: was it on the calling thread
-
-    def late_on_the_calling_thread(bits, positions, claim, *rest):
-        calling = threading.current_thread() is threading.main_thread()
-
-        def counted_claim():
-            start = claim()
-            if start is not None:
-                taken.append(calling)
-            return start
-
-        if calling:
-            time.sleep(0.2)
-        fill(bits, positions, counted_claim, *rest)
-
-    monkeypatch.setattr(base, "_fill", late_on_the_calling_thread)
     n, width = 6 * (_BLOCK_CELLS // 1024) + 7, 1024
+    uniforms = np.empty((n, width))
+    taken = []  # per block run: was it on the calling thread
+    late = threading.Event()
+
+    def fill(start, stop, gen):
+        calling = threading.current_thread() is threading.main_thread()
+        if calling and not late.is_set():
+            late.set()
+            time.sleep(0.2)
+        taken.append(calling)
+        gen.random(out=uniforms[start:stop])
+
     copies = split(3)
-    positions = np.random.default_rng(3).integers(0, width, size=n)
-    got = one_hot_rr(positions, width, PROBS, np.random.default_rng(29))
-    want = reference_bits(positions, width, PROBS, np.random.default_rng(29))
-    assert np.array_equal(got, want)
+    rng, ref = np.random.default_rng(29), np.random.default_rng(29)
+    base.run_blocks(n, width, fill, rng)
+    assert np.array_equal(uniforms, ref.random((n, width)))
+    assert rng.bit_generator.state == ref.bit_generator.state
     assert len(copies) == 3
     assert taken.count(True) < taken.count(False)
     assert len(taken) == -(-n // (_BLOCK_CELLS // (3 * width)))
@@ -282,6 +281,152 @@ def test_error_in_a_worker_thread_reaches_the_caller(split):
         one_hot_rr(positions, width, PROBS, np.random.default_rng(0))
 
 
+def test_error_in_a_worker_thread_reaches_the_caller_of_any_job(split):
+    split(2)
+
+    def block(start, stop, gen):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)  # leaves blocks for the worker thread
+        else:
+            raise RuntimeError("raised in a worker")
+
+    with pytest.raises(RuntimeError, match="raised in a worker"):
+        base.run_blocks(8, _BLOCK_CELLS // 2, block)
+
+
+VENUE_L = 373  # zones of the benchmark venue
+
+
+def reference_the(the, zones, rng):
+    values = rng.laplace(0.0, the.scale, (zones.size, the.l_zones))
+    values[np.arange(zones.size), zones] += 1.0
+    return values
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 5])
+def test_split_laplace_is_one_draw(split, cores):
+    the = ThresholdHistogramEncoding(VENUE_L, 1.0)
+    rows = _SMALL_BLOCK_CELLS // VENUE_L
+    for n in (rows, rows + 1, 2 * rows + 1, 3 * rows + 7):
+        copies = split(cores)
+        zones = np.random.default_rng(n).integers(0, VENUE_L, size=n)
+        rng, ref = np.random.default_rng(19), np.random.default_rng(19)
+        for gen in (rng, ref):  # one int32 draw leaves half of a word buffered
+            gen.integers(0, 1000, dtype=np.int32)
+        got = the.perturb_batch(zones, rng).values
+        assert np.array_equal(got, reference_the(the, zones, ref)), n
+        assert len(copies) == expected_threads(n, VENUE_L, cores, _SMALL_BLOCK_CELLS), n
+        # the buffered half too: the state holds has_uint32 and uinteger
+        assert rng.bit_generator.state == ref.bit_generator.state, n
+
+
+@pytest.mark.parametrize(
+    "bit_generator, splits",
+    [
+        (np.random.PCG64DXSM, True),
+        (np.random.MT19937, False),
+        (np.random.SFC64, False),
+        (np.random.Philox, False),
+    ],
+)
+def test_laplace_splits_only_on_generators_that_jump(split, bit_generator, splits):
+    the = ThresholdHistogramEncoding(VENUE_L, 1.0)
+    n = 3 * (_SMALL_BLOCK_CELLS // VENUE_L) + 7
+    copies = split(3)
+    zones = np.random.default_rng(4).integers(0, VENUE_L, size=n)
+    rng = np.random.Generator(bit_generator(6))
+    ref = np.random.Generator(bit_generator(6))
+    got = the.perturb_batch(zones, rng).values
+    assert np.array_equal(got, reference_the(the, zones, ref))
+    assert len(copies) == (3 if splits else 0)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("cores", [2, 3, 5])
+def test_a_missed_end_state_refills_serially(split, monkeypatch, cores):
+    the = ThresholdHistogramEncoding(VENUE_L, 1.0)
+    n = 3 * (_SMALL_BLOCK_CELLS // VENUE_L) + 7
+    zones = np.random.default_rng(8).integers(0, VENUE_L, size=n)
+    want = reference_the(the, zones, np.random.default_rng(13))
+    copy, landed = base._copy, base._landed
+
+    def offset_copy(rng):
+        """A copy one word ahead, so every block drawn from it is wrong."""
+        gen = copy(rng)
+        gen.bit_generator.advance(1)
+        return gen
+
+    misses = []
+
+    def miss_once(gen, before, words):
+        if misses:
+            return landed(gen, before, words)
+        misses.append(words)
+        return False
+
+    split(cores)
+    monkeypatch.setattr(base, "_copy", offset_copy)
+    got = the.perturb_batch(zones, np.random.default_rng(13)).values
+    assert not np.array_equal(got, want)  # the split blocks are what is returned
+    monkeypatch.setattr(base, "_landed", miss_once)
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    got = the.perturb_batch(zones, rng).values
+    assert misses
+    assert np.array_equal(got, want)
+    ref.laplace(0.0, the.scale, (n, VENUE_L))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cores", [2, 3, 5])
+def test_a_block_that_reads_an_extra_word_runs_again_in_order(split, cores):
+    # a redraw after row r's cells, as numpy's Laplace makes for a uniform
+    # of exactly 0.0: the stream of one draw with one more word in it
+    n, width = 3 * (_BLOCK_CELLS // 64) + 5, 64
+    r = n // 2
+    out = np.empty((n, width))
+
+    def fill(start, stop, gen):
+        if start <= r < stop:
+            gen.random(out=out[start : r + 1])
+            gen.random()
+            start = r + 1
+        gen.random(out=out[start:stop])
+
+    copies = split(cores)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    base.run_blocks(n, width, fill, rng)
+    head = ref.random((r + 1, width))
+    ref.random()
+    want = np.concatenate([head, ref.random((n - r - 1, width))])
+    assert copies
+    assert np.array_equal(out, want)
+    assert rng.random() == ref.random()
+
+
+def test_olh_support_counts_are_the_same_on_every_core_count(split, monkeypatch):
+    mech = OptimizedLocalHashing(VENUE_L, 1.0)
+    pool = base.ThreadPoolExecutor
+    started = []  # threads per call beside the calling one
+
+    def recording(workers):
+        started.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(base, "ThreadPoolExecutor", recording)
+    rows = _SMALL_BLOCK_CELLS // VENUE_L
+    for n in (rows - 1, rows + 1, 3 * rows + 7, 11 * rows):
+        rng = np.random.default_rng(n)
+        batch = mech.perturb_batch(rng.integers(0, VENUE_L, size=n), rng)
+        raws = []
+        for cores in (1, 2, 3, 5):
+            split(cores)
+            started.clear()
+            raws.append(mech.aggregate(batch).raw)
+            threads = expected_threads(n, VENUE_L, cores, _SMALL_BLOCK_CELLS)
+            assert started == ([threads - 1] if threads else []), (n, cores)
+        assert all(np.array_equal(raw, raws[0]) for raw in raws), n
+
+
 FORK_AFTER_SPLIT = """
 import io
 import numpy as np
@@ -303,13 +448,25 @@ for workers in (1, 2):
     write_results(run_sweep(config, workers=workers), buffer)
     rendered.append(buffer.getvalue())
 assert rendered[0] == rendered[1]
+# 900 users over 700 zones: THE's noise and OLH's replay split too
+config = ExperimentConfig(
+    mechanisms=("THE", "OLH"), epsilons=(0.5, 2.0), trials=2, seed=3,
+    population=CountsPopulation(counts=(1,) * 500 + (2,) * 200),
+)
+rendered = []
+for workers in (1, 2):
+    buffer = io.StringIO()
+    write_results(run_sweep(config, workers=workers), buffer)
+    rendered.append(buffer.getvalue())
+assert rendered[0] == rendered[1]
 print("ok")
 """
 
 
 def test_forked_sweep_workers_finish_after_a_split():
-    # 900 users x a 1024-bit sketch is over three blocks, so every CMS round
-    # splits, in this process and in the forked workers
+    # 900 users x a 1024-bit sketch is over three blocks, and 900 users x
+    # 700 zones over one, so every round splits, in this process and in the
+    # forked workers
     package_root = str(Path(zoneldp.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")

@@ -328,6 +328,38 @@ class TestProtocolHash:
         assert got.shape == pairs.shape
         assert got.ravel().tolist() == [hash_bucket(s, v, 9) for s, v in pairs]
 
+    EDGES = [0, (1 << 63) - 1, (1 << 64) - 1]
+
+    def test_inputs_are_left_unchanged(self):
+        values = np.array(self.EDGES + [5, 6], dtype=np.uint64)
+        seeds = np.array(self.EDGES, dtype=np.uint64)
+        kept_values, kept_seeds = values.copy(), seeds.copy()
+        mix64_array(values)
+        hash_bucket_array(seeds[:, None], values[None, :], 11)
+        hash_bucket_array(seeds, values[:3], 11)
+        assert np.array_equal(values, kept_values)
+        assert np.array_equal(seeds, kept_seeds)
+
+    @pytest.mark.filterwarnings("error")
+    def test_edge_values_match_the_scalar_forms(self):
+        values = np.array(self.EDGES, dtype=np.uint64)
+        assert mix64_array(values).tolist() == [mix64(v) for v in self.EDGES]
+        table = hash_bucket_array(values[:, None], values[None, :], 13)
+        assert table.dtype == np.int64
+        assert table.tolist() == [
+            [hash_bucket(s, v, 13) for v in self.EDGES] for s in self.EDGES
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", EDGES)
+    def test_zero_d_inputs_give_numpy_scalars(self, value):
+        for x in (np.uint64(value), np.array(value, dtype=np.uint64)):
+            mixed = mix64_array(x)
+            assert type(mixed) is np.uint64 and int(mixed) == mix64(value)
+            bucket = hash_bucket_array(x, x, 13)
+            assert type(bucket) is np.int64
+            assert int(bucket) == hash_bucket(value, value, 13)
+
     def test_broadcasting_tabulates_the_family(self):
         seeds = np.array([11, 22, 33], dtype=np.uint64)
         values = np.arange(5, dtype=np.uint64)
