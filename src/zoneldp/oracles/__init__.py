@@ -53,10 +53,11 @@ def make_mechanism(
     epsilon: float,
     params: Optional[PrivacyParams] = None,
     *,
-    cms_hash_seed: int = 0,
+    hash_seed: int = 0,
 ) -> FrequencyOracle:
     """Instantiate one mechanism; ``params`` supplies sizes and threshold
     (the defaults when None), so one params value serves a whole sweep grid.
+    ``hash_seed`` roots the hash family of the two sketches, CMS and RAPPOR.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
@@ -72,9 +73,11 @@ def make_mechanism(
         return HadamardResponse(l_zones, epsilon)
     if mechanism == "CMS":
         return CountMeanSketch(
-            l_zones, epsilon, k=params.cms_k, m=params.cms_m, hash_seed=cms_hash_seed
+            l_zones, epsilon, k=params.cms_k, m=params.cms_m, hash_seed=hash_seed
         )
-    return Rappor(l_zones, epsilon, k=params.rappor_k, m=params.rappor_m)
+    return Rappor(
+        l_zones, epsilon, k=params.rappor_k, m=params.rappor_m, hash_seed=hash_seed
+    )
 
 
 # --- wire format ----------------------------------------------------------

@@ -151,9 +151,9 @@ def run_round(
 ) -> FrequencyEstimate:
     """Perturb every user's zone and aggregate the reports once.
 
-    The sketch mechanism's hash family is drawn from ``rng`` so repeated
-    rounds average over families; everything else about the round is a
-    deterministic function of (inputs, rng state).
+    The hash family of a sketch (CMS or RAPPOR) is drawn from ``rng`` first,
+    so repeated rounds average over families; everything else about the
+    round is a deterministic function of (inputs, rng state).
 
     ``collect_reports``: pass a list to also receive one report object per
     user, built from the same batch that is aggregated, so asking for a
@@ -163,8 +163,8 @@ def run_round(
         rng = np.random.default_rng()
     users = np.asarray(users, dtype=np.int64)
     kwargs = {}
-    if mechanism == "CMS":
-        kwargs["cms_hash_seed"] = int(rng.integers(0, _SEED_BOUND))
+    if mechanism in ("CMS", "RAPPOR"):
+        kwargs["hash_seed"] = int(rng.integers(0, _SEED_BOUND))
     oracle = make_mechanism(mechanism, l_zones, epsilon, params, **kwargs)
     if users.size == 0:
         return FrequencyEstimate.from_raw(np.zeros(l_zones), 0)

@@ -21,7 +21,13 @@ from zoneldp.domain import (
 )
 from zoneldp.errors import ConfigError
 from zoneldp.metrics import metric_report
-from zoneldp.oracles import make_mechanism, read_reports, write_reports
+from zoneldp.oracles import (
+    CountMeanSketch,
+    Rappor,
+    make_mechanism,
+    read_reports,
+    write_reports,
+)
 from zoneldp.simulator import (
     CountsPopulation,
     DropCounts,
@@ -149,9 +155,9 @@ class TestRunRound:
             assert np.array_equal(est.raw, plain.raw), mechanism
             assert len(collected) == len(users)
             kwargs = {}
-            if mechanism == "CMS":
+            if mechanism in ("CMS", "RAPPOR"):
                 # run_round draws the round's sketch family first
-                kwargs["cms_hash_seed"] = int(np.random.default_rng(8).integers(0, 1 << 63))
+                kwargs["hash_seed"] = int(np.random.default_rng(8).integers(0, 1 << 63))
             oracle = make_mechanism(mechanism, 4, 1.0, **kwargs)
             assert np.array_equal(oracle.aggregate(collected).raw, est.raw), mechanism
             # the JSON-lines trace is exact: read back, it decodes to the same raw
@@ -160,6 +166,25 @@ class TestRunRound:
             buffer.seek(0)
             again = oracle.aggregate(list(read_reports(buffer)))
             assert np.array_equal(again.raw, est.raw), mechanism
+
+    @pytest.mark.parametrize(
+        "mechanism, cls", [("CMS", CountMeanSketch), ("RAPPOR", Rappor)]
+    )
+    def test_each_round_draws_its_own_sketch_family(self, monkeypatch, mechanism, cls):
+        seeds = []
+        init = cls.__init__
+
+        def spy(self, *args, hash_seed=0, **kwargs):
+            seeds.append(hash_seed)
+            init(self, *args, hash_seed=hash_seed, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+        for seed in (1, 2, 3):
+            run_round([0, 1, 2], 3, mechanism, 1.0, rng=np.random.default_rng(seed))
+        assert len(set(seeds)) == 3
+        assert seeds == [
+            int(np.random.default_rng(seed).integers(0, 1 << 63)) for seed in (1, 2, 3)
+        ]
 
     def test_deterministic_for_a_seeded_generator(self):
         for mechanism in MECHANISMS:
