@@ -25,10 +25,10 @@ mechanism = make_mechanism("OUE", l_zones=4, epsilon=1.0)
 probs = mechanism.probabilities()
 print(f"n = {n} users, eps = 1: keep p = {probs.p:.3f}, flip q = {probs.q:.3f}")
 
-# What one user actually sends: a single randomized bit vector. Nothing
-# about the report pins down the true zone.
-report = mechanism.perturb(int(zones[0]), rng)
-print("zone", zones[0], "reported as bits", report.bits)
+# What one user actually sends: a single randomized bit vector, row 0 of a
+# batch of one. Nothing about the report pins down the true zone.
+report = mechanism.perturb_batch([zones[0]], rng)
+print("zone", zones[0], "reported as bits", report.bits[0])
 
 # The server never sees zones, only reports. Aggregating debiases the bit
 # frequencies into estimated counts; negatives get clamped for display.

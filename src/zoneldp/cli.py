@@ -9,7 +9,7 @@ Exit codes: 0 ok, 1 usage/config, 2 I/O, 3 data.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import os
 import sys
@@ -54,13 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _atomic_write(path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_write(path):
+    """A text handle on a temporary file beside ``path``, renamed to ``path``
+    when the block ends and removed when it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -139,7 +142,8 @@ def cmd_zones(args) -> int:
     if args.m < 1 or args.m > meta.n_aps:
         raise _UsageError(f"--m must be in [1, {meta.n_aps}] for this file")
     table = build_zone_table(fingerprints, args.m)
-    _atomic_write(args.out, zone_table_to_json(table))
+    with _atomic_write(args.out) as fh:
+        fh.write(zone_table_to_json(table))
     print(
         json.dumps(
             {
@@ -173,18 +177,20 @@ def cmd_simulate(args) -> int:
         population=population,
         params=params,
     )
-    collected = [] if args.reports_out else None
-    result = run_trial(config, 0, 0, 0, *resolve_population(config), collected)
-    # the trial's record, with the seed in place of the trial index
-    payload = dict(
-        ("seed", seed) if key == "trial" else (key, value)
-        for key, value in trial_result_to_dict(result).items()
-    )
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    # the trace streams into its temporary file while the round runs
+    trace = contextlib.nullcontext()
     if args.reports_out:
-        buffer = io.StringIO()
-        write_reports(collected, buffer)
-        _atomic_write(args.reports_out, buffer.getvalue())
+        trace = _atomic_write(args.reports_out)
+    with trace as fh:
+        collect = None if fh is None else lambda batch: write_reports(batch, fh)
+        result = run_trial(config, 0, 0, 0, *resolve_population(config), collect)
+        # the trial's record, with the seed in place of the trial index
+        payload = dict(
+            ("seed", seed) if key == "trial" else (key, value)
+            for key, value in trial_result_to_dict(result).items()
+        )
+        with _atomic_write(args.out) as out:
+            out.write(json.dumps(payload, indent=2) + "\n")
     print(json.dumps({"seed": seed, "out": str(args.out)}))
     return EXIT_OK
 
@@ -205,11 +211,12 @@ def cmd_sweep(args) -> int:
     summary = summarize(results)
 
     out_dir = Path(args.out)
-    buffer = io.StringIO()
-    write_results(results, buffer)
-    _atomic_write(out_dir / "results.jsonl", buffer.getvalue())
-    _atomic_write(out_dir / "summary.csv", summary_to_csv(summary))
-    _atomic_write(out_dir / "zone_stats.csv", zone_stats_to_csv(summary))
+    with _atomic_write(out_dir / "results.jsonl") as fh:
+        write_results(results, fh)
+    with _atomic_write(out_dir / "summary.csv") as fh:
+        fh.write(summary_to_csv(summary))
+    with _atomic_write(out_dir / "zone_stats.csv") as fh:
+        fh.write(zone_stats_to_csv(summary))
     print(
         json.dumps(
             {
@@ -233,9 +240,11 @@ def cmd_summarize(args) -> int:
     if not results:
         raise DataError("results file is empty")
     summary = summarize(results)
-    _atomic_write(args.out, summary_to_csv(summary))
+    with _atomic_write(args.out) as fh:
+        fh.write(summary_to_csv(summary))
     if args.zones_out:
-        _atomic_write(args.zones_out, zone_stats_to_csv(summary))
+        with _atomic_write(args.zones_out) as fh:
+            fh.write(zone_stats_to_csv(summary))
     print(json.dumps({"rows": len(summary.metric_rows), "out": str(args.out)}))
     return EXIT_OK
 

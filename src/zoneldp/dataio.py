@@ -20,11 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .domain import SENTINEL_RSSI, Fingerprint, ZoneTable
+from .domain import SENTINEL_RSSI, Fingerprint
 from .errors import MalformedRow, SchemaMismatch
 
 
@@ -33,7 +33,6 @@ class DatasetMeta:
     name: str
     n_aps: int
     n_users: int
-    area_note: str = ""
 
     def __post_init__(self):
         if self.n_aps < 1 or self.n_users < 1:
@@ -147,11 +146,7 @@ def load_fingerprints(path, schema: dict) -> Tuple[DatasetMeta, List[Fingerprint
     return meta, fingerprints
 
 
-def synth_population(
-    zone_counts: Sequence[int],
-    table: Optional[ZoneTable],
-    rng: np.random.Generator,
-) -> np.ndarray:
+def synth_population(zone_counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Shuffled per-user zone indices with exactly counts[j] users in zone j."""
     counts = np.asarray(zone_counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
@@ -160,10 +155,6 @@ def synth_population(
         raise ValueError("zone counts must be nonnegative")
     if counts.sum() < 1:
         raise ValueError("population must have at least one user")
-    if table is not None and counts.size != table.n_zones:
-        raise ValueError(
-            f"{counts.size} counts for a table with {table.n_zones} zones"
-        )
     users = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     rng.shuffle(users)
     return users

@@ -1,7 +1,8 @@
 """Six local-differential-privacy frequency oracles behind one contract.
 
-Each mechanism is a perturb/aggregate pair: clients perturb a zone index
-into a report; the aggregator reduces reports to debiased per-zone counts.
+Each mechanism is a perturb/aggregate pair: clients perturb zone indices
+into a report batch, one report per row; the aggregator reduces a batch to
+debiased per-zone counts. A report trace is that batch as JSON lines.
 """
 from __future__ import annotations
 
@@ -12,15 +13,16 @@ from typing import Optional
 from ..domain import MECHANISMS, PrivacyParams
 from ..errors import ParamMismatch
 from .base import (
-    CmsReport,
+    _BLOCK_CELLS,
+    CmsBatch,
     FrequencyOracle,
-    HrReport,
-    OlhReport,
-    OueReport,
+    HrBatch,
+    OlhBatch,
+    OueBatch,
     PerturbProbabilities,
-    RapporReport,
-    Report,
-    TheReport,
+    RapporBatch,
+    ReportBatch,
+    TheBatch,
     estimate_frequency,
 )
 from .cms import CountMeanSketch
@@ -38,12 +40,11 @@ __all__ = [
     "OptimizedUnaryEncoding",
     "PerturbProbabilities",
     "Rappor",
-    "Report",
     "ThresholdHistogramEncoding",
     "estimate_frequency",
     "make_mechanism",
-    "report_from_dict",
-    "report_to_dict",
+    "read_reports",
+    "write_reports",
 ]
 
 
@@ -83,49 +84,54 @@ def make_mechanism(
 # --- wire format ----------------------------------------------------------
 # One report per JSON line: {"mech": "...", "payload": {field: value, ...}}
 
-_REPORT_TYPES = {
-    "OLH": OlhReport,
-    "OUE": OueReport,
-    "THE": TheReport,
-    "HR": HrReport,
-    "CMS": CmsReport,
-    "RAPPOR": RapporReport,
+_BATCHES = {
+    "OLH": OlhBatch,
+    "OUE": OueBatch,
+    "THE": TheBatch,
+    "HR": HrBatch,
+    "CMS": CmsBatch,
+    "RAPPOR": RapporBatch,
 }
 
-_REPORT_NAMES = {cls: name for name, cls in _REPORT_TYPES.items()}
+_TAGS = {cls: tag for tag, cls in _BATCHES.items()}
 
 
-def report_to_dict(report: Report) -> dict:
-    name = _REPORT_NAMES[type(report)]
-    payload = {
-        field: list(value) if isinstance(value, tuple) else value
-        for field, value in vars(report).items()
-    }
-    return {"mech": name, "payload": payload}
+def write_reports(batch: ReportBatch, fh) -> None:
+    """Write a batch to an open text handle, one report per JSON line.
 
-
-def report_from_dict(data: dict) -> Report:
-    """Inverse of report_to_dict; ParamMismatch names an unknown ``mech``
-    tag or payload keys that are not the report's fields."""
-    tag, payload = data["mech"], data["payload"]
-    if tag not in _REPORT_TYPES:
-        raise ParamMismatch(f"unknown report tag {tag!r}; expected one of {MECHANISMS}")
-    cls = _REPORT_TYPES[tag]
-    names = [f.name for f in fields(cls)]
-    if sorted(payload) != sorted(names):
-        raise ParamMismatch(f"{tag} report fields are {names}, got {sorted(payload)}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
-
-
-def write_reports(reports, fh) -> None:
-    """Serialize reports as JSON lines to an open text handle."""
-    for report in reports:
-        fh.write(json.dumps(report_to_dict(report)) + "\n")
+    Rows become Python values a block of ``_BLOCK_CELLS`` cells at a time,
+    so the scratch memory stays near one block for any batch size.
+    """
+    tag = _TAGS[type(batch)]
+    names = [f.name for f in fields(batch)]
+    columns = [getattr(batch, name) for name in names]
+    width = sum(column[:1].size for column in columns)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    for start in range(0, batch.n_reports, step):
+        rows = zip(*(column[start:start + step].tolist() for column in columns))
+        fh.write("".join(
+            json.dumps({"mech": tag, "payload": dict(zip(names, row))}) + "\n"
+            for row in rows
+        ))
 
 
 def read_reports(fh):
-    """Parse reports from JSON lines; yields report objects."""
+    """The batch a JSON-lines trace holds, checked by its type's ``of``.
+
+    ParamMismatch for an unknown ``mech`` tag, a line of another mechanism
+    than the first, or a payload that does not fit. An empty trace reads
+    as an empty list, which every ``aggregate`` takes as no reports.
+    """
+    batch_type, payloads = None, []
     for line in fh:
-        line = line.strip()
-        if line:
-            yield report_from_dict(json.loads(line))
+        if not line.strip():
+            continue
+        data = json.loads(line)
+        tag = data["mech"]
+        if tag not in _BATCHES:
+            raise ParamMismatch(f"unknown report tag {tag!r}; expected one of {MECHANISMS}")
+        if batch_type not in (None, _BATCHES[tag]):
+            raise ParamMismatch(f"{tag} report in a trace of {_TAGS[batch_type]} reports")
+        batch_type = _BATCHES[tag]
+        payloads.append(data["payload"])
+    return [] if batch_type is None else batch_type.of(payloads)

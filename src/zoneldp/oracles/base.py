@@ -1,9 +1,9 @@
-"""Shared oracle machinery: probability pairs, report types, the debiased
+"""Shared oracle machinery: probability pairs, report batches, the debiased
 frequency estimator, the mechanism base class and the hashed sketch.
 
 Every mechanism is a perturb/aggregate pair. Perturbation runs client-side
-on a single zone index; aggregation reduces many reports to per-zone count
-estimates. Each mechanism is defined by its (p, q) pair, which the base
+on each user's zone index; aggregation reduces many reports to per-zone
+count estimates. Each mechanism is defined by its (p, q) pair, which the base
 class returns from ``probabilities()``. The three mechanisms that report a
 randomized one-hot bit row (OUE over the L zones, CMS and RAPPOR over a
 hashed row) share one client randomizer, ``one_hot_rr``. Every per-cell
@@ -17,10 +17,11 @@ reduce reports to integer sufficient statistics before doing float
 arithmetic, so the estimate is invariant under any permutation of the
 reports.
 
-Each mechanism's reports travel between perturb_batch and aggregate as a
-``ReportBatch``: one array per report field, under the report's own field
-names. ``ReportBatch.of`` is the single place where report lists from
-outside enter an aggregator, so it is also where they are checked.
+A batch is the only form a report takes. Each mechanism's reports travel
+between perturb_batch and aggregate as a ``ReportBatch``: one array per
+report field, under the field's wire name, with user i's report in row i.
+``ReportBatch.of`` is the single place where wire payloads from outside
+enter an aggregator, so it is also where they are checked.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Union, get_type_hints
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -233,60 +234,58 @@ def estimate_frequency(
 class ReportBatch:
     """Many reports of one mechanism as one array per report field.
 
-    A subclass is a frozen dataclass whose fields are the fields of its
-    ``report_type``, in the same order and under the same (wire) names,
-    with one numpy dtype per field in ``dtypes``. Scalar report fields
-    become 1-d arrays and tuple fields n x width arrays; uint8 fields hold
-    bits.
+    A subclass is a frozen dataclass with one field per report field, under
+    its wire name, and one numpy dtype per field in ``dtypes``. The fields
+    named in ``row_fields`` are n x width arrays, the others 1-d; uint8
+    fields hold bits. Row i of every field is user i's report.
     """
 
-    report_type: ClassVar[type]
     dtypes: ClassVar[tuple]
+    row_fields: ClassVar[tuple] = ()
 
     @property
     def n_reports(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
-    def reports(self) -> list:
-        """One report per user, holding plain Python values."""
-        columns = [
-            a.tolist() if a.ndim == 1 else list(map(tuple, a.tolist()))
-            for a in (getattr(self, f.name) for f in fields(self))
-        ]
-        return list(itertools.starmap(self.report_type, zip(*columns)))
-
     @classmethod
     def of(cls, reports) -> "ReportBatch":
         """``reports`` itself if it is this batch type, else a sequence of
-        ``report_type`` reports converted field by field.
+        wire payloads (one dict of field values per report, rows as lists)
+        converted field by field.
 
-        Raises ParamMismatch, truncating nothing, for a report of another
-        type, an integer field holding a float or a bool, a bit outside
-        {0, 1}, a non-finite float field, a value outside its dtype, or
-        rows of unequal width.
+        Raises ParamMismatch, truncating nothing, for a payload that lacks
+        a field or has one of another name, an integer field holding a
+        float or a bool, a bit outside {0, 1}, a non-finite float field, a
+        value outside its dtype, or rows of unequal width.
         """
         if isinstance(reports, cls):
             return reports
-        reports = list(reports)
-        if any(type(r) is not cls.report_type for r in reports):
-            raise ParamMismatch(f"{cls.__name__} takes only {cls.report_type.__name__}s")
-        hints = get_type_hints(cls.report_type)
+        payloads = list(reports)
+        names = [f.name for f in fields(cls)]
+        expected = set(names)
+        for payload in payloads:
+            keys = set(payload) if isinstance(payload, dict) else set()
+            if keys != expected:
+                raise ParamMismatch(
+                    f"{cls.__name__} payloads hold {names}: missing "
+                    f"{sorted(expected - keys)}, unknown {sorted(keys - expected)}"
+                )
         return cls(*(
-            _column(reports, f.name, dtype, hints[f.name] is tuple)
-            for f, dtype in zip(fields(cls), cls.dtypes)
+            _column(payloads, name, dtype, name in cls.row_fields)
+            for name, dtype in zip(names, cls.dtypes)
         ))
 
 
-def _column(reports: list, name: str, dtype, rows: bool) -> np.ndarray:
-    """One report field as a checked array; ``rows`` if each value is a tuple."""
-    values = [getattr(r, name) for r in reports]
+def _column(payloads: list, name: str, dtype, rows: bool) -> np.ndarray:
+    """One report field as a checked array; ``rows`` if each value is a row."""
+    values = [p[name] for p in payloads]
     dtype = np.dtype(dtype)
     integral = dtype.kind in "iu"
     cells = itertools.chain.from_iterable(values) if rows else values
     try:
         types = set(map(type, cells))
     except TypeError:
-        raise ParamMismatch(f"report field {name!r} must hold tuples") from None
+        raise ParamMismatch(f"report field {name!r} must hold rows") from None
     allowed = (int,) if integral else (int, float)
     bad = [t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, allowed)]
     if bad:
@@ -303,102 +302,61 @@ def _column(reports: list, name: str, dtype, rows: bool) -> np.ndarray:
     return array
 
 
-# --- report payloads -------------------------------------------------------
-# One frozen dataclass per mechanism, field names matching the wire format,
-# each followed by its batch: the same fields as arrays.
-
-
-@dataclass(frozen=True)
-class OlhReport:
-    hash_seed: int  # identifies the user's hash function
-    value: int  # hashed-and-perturbed bucket in [0, g)
+# --- report batches ----------------------------------------------------------
+# One frozen dataclass per mechanism, field names matching the wire format.
 
 
 @dataclass(frozen=True)
 class OlhBatch(ReportBatch):
-    report_type = OlhReport
     dtypes = (np.uint64, np.int64)
-    hash_seed: np.ndarray
-    value: np.ndarray
-
-
-@dataclass(frozen=True)
-class OueReport:
-    bits: tuple  # L bits
+    hash_seed: np.ndarray  # identifies each user's hash function
+    value: np.ndarray  # hashed-and-perturbed bucket in [0, g)
 
 
 @dataclass(frozen=True)
 class OueBatch(ReportBatch):
-    report_type = OueReport
     dtypes = (np.uint8,)
+    row_fields = ("bits",)
     bits: np.ndarray  # n x L
 
 
 @dataclass(frozen=True)
-class TheReport:
-    values: tuple  # L noisy reals
-
-
-@dataclass(frozen=True)
 class TheBatch(ReportBatch):
-    report_type = TheReport
     dtypes = (np.float64,)
-    values: np.ndarray  # n x L
-
-
-@dataclass(frozen=True)
-class HrReport:
-    row_index: int  # row of the transform matrix, in [0, d')
-    signed_value: float  # +/- scaled matrix entry
+    row_fields = ("values",)
+    values: np.ndarray  # n x L noisy reals
 
 
 @dataclass(frozen=True)
 class HrBatch(ReportBatch):
-    report_type = HrReport
     dtypes = (np.int64, np.float64)
-    row_index: np.ndarray
-    signed_value: np.ndarray
-
-
-@dataclass(frozen=True)
-class CmsReport:
-    hash_index: int  # which family member the user applied, in [0, k)
-    bits: tuple  # m bits
+    row_index: np.ndarray  # row of the transform matrix, in [0, d')
+    signed_value: np.ndarray  # +/- scaled matrix entry
 
 
 @dataclass(frozen=True)
 class CmsBatch(ReportBatch):
-    report_type = CmsReport
     dtypes = (np.int64, np.uint8)
-    hash_index: np.ndarray
+    row_fields = ("bits",)
+    hash_index: np.ndarray  # which family member each user applied, in [0, k)
     bits: np.ndarray  # n x m
 
 
 @dataclass(frozen=True)
-class RapporReport:
-    cohort: int  # user's cohort, in [0, m)
-    bits: tuple  # k bits
-
-
-@dataclass(frozen=True)
 class RapporBatch(ReportBatch):
-    report_type = RapporReport
     dtypes = (np.int64, np.uint8)
-    cohort: np.ndarray
+    row_fields = ("bits",)
+    cohort: np.ndarray  # each user's cohort, in [0, m)
     bits: np.ndarray  # n x k
-
-
-Report = Union[OlhReport, OueReport, TheReport, HrReport, CmsReport, RapporReport]
 
 
 class FrequencyOracle(abc.ABC):
     """Perturb/aggregate pair for one mechanism at fixed (l_zones, epsilon).
 
-    perturb_batch() perturbs a whole population in vectorized form and
-    returns a ReportBatch whose reports() lists one report per user.
-    perturb() handles one user as a batch of one, so each mechanism has a
-    single sampler. aggregate() accepts either a sequence of reports or a
-    batch container.
+    perturb_batch() perturbs many users' zones into one ReportBatch, one
+    report per row; a single client is ``perturb_batch([zone], rng)``, so
+    each mechanism has a single sampler. aggregate() takes the batch, or
+    wire payloads that the batch type's ``of`` converts and checks.
     """
 
     name: ClassVar[str]
@@ -423,10 +381,6 @@ class FrequencyOracle(abc.ABC):
     def probabilities(self) -> PerturbProbabilities:
         """The (p, q) pair the aggregator debiases with."""
         return self._probs
-
-    def perturb(self, zone: int, rng: np.random.Generator) -> Report:
-        """Perturb one user's zone into a report: a batch of one."""
-        return self.perturb_batch([zone], rng).reports()[0]
 
     @abc.abstractmethod
     def perturb_batch(self, zones, rng: np.random.Generator):

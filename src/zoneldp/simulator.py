@@ -12,7 +12,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .domain import (
 from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .oracles import make_mechanism
+from .oracles.base import ReportBatch
 from .zoning import assign_zones
 
 # stream tags keep population synthesis and rounds on disjoint substreams
@@ -74,7 +75,7 @@ class CountsPopulation:
     def resolve(self, rng: np.random.Generator):
         from .dataio import synth_population
 
-        zones = synth_population(self.counts, None, rng)
+        zones = synth_population(self.counts, rng)
         return zones, len(self.counts), DropCounts()
 
 
@@ -147,7 +148,7 @@ def run_round(
     epsilon: float,
     params: Optional[PrivacyParams] = None,
     rng: Optional[np.random.Generator] = None,
-    collect_reports: Optional[list] = None,
+    collect_reports: Optional[Callable[[ReportBatch], None]] = None,
 ) -> FrequencyEstimate:
     """Perturb every user's zone and aggregate the reports once.
 
@@ -155,9 +156,9 @@ def run_round(
     so repeated rounds average over families; everything else about the
     round is a deterministic function of (inputs, rng state).
 
-    ``collect_reports``: pass a list to also receive one report object per
-    user, built from the same batch that is aggregated, so asking for a
-    trace never changes the estimate.
+    ``collect_reports``: pass a function to also receive the batch of
+    reports, the one that is then aggregated, so asking for a trace never
+    changes the estimate. It is not called when there are no users.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -170,7 +171,7 @@ def run_round(
         return FrequencyEstimate.from_raw(np.zeros(l_zones), 0)
     batch = oracle.perturb_batch(users, rng)
     if collect_reports is not None:
-        collect_reports.extend(batch.reports())
+        collect_reports(batch)
     return oracle.aggregate(batch)
 
 
@@ -188,7 +189,7 @@ def run_trial(
     zones: np.ndarray,
     l_zones: int,
     drops: DropCounts,
-    collect_reports: Optional[list] = None,
+    collect_reports: Optional[Callable[[ReportBatch], None]] = None,
 ) -> TrialResult:
     """One round of the grid on the stream keyed by its grid position.
 

@@ -178,11 +178,6 @@ def zone_table_from_json(text: str) -> ZoneTable:
     )
 
 
-def save_zone_table(table: ZoneTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(zone_table_to_json(table))
-
-
 def load_zone_table(path) -> ZoneTable:
     with open(path, "r", encoding="utf-8") as fh:
         return zone_table_from_json(fh.read())

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from wire import payloads
 from zoneldp.errors import ParamMismatch
 
 
@@ -83,24 +84,21 @@ class Construction(Sketch):
 class Perturb(Sketch):
     def test_report_shape(self):
         mech = self.make(4, 1.0, rows=6, width=16)
-        report = mech.perturb(2, np.random.default_rng(3))
-        assert 0 <= getattr(report, self.row_field) < 6
-        assert len(report.bits) == 16
-        assert set(report.bits) <= {0, 1}
+        report = mech.perturb_batch([2], np.random.default_rng(3))
+        assert 0 <= getattr(report, self.row_field)[0] < 6
+        assert report.bits.shape == (1, 16)
+        assert set(report.bits[0].tolist()) <= {0, 1}
 
     def test_rejects_zone_out_of_range(self):
         mech = self.make(4, 1.0, rows=6, width=16)
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            mech.perturb(4, rng)
+            mech.perturb_batch([4], rng)
         with pytest.raises(ValueError):
             mech.perturb_batch([0, -1], rng)
 
     def test_deterministic_under_seeded_generator(self):
         mech = self.make(4, 1.0, rows=6, width=16)
-        assert mech.perturb(1, np.random.default_rng(9)) == mech.perturb(
-            1, np.random.default_rng(9)
-        )
         zones = np.tile(np.arange(4), 5)
         first = mech.perturb_batch(zones, np.random.default_rng(9))
         second = mech.perturb_batch(zones, np.random.default_rng(9))
@@ -148,11 +146,10 @@ class Aggregate(Sketch):
     def test_report_sequence_matches_batch(self):
         mech = self.make(4, 1.0, rows=3, width=8, hash_seed=2)
         rng = np.random.default_rng(13)
-        reports = [mech.perturb(int(zone), rng) for zone in rng.integers(0, 4, size=60)]
-        batch = self.batch(
-            [getattr(r, self.row_field) for r in reports], [r.bits for r in reports]
+        batch = mech.perturb_batch(rng.integers(0, 4, size=60), rng)
+        assert np.array_equal(
+            mech.aggregate(payloads(batch)).raw, mech.aggregate(batch).raw
         )
-        assert np.array_equal(mech.aggregate(reports).raw, mech.aggregate(batch).raw)
 
     def test_empty_reports_give_zero_estimate(self):
         mech = self.make(4, 1.0, rows=3, width=8)

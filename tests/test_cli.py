@@ -5,6 +5,7 @@ JSON, and produced files; one subprocess smoke test covers
 ``entry_point``, through the ``zoneldp`` console script when one is on
 ``PATH`` and through ``python -m zoneldp`` otherwise.
 """
+import hashlib
 import json
 import os
 import shutil
@@ -12,11 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zoneldp
+from zoneldp import cli, simulator
 from zoneldp.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, SEED_ENV, main
 from zoneldp.domain import MECHANISMS
+from zoneldp.oracles import make_mechanism, read_reports
 from zoneldp.zoning import load_zone_table
 
 SCHEMA = {
@@ -231,6 +235,74 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         assert plain.read_bytes() == traced.read_bytes()
+
+    # sha256 of each trace at counts [30, 20, 10] and seed 9, as written when
+    # the trace was built from one report object per user
+    TRACE_SHA256 = {
+        ("OLH", 0.5): "3b065a1b9be74f574b50aea53bedd9e0efa822fd53dddbae333f934f4c586846",
+        ("OLH", 2.0): "b866e7e529dc08460ffb9e362783068463b2d9084a95ed80f2531a783d728b62",
+        ("OUE", 0.5): "d60c7cfa4d690ff17d2618afe991485388d71ca31b021a9c0525b85c78afdeb4",
+        ("OUE", 2.0): "af5e011607315793694d53981b233b0a903cc408a821213baf54207f8e01277d",
+        ("THE", 0.5): "7c4b45ef6fb7c560f4ff018063c4d4b040a853dab1c9d4082378abeabb40f80e",
+        ("THE", 2.0): "2e1ca112017909dca1417228a370be5f484bef09e1d2b8e91a3d0a762072e0a4",
+        ("HR", 0.5): "b5bc951cba6f0b4b038b3bf098292427dfcf5c913493919e6227b9f2e9dc9aa2",
+        ("HR", 2.0): "f87719b94625fcee5c916f24547c512fa225386aa02471e32cf3b19bcf57e841",
+        ("CMS", 0.5): "df1997c9465b50d898c37714a67ce7b0f2909f2dbe69c9ce29b505ea6df6908e",
+        ("CMS", 2.0): "e4368847f4e177c744312750f68049afa54bedb5e6c271cd2f7cfaf79b3cff88",
+        ("RAPPOR", 0.5): "08d229ae14e0def491cc2a00e4ac38a585f01cf59a1569c0b0506c8c54e7421d",
+        ("RAPPOR", 2.0): "c9ffd3b85c5ca5d5e7b4e3c3e4c123545f45bf081513796e125b629471e87de8",
+    }
+
+    @pytest.mark.parametrize("mechanism, epsilon", sorted(TRACE_SHA256))
+    def test_report_trace_bytes_are_pinned(self, workspace, capsys, mechanism, epsilon):
+        config = self._write_config(workspace, mechanism=mechanism, epsilon=epsilon)
+        out, trace = workspace / "r.json", workspace / "reports.jsonl"
+        argv = ["simulate", "--config", config, "--out", out, "--reports-out", trace]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        assert digest == self.TRACE_SHA256[mechanism, epsilon]
+        # read back, the trace aggregates to the result's raw estimate
+        kwargs = {}
+        if mechanism in ("CMS", "RAPPOR"):
+            # the round's sketch family is the first draw of its stream
+            stream = np.random.SeedSequence([9, simulator._ROUND_TAG, 0, 0, 0])
+            kwargs["hash_seed"] = int(np.random.default_rng(stream).integers(0, 1 << 63))
+        oracle = make_mechanism(mechanism, 3, epsilon, **kwargs)
+        with open(trace, encoding="utf-8") as fh:
+            raw = oracle.aggregate(read_reports(fh)).raw
+        assert raw.tolist() == json.loads(out.read_text(encoding="utf-8"))["raw"]
+
+    def test_an_empty_population_writes_an_empty_trace(self, workspace, capsys):
+        cfg = {
+            "mechanism": "OUE",
+            "epsilon": 1.0,
+            "population": {
+                "fingerprints": workspace / "fp.csv",
+                "schema": workspace / "schema.json",
+                "table": build_table(workspace, capsys),
+            },
+        }
+        config = workspace / "empty.json"
+        config.write_text(json.dumps(cfg, default=str), encoding="utf-8")
+        (workspace / "fp.csv").write_text("x,y,AP1,AP2,AP3\n9,9,-90,,\n", encoding="utf-8")
+        trace = workspace / "reports.jsonl"
+        argv = ["simulate", "--config", config, "--out", workspace / "r.json",
+                "--reports-out", trace]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+        assert json.loads((workspace / "r.json").read_text())["n_reports"] == 0
+        assert trace.read_bytes() == b""
+
+    def test_a_failed_round_leaves_no_trace(self, workspace, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_reports", fail)
+        config = self._write_config(workspace)
+        before = sorted(workspace.iterdir())
+        argv = ["simulate", "--config", config, "--out", workspace / "r.json",
+                "--reports-out", workspace / "reports.jsonl"]
+        assert run_cli(argv, capsys)[0] == EXIT_IO
+        assert sorted(workspace.iterdir()) == before
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_matches_trial_zero_of_a_one_trial_sweep(self, workspace, capsys, mechanism):

@@ -54,9 +54,9 @@ class TestPerturb(Cms, sketch_cases.Perturb):
         target_hits = 0
         total_bits = 0
         for _ in range(n):
-            report = mech.perturb(1, rng)
-            target_hits += report.bits[mech.targets[report.hash_index, 1]]
-            total_bits += sum(report.bits)
+            report = mech.perturb_batch([1], rng)
+            target_hits += int(report.bits[0, mech.targets[report.hash_index[0], 1]])
+            total_bits += int(report.bits.sum())
         probs = mech.probabilities()
         sigma = math.sqrt(probs.p * (1 - probs.p) * n)
         assert abs(target_hits - probs.p * n) < 3 * sigma

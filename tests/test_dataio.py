@@ -11,9 +11,8 @@ from zoneldp.dataio import (
     normalize_schema,
     synth_population,
 )
-from zoneldp.domain import SENTINEL_RSSI, Fingerprint
+from zoneldp.domain import SENTINEL_RSSI
 from zoneldp.errors import MalformedRow, SchemaMismatch
-from zoneldp.zoning import build_zone_table
 
 SCHEMA = {
     "delimiter": ",",
@@ -175,41 +174,28 @@ class TestSynthPopulation:
     def test_histogram_matches_counts_exactly(self):
         rng = np.random.default_rng(7)
         counts = [6, 9, 11, 17, 17, 81, 88, 125]
-        users = synth_population(counts, None, rng)
+        users = synth_population(counts, rng)
         assert users.size == 354
         assert np.bincount(users, minlength=8).tolist() == counts
 
     def test_all_users_in_one_zone(self):
         rng = np.random.default_rng(7)
-        users = synth_population([0, 5, 0], None, rng)
+        users = synth_population([0, 5, 0], rng)
         assert users.tolist() == [1, 1, 1, 1, 1]
 
     def test_shuffle_is_seeded(self):
         counts = [10, 10, 10]
-        a = synth_population(counts, None, np.random.default_rng(1))
-        b = synth_population(counts, None, np.random.default_rng(1))
-        c = synth_population(counts, None, np.random.default_rng(2))
+        a = synth_population(counts, np.random.default_rng(1))
+        b = synth_population(counts, np.random.default_rng(1))
+        c = synth_population(counts, np.random.default_rng(2))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)  # 30!/(10!^3) arrangements, collision odds nil
-
-    def test_table_size_check(self):
-        table = build_zone_table(
-            [
-                Fingerprint(rssi=[-40.0, -45.0, -90.0]),
-                Fingerprint(rssi=[-90.0, -45.0, -40.0]),
-            ],
-            m=2,
-        )
-        rng = np.random.default_rng(7)
-        assert synth_population([3, 4], table, rng).size == 7
-        with pytest.raises(ValueError):
-            synth_population([3, 4, 5], table, rng)
 
     def test_rejects_bad_counts(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            synth_population([], None, rng)
+            synth_population([], rng)
         with pytest.raises(ValueError):
-            synth_population([-1, 5], None, rng)
+            synth_population([-1, 5], rng)
         with pytest.raises(ValueError):
-            synth_population([0, 0], None, rng)
+            synth_population([0, 0], rng)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ldp_enum
-from zoneldp.oracles.base import HrReport
+from wire import payloads
 from zoneldp.oracles.hr import (
     HadamardResponse,
     HrBatch,
@@ -63,9 +63,9 @@ class TestPerturb:
         rng = np.random.default_rng(193)
         magnitude = scale_factor(1.5) * math.sqrt(mech.dim)
         for zone in range(5):
-            report = mech.perturb(zone, rng)
-            assert 0 <= report.row_index < mech.dim
-            assert abs(report.signed_value) == pytest.approx(magnitude, rel=1e-12)
+            report = mech.perturb_batch([zone], rng)
+            assert 0 <= report.row_index[0] < mech.dim
+            assert abs(report.signed_value[0]) == pytest.approx(magnitude, rel=1e-12)
 
     def test_rows_are_uniform(self):
         mech = HadamardResponse(l_zones=3, epsilon=1.0)
@@ -84,9 +84,10 @@ class TestPerturb:
         kept = 0
         n = 30_000
         for _ in range(n):
-            report = mech.perturb(2, rng)
-            entry = 1 - 2 * ((report.row_index & 3).bit_count() & 1)
-            contribution = report.signed_value * entry / math.sqrt(mech.dim)
+            report = mech.perturb_batch([2], rng)
+            row, value = int(report.row_index[0]), float(report.signed_value[0])
+            entry = 1 - 2 * ((row & 3).bit_count() & 1)
+            contribution = value * entry / math.sqrt(mech.dim)
             assert abs(abs(contribution) - scale) < 1e-9
             kept += contribution > 0
         p = mech.probabilities().p
@@ -162,9 +163,9 @@ class TestAggregate:
     def test_report_sequence_equals_batch(self):
         mech = HadamardResponse(l_zones=4, epsilon=1.0)
         rng = np.random.default_rng(233)
-        reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=300)]
+        batch = mech.perturb_batch(rng.integers(0, 4, size=300), rng)
         assert np.array_equal(
-            mech.aggregate(reports).raw, mech.aggregate(HrBatch.of(reports)).raw
+            mech.aggregate(payloads(batch)).raw, mech.aggregate(batch).raw
         )
 
     def test_row_out_of_range_rejected(self):
@@ -208,6 +209,9 @@ class TestAggregate:
             )
             with pytest.raises(ValueError):
                 mech.aggregate(batch)
-            reports = [HrReport(1, magnitude), HrReport(2, value)]
+            reports = [
+                {"row_index": 1, "signed_value": magnitude},
+                {"row_index": 2, "signed_value": value},
+            ]
             with pytest.raises(ValueError):
                 mech.aggregate(reports)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ldp_enum
+from wire import payloads
 from zoneldp.oracles.base import _SMALL_BLOCK_CELLS, estimate_frequency
 from zoneldp.oracles.hashing import hash_bucket, hash_bucket_array
 from zoneldp.oracles.olh import (
@@ -70,15 +71,15 @@ class TestPerturb:
         mech = OptimizedLocalHashing(l_zones=5, epsilon=1.0)
         rng = np.random.default_rng(71)
         for zone in range(5):
-            report = mech.perturb(zone, rng)
-            assert 0 <= report.value < mech.g
-            assert 0 <= report.hash_seed < 1 << 63
+            report = mech.perturb_batch([zone], rng)
+            assert 0 <= report.value[0] < mech.g
+            assert 0 <= report.hash_seed[0] < 1 << 63
 
     def test_zone_range_check(self):
         mech = OptimizedLocalHashing(l_zones=3, epsilon=1.0)
         rng = np.random.default_rng(71)
         with pytest.raises(ValueError):
-            mech.perturb(3, rng)
+            mech.perturb_batch([3], rng)
         with pytest.raises(ValueError):
             mech.perturb_batch(np.array([0, 3]), rng)
 
@@ -93,10 +94,11 @@ class TestPerturb:
         hits_true = 0
         hits_other = 0
         for _ in range(n):
-            report = mech.perturb(2, rng)
-            if report.value == hash_bucket(report.hash_seed, 2, mech.g):
+            report = mech.perturb_batch([2], rng)
+            seed, value = int(report.hash_seed[0]), int(report.value[0])
+            if value == hash_bucket(seed, 2, mech.g):
                 hits_true += 1
-            if report.value == hash_bucket(report.hash_seed, 0, mech.g):
+            if value == hash_bucket(seed, 0, mech.g):
                 hits_other += 1
         sigma_true = math.sqrt(keep * (1.0 - keep) / n)
         sigma_other = math.sqrt((1.0 / mech.g) * (1.0 - 1.0 / mech.g) / n)
@@ -174,8 +176,8 @@ class TestAggregate:
     def test_report_sequence_equals_batch(self):
         mech = OptimizedLocalHashing(l_zones=4, epsilon=1.0)
         rng = np.random.default_rng(101)
-        reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=300)]
-        batch = OlhBatch.of(reports)
+        batch = mech.perturb_batch(rng.integers(0, 4, size=300), rng)
+        reports = payloads(batch)
         assert np.array_equal(
             mech.aggregate(reports).raw, mech.aggregate(batch).raw
         )
@@ -200,8 +202,7 @@ class TestAggregate:
         # decodes to its own zone's one-hot counts after rounding
         mech = OptimizedLocalHashing(l_zones=4, epsilon=50.0)
         rng = np.random.default_rng(103)
-        report = mech.perturb(2, rng)
-        est = mech.aggregate([report])
+        est = mech.aggregate(mech.perturb_batch([2], rng))
         assert est.rounded().tolist() == [0, 0, 1, 0]
 
 

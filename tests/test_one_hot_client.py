@@ -86,15 +86,16 @@ def test_scratch_memory_is_one_bounded_block():
     ids=["CMS", "RAPPOR"],
 )
 def test_scalar_perturb_is_one_reference_row(mech, rows, width, row_field):
+    # one user's client is a batch of one
     for zone in range(mech.l_zones):
-        report = mech.perturb(zone, np.random.default_rng(zone))
+        report = mech.perturb_batch([zone], np.random.default_rng(zone))
         ref = np.random.default_rng(zone)
         row = int(ref.integers(0, rows))
         want = reference_bits(
             np.array([mech.targets[row, zone]]), width, mech.probabilities(), ref
         )
-        assert getattr(report, row_field) == row
-        assert report.bits == tuple(want[0].tolist())
+        assert getattr(report, row_field).tolist() == [row]
+        assert np.array_equal(report.bits, want)
 
 
 @pytest.mark.parametrize("rows, width", [(16, 1024), (8, 4), (1, 64)])
@@ -122,20 +123,20 @@ def test_oue_batch_is_the_threshold_matrix_over_zones():
 def test_oue_scalar_perturb_is_one_reference_row():
     oue = OptimizedUnaryEncoding(6, 1.0)
     for zone in range(6):
-        report = oue.perturb(zone, np.random.default_rng(zone))
+        report = oue.perturb_batch([zone], np.random.default_rng(zone))
         want = reference_bits(
             np.array([zone]), 6, oue.probabilities(), np.random.default_rng(zone)
         )
-        assert report.bits == tuple(want[0].tolist())
+        assert np.array_equal(report.bits, want)
 
 
 def test_the_scalar_perturb_is_one_laplace_row():
     the = ThresholdHistogramEncoding(6, 1.0)
     for zone in range(6):
-        report = the.perturb(zone, np.random.default_rng(zone))
+        report = the.perturb_batch([zone], np.random.default_rng(zone))
         want = np.random.default_rng(zone).laplace(0.0, the.scale, 6)
         want[zone] += 1.0
-        assert report.values == tuple(want.tolist())
+        assert np.array_equal(report.values, want[None, :])
 
 
 @pytest.fixture()

@@ -1,33 +1,36 @@
 """Shared oracle machinery: the closed-form estimator, probability pairs,
-the scalar perturb, report batches and their checks, report wire format,
-and the protocol hash."""
+report batches and their checks, the report wire format, and the protocol
+hash."""
 import dataclasses
 import importlib.util
 import io
+import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zoneldp.oracles
+from wire import payloads, trace_text
 from zoneldp.domain import MECHANISMS, PrivacyParams
 from zoneldp.errors import DegenerateProbabilities, ParamMismatch
 from zoneldp.oracles import (
     estimate_frequency,
     make_mechanism,
-    report_from_dict,
-    report_to_dict,
+    read_reports,
+    write_reports,
 )
-from zoneldp.oracles import read_reports, write_reports
 from zoneldp.oracles.base import (
-    CmsReport,
-    HrReport,
-    OlhReport,
-    OueReport,
+    CmsBatch,
+    HrBatch,
+    OlhBatch,
+    OueBatch,
     PerturbProbabilities,
-    RapporReport,
-    TheReport,
+    RapporBatch,
+    TheBatch,
 )
 from zoneldp.oracles.hashing import (
     family_member_seed,
@@ -130,18 +133,11 @@ class TestProbabilitiesFor:
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_scalar_perturb_is_a_batch_of_one(mechanism):
+def test_zones_out_of_range_are_rejected(mechanism):
     mech = make_mechanism(mechanism, 6, 1.0)
-    for seed in range(3):
-        # each side keeps its generator across calls, so the draws each
-        # call consumes must match as well as the reports
-        scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for zone in range(6):
-            single = mech.perturb(zone, scalar_rng)
-            assert single == mech.perturb_batch([zone], batch_rng).reports()[0]
-    for zone in (-1, 6):
-        with pytest.raises(ValueError):
-            mech.perturb(zone, np.random.default_rng(0))
+    for zones in ([-1], [6], [0, 5, 6]):
+        with pytest.raises(ValueError, match="out of range"):
+            mech.perturb_batch(zones, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -164,18 +160,21 @@ def _small_batch(mechanism):
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 def test_batch_fields_are_the_report_fields(mechanism):
-    # field names and order carry over, and perturb_batch -> reports ->
-    # JSON lines -> of gives back the same arrays
+    # row fields are n x width and the others 1-d, each of its declared
+    # dtype, and perturb_batch -> JSON lines -> read_reports gives back the
+    # same arrays
     _, batch = _small_batch(mechanism)
     cls = type(batch)
     names = [f.name for f in dataclasses.fields(cls)]
-    assert names == [f.name for f in dataclasses.fields(cls.report_type)]
     assert len(cls.dtypes) == len(names)
+    assert set(cls.row_fields) <= set(names)
+    for name, dtype in zip(names, cls.dtypes):
+        array = getattr(batch, name)
+        assert array.dtype == dtype
+        assert array.ndim == (2 if name in cls.row_fields else 1)
     assert cls.of(batch) is batch
-    buffer = io.StringIO()
-    write_reports(batch.reports(), buffer)
-    buffer.seek(0)
-    again = cls.of(list(read_reports(buffer)))
+    again = read_reports(io.StringIO(trace_text(batch)))
+    assert type(again) is cls
     assert again.n_reports == batch.n_reports == 40
     for name in names:
         before, after = getattr(batch, name), getattr(again, name)
@@ -188,22 +187,22 @@ MALFORMED = [
     pytest.param("OLH", "value", True, id="OLH-bool"),
     pytest.param("OLH", "hash_seed", -1, id="OLH-negative-seed"),
     pytest.param("OLH", "hash_seed", 1 << 64, id="OLH-seed-past-uint64"),
-    pytest.param("OUE", "bits", (2, 0, 0, 0), id="OUE-bit-2"),
-    pytest.param("OUE", "bits", (True, False, False, False), id="OUE-bools"),
-    pytest.param("OUE", "bits", (1, 0, 0), id="OUE-short-row"),
+    pytest.param("OUE", "bits", [2, 0, 0, 0], id="OUE-bit-2"),
+    pytest.param("OUE", "bits", [True, False, False, False], id="OUE-bools"),
+    pytest.param("OUE", "bits", [1, 0, 0], id="OUE-short-row"),
     pytest.param("OUE", "bits", 1, id="OUE-scalar-row"),
-    pytest.param("THE", "values", (math.inf, 0.0, 0.0, 0.0), id="THE-inf"),
-    pytest.param("THE", "values", (math.nan, 0.0, 0.0, 0.0), id="THE-nan"),
-    pytest.param("THE", "values", ("1.5", 0.0, 0.0, 0.0), id="THE-string"),
+    pytest.param("THE", "values", [math.inf, 0.0, 0.0, 0.0], id="THE-inf"),
+    pytest.param("THE", "values", [math.nan, 0.0, 0.0, 0.0], id="THE-nan"),
+    pytest.param("THE", "values", ["1.5", 0.0, 0.0, 0.0], id="THE-string"),
     pytest.param("HR", "row_index", 1.7, id="HR-float"),
     pytest.param("HR", "row_index", True, id="HR-bool"),
     pytest.param("HR", "signed_value", math.inf, id="HR-inf"),
-    pytest.param("CMS", "bits", (2, 0, 0, 0), id="CMS-bit-2"),
+    pytest.param("CMS", "bits", [2, 0, 0, 0], id="CMS-bit-2"),
     pytest.param("CMS", "hash_index", 1.5, id="CMS-float"),
     pytest.param("CMS", "hash_index", np.int64(1), id="CMS-numpy-int"),
     pytest.param("RAPPOR", "cohort", 2.0, id="RAPPOR-float"),
-    pytest.param("RAPPOR", "bits", (0, 0, -1, 0), id="RAPPOR-bit-minus-1"),
-    pytest.param("RAPPOR", "bits", (0, 0, 1, 0.0), id="RAPPOR-float-bit"),
+    pytest.param("RAPPOR", "bits", [0, 0, -1, 0], id="RAPPOR-bit-minus-1"),
+    pytest.param("RAPPOR", "bits", [0, 0, 1, 0.0], id="RAPPOR-float-bit"),
 ]
 
 
@@ -211,8 +210,8 @@ MALFORMED = [
 def test_report_lists_that_do_not_fit_are_rejected(mechanism, field, value):
     # nothing is truncated or wrapped into range on the way in
     mech, batch = _small_batch(mechanism)
-    reports = batch.reports()
-    reports[1] = dataclasses.replace(reports[1], **{field: value})
+    reports = payloads(batch)
+    reports[1][field] = value
     with pytest.raises(ParamMismatch, match=field):
         mech.aggregate(reports)
     with pytest.raises(ParamMismatch, match=field):
@@ -223,10 +222,23 @@ def test_report_lists_that_do_not_fit_are_rejected(mechanism, field, value):
 def test_reports_of_another_mechanism_are_rejected(mechanism):
     mech, batch = _small_batch(mechanism)
     other = MECHANISMS[(MECHANISMS.index(mechanism) + 1) % len(MECHANISMS)]
-    reports = batch.reports()
-    reports[0] = _small_batch(other)[1].reports()[0]
+    reports = payloads(batch)
+    reports[0] = payloads(_small_batch(other)[1])[0]
     with pytest.raises(ParamMismatch, match=type(batch).__name__):
         mech.aggregate(reports)
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"hash_seed": 1}, r"missing \['value'\], unknown \[\]"),
+        ({"hash_seed": 1, "value": 0, "zone": 2}, r"missing \[\], unknown \['zone'\]"),
+    ],
+)
+def test_payload_field_names_are_checked(payload, named):
+    # the field check names what is missing and what is unknown
+    with pytest.raises(ParamMismatch, match=named):
+        OlhBatch.of([{"hash_seed": 2, "value": 1}, payload])
 
 
 def _benchmark_tracing():
@@ -249,30 +261,57 @@ def test_traced_report_bytes_are_the_field_arrays(mechanism):
 
 
 class TestWireFormat:
-    REPORTS = [
-        OlhReport(hash_seed=123456789, value=3),
-        OueReport(bits=(0, 1, 0, 0)),
-        TheReport(values=(0.25, -1.5, 1.75)),
-        HrReport(row_index=5, signed_value=-1.5),
-        CmsReport(hash_index=2, bits=(1, 0, 1, 1)),
-        RapporReport(cohort=7, bits=(0, 0, 1)),
+    BATCHES = [
+        OlhBatch(
+            hash_seed=np.array([123456789, (1 << 64) - 1], dtype=np.uint64),
+            value=np.array([3, 0]),
+        ),
+        OueBatch(bits=np.array([[0, 1, 0, 0], [1, 1, 0, 1]], dtype=np.uint8)),
+        TheBatch(values=np.array([[0.25, -1.5, 1.75], [0.1, 1e-300, -7.0]])),
+        HrBatch(row_index=np.array([5, 0]), signed_value=np.array([-1.5, 1.5])),
+        CmsBatch(
+            hash_index=np.array([2, 0]),
+            bits=np.array([[1, 0, 1, 1], [0, 0, 0, 0]], dtype=np.uint8),
+        ),
+        RapporBatch(
+            cohort=np.array([7, 1]),
+            bits=np.array([[0, 0, 1], [1, 1, 1]], dtype=np.uint8),
+        ),
     ]
 
     def test_dict_round_trip(self):
-        for report in self.REPORTS:
-            data = report_to_dict(report)
-            assert set(data) == {"mech", "payload"}
-            assert report_from_dict(data) == report
+        # each line is one report's {"mech", "payload"} dict, and the
+        # payloads convert back to the batch
+        for batch in self.BATCHES:
+            lines = [json.loads(line) for line in trace_text(batch).splitlines()]
+            assert [set(data) for data in lines] == [{"mech", "payload"}] * 2
+            again = type(batch).of([data["payload"] for data in lines])
+            for f in dataclasses.fields(batch):
+                assert np.array_equal(getattr(again, f.name), getattr(batch, f.name))
 
     def test_mech_tags(self):
-        tags = [report_to_dict(r)["mech"] for r in self.REPORTS]
+        tags = [json.loads(trace_text(b).splitlines()[0])["mech"] for b in self.BATCHES]
         assert tags == ["OLH", "OUE", "THE", "HR", "CMS", "RAPPOR"]
 
     def test_stream_round_trip(self):
-        buffer = io.StringIO()
-        write_reports(self.REPORTS, buffer)
-        buffer.seek(0)
-        assert list(read_reports(buffer)) == self.REPORTS
+        for batch in self.BATCHES:
+            again = read_reports(io.StringIO(trace_text(batch)))
+            assert type(again) is type(batch)
+            for f in dataclasses.fields(batch):
+                before, after = getattr(batch, f.name), getattr(again, f.name)
+                assert after.dtype == before.dtype
+                assert np.array_equal(after, before)
+
+    def test_lines_do_not_depend_on_the_block_size(self, monkeypatch):
+        batch = make_mechanism("CMS", 5, 1.0, SMALL).perturb_batch(
+            np.arange(23) % 5, np.random.default_rng(4)
+        )
+        whole = trace_text(batch)
+        # 5 cells a row: blocks of one row, then of 3 rows with a short last block
+        for cells in (1, 15):
+            monkeypatch.setattr(zoneldp.oracles, "_BLOCK_CELLS", cells)
+            assert trace_text(batch) == whole
+        assert len(whole.splitlines()) == 23
 
     @pytest.mark.parametrize(
         "data, named",
@@ -285,13 +324,60 @@ class TestWireFormat:
     )
     def test_unknown_tags_and_fields_are_rejected(self, data, named):
         with pytest.raises(ParamMismatch, match=named):
-            report_from_dict(data)
+            read_reports(io.StringIO(json.dumps(data) + "\n"))
+
+    def test_a_trace_holds_one_mechanism(self):
+        mixed = trace_text(self.BATCHES[0]) + trace_text(self.BATCHES[1])
+        with pytest.raises(ParamMismatch, match="OUE report in a trace of OLH reports"):
+            read_reports(io.StringIO(mixed))
+
+    def test_an_empty_trace_reads_as_no_reports(self):
+        reports = read_reports(io.StringIO("\n"))
+        assert reports == []
+        for mechanism in MECHANISMS:
+            estimate = make_mechanism(mechanism, 3, 1.0).aggregate(reports)
+            assert estimate.n_reports == 0
+            assert estimate.raw.tolist() == [0.0] * 3
+
+    def test_the_writer_holds_about_one_block(self):
+        # a 50k-user CMS batch at m = 1024 is a 156 MB trace, and one report
+        # object per user held 825 MB; the writer converts a block at a
+        # time, so its scratch stays near one block (about 8 MB)
+        n, m = 50_000, 1024
+        rng = np.random.default_rng(6)
+        batch = CmsBatch(
+            hash_index=rng.integers(0, 128, size=n),
+            bits=rng.integers(0, 2, size=(n, m), dtype=np.uint8),
+        )
+
+        class Full(Exception):
+            pass
+
+        class TwoBlocks:
+            """A text handle that keeps nothing and is full after two writes."""
+
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise Full
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Full):
+                write_reports(batch, TwoBlocks())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_payloads_are_plain_json_types(self):
-        import json
-
-        for report in self.REPORTS:
-            json.dumps(report_to_dict(report))  # must not raise
+        for batch in self.BATCHES:
+            for payload in payloads(batch):
+                for value in payload.values():
+                    cells = value if isinstance(value, list) else [value]
+                    assert {type(c) for c in cells} <= {int, float}
 
 
 class TestProtocolHash:

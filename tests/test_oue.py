@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ldp_enum
+from wire import payloads
 from zoneldp.oracles.oue import OptimizedUnaryEncoding, OueBatch, probabilities
 
 
@@ -40,9 +41,9 @@ class TestPerturb:
 
     def test_scalar_report_shape(self):
         mech = OptimizedUnaryEncoding(l_zones=4, epsilon=1.0)
-        report = mech.perturb(1, np.random.default_rng(109))
-        assert len(report.bits) == 4
-        assert set(report.bits) <= {0, 1}
+        report = mech.perturb_batch([1], np.random.default_rng(109))
+        assert report.bits.shape == (1, 4)
+        assert set(report.bits[0].tolist()) <= {0, 1}
 
     def test_bits_are_independent_across_positions(self):
         # empirical pairwise correlation of off-bits stays at noise level
@@ -114,9 +115,9 @@ class TestAggregate:
     def test_report_sequence_equals_batch(self):
         mech = OptimizedUnaryEncoding(l_zones=4, epsilon=1.0)
         rng = np.random.default_rng(139)
-        reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=250)]
+        batch = mech.perturb_batch(rng.integers(0, 4, size=250), rng)
         assert np.array_equal(
-            mech.aggregate(reports).raw, mech.aggregate(OueBatch.of(reports)).raw
+            mech.aggregate(payloads(batch)).raw, mech.aggregate(batch).raw
         )
 
     def test_wrong_width_rejected(self):

@@ -150,22 +150,29 @@ class TestRunRound:
             collected = []
             est = run_round(
                 users, 4, mechanism, 1.0, rng=np.random.default_rng(8),
-                collect_reports=collected,
+                collect_reports=collected.append,
             )
             assert np.array_equal(est.raw, plain.raw), mechanism
-            assert len(collected) == len(users)
+            (batch,) = collected
+            assert batch.n_reports == len(users)
             kwargs = {}
             if mechanism in ("CMS", "RAPPOR"):
                 # run_round draws the round's sketch family first
                 kwargs["hash_seed"] = int(np.random.default_rng(8).integers(0, 1 << 63))
             oracle = make_mechanism(mechanism, 4, 1.0, **kwargs)
-            assert np.array_equal(oracle.aggregate(collected).raw, est.raw), mechanism
+            assert np.array_equal(oracle.aggregate(batch).raw, est.raw), mechanism
             # the JSON-lines trace is exact: read back, it decodes to the same raw
             buffer = io.StringIO()
-            write_reports(collected, buffer)
+            write_reports(batch, buffer)
             buffer.seek(0)
-            again = oracle.aggregate(list(read_reports(buffer)))
+            again = oracle.aggregate(read_reports(buffer))
             assert np.array_equal(again.raw, est.raw), mechanism
+
+    def test_no_users_collect_no_batch(self):
+        collected = []
+        est = run_round([], 4, "OUE", 1.0, collect_reports=collected.append)
+        assert est.n_reports == 0
+        assert collected == []
 
     @pytest.mark.parametrize(
         "mechanism, cls", [("CMS", CountMeanSketch), ("RAPPOR", Rappor)]

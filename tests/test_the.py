@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ldp_enum
+from wire import payloads
 from zoneldp.oracles.the import (
     TheBatch,
     ThresholdHistogramEncoding,
@@ -85,8 +86,8 @@ class TestPerturb:
 
     def test_scalar_report_length(self):
         mech = ThresholdHistogramEncoding(l_zones=3, epsilon=1.0)
-        report = mech.perturb(0, np.random.default_rng(163))
-        assert len(report.values) == 3
+        report = mech.perturb_batch([0], np.random.default_rng(163))
+        assert report.values.shape == (1, 3)
 
 
 class TestPrivacyRatio:
@@ -123,12 +124,8 @@ class TestPrivacyRatio:
 class TestAggregate:
     def test_pure_one_hot_reports_decode_without_thresholding_noise(self):
         mech = ThresholdHistogramEncoding(l_zones=4, epsilon=2.0, theta=1.0)
-        from zoneldp.oracles.base import TheReport
-
-        exact = [TheReport(values=(0.0, 1.0, 0.0, 0.0))] * 7 + [
-            TheReport(values=(1.0, 0.0, 0.0, 0.0))
-        ] * 3
-        est = mech.aggregate(exact)
+        exact = [[0.0, 1.0, 0.0, 0.0]] * 7 + [[1.0, 0.0, 0.0, 0.0]] * 3
+        est = mech.aggregate(TheBatch(values=np.array(exact)))
         # thresholding at 1.0 recovers the exact indicator counts
         counts = np.array([3, 7, 0, 0])
         probs = mech.probabilities()
@@ -173,9 +170,9 @@ class TestAggregate:
     def test_report_sequence_equals_batch(self):
         mech = ThresholdHistogramEncoding(l_zones=4, epsilon=1.0)
         rng = np.random.default_rng(191)
-        reports = [mech.perturb(int(z), rng) for z in rng.integers(0, 4, size=200)]
+        batch = mech.perturb_batch(rng.integers(0, 4, size=200), rng)
         assert np.array_equal(
-            mech.aggregate(reports).raw, mech.aggregate(TheBatch.of(reports)).raw
+            mech.aggregate(payloads(batch)).raw, mech.aggregate(batch).raw
         )
 
     def test_wrong_width_rejected(self):

@@ -13,7 +13,6 @@ from zoneldp.zoning import (
     build_zone_table,
     load_zone_table,
     lookup_zone,
-    save_zone_table,
     strongest_aps,
     zone_table_from_json,
     zone_table_to_json,
@@ -211,7 +210,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         table = self._table()
         path = tmp_path / "table.json"
-        save_zone_table(table, path)
+        path.write_text(zone_table_to_json(table), encoding="utf-8")
         assert load_zone_table(path) == table
 
     @pytest.mark.parametrize(
