@@ -30,10 +30,10 @@ centers = np.array(
     ]
 )
 training = []
-for spot, center in enumerate(centers):
-    for sample in range(6):
+for center in centers:
+    for _ in range(6):
         rssi = center + rng.normal(0.0, 1.5, size=5)
-        training.append(Fingerprint(rssi=rssi, location=(float(spot), float(sample))))
+        training.append(Fingerprint(rssi=rssi))
 
 # Keep the two strongest APs per fingerprint as the zone signature.
 table = build_zone_table(training, m=2)

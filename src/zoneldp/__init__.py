@@ -6,7 +6,7 @@ with a local-differential-privacy frequency oracle, and estimate per-zone
 populations from the perturbed reports alone. Includes six mechanisms,
 evaluation metrics, a seeded experiment runner, and dataset loaders.
 """
-from .dataio import DatasetMeta, load_fingerprints, load_schema, synth_population
+from .dataio import load_fingerprints, load_schema, synth_population
 from .domain import (
     MECHANISMS,
     SENTINEL_RSSI,
@@ -54,7 +54,6 @@ __all__ = [
     "SENTINEL_RSSI",
     "CountMeanSketch",
     "CountsPopulation",
-    "DatasetMeta",
     "ExperimentConfig",
     "Fingerprint",
     "FrequencyEstimate",

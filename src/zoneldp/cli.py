@@ -111,12 +111,12 @@ def _population_from_config(cfg: dict):
             if key not in pop:
                 raise ConfigError(f'fingerprint population needs "{key}"')
         schema = load_schema(pop["schema"])
-        _, fingerprints = load_fingerprints(pop["fingerprints"], schema)
-        try:
+        fingerprints = load_fingerprints(pop["fingerprints"], schema)
+        try:  # a table that does not parse, or not of the file's width
             table = load_zone_table(pop["table"])
+            return LookupPopulation(fingerprints=fingerprints, table=table)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad zone table {pop['table']}: {exc}") from exc
-        return LookupPopulation(fingerprints=tuple(fingerprints), table=table)
     raise ConfigError('population must have "counts" or "fingerprints"')
 
 
@@ -138,9 +138,10 @@ def _params_from_config(cfg: dict) -> PrivacyParams:
 
 def cmd_zones(args) -> int:
     schema = load_schema(args.schema)
-    meta, fingerprints = load_fingerprints(args.input, schema)
-    if args.m < 1 or args.m > meta.n_aps:
-        raise _UsageError(f"--m must be in [1, {meta.n_aps}] for this file")
+    fingerprints = load_fingerprints(args.input, schema)
+    n_aps = fingerprints.shape[1]
+    if args.m < 1 or args.m > n_aps:
+        raise _UsageError(f"--m must be in [1, {n_aps}] for this file")
     table = build_zone_table(fingerprints, args.m)
     with _atomic_write(args.out) as fh:
         fh.write(zone_table_to_json(table))
@@ -148,7 +149,7 @@ def cmd_zones(args) -> int:
         json.dumps(
             {
                 "zones": table.n_zones,
-                "max_zones": max_zone_count(meta.n_aps, args.m),
+                "max_zones": max_zone_count(n_aps, args.m),
                 "skipped_training": table.skipped_training,
                 "out": str(args.out),
             }
@@ -233,10 +234,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_summarize(args) -> int:
     with open(args.results, "r", encoding="utf-8") as fh:
-        try:
-            results = read_results(fh)
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"results file is not valid: {exc}")
+        results = read_results(fh)
     if not results:
         raise DataError("results file is empty")
     summary = summarize(results)

@@ -7,8 +7,6 @@ serves differently-shaped datasets:
     {
       "delimiter": ",",
       "rssi_columns": ["AP001", "AP002", ...],
-      "x": "col" | null,
-      "y": "col" | null,
       "floor": {"column": "col", "value": v} | null,
       "not_detected": "-110"
     }
@@ -18,42 +16,28 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Sequence, Tuple
+from array import array
+from typing import Sequence
 
 import numpy as np
 
-from .domain import SENTINEL_RSSI, Fingerprint
+from .domain import SENTINEL_RSSI
 from .errors import MalformedRow, SchemaMismatch
-
-
-@dataclass(frozen=True)
-class DatasetMeta:
-    name: str
-    n_aps: int
-    n_users: int
-
-    def __post_init__(self):
-        if self.n_aps < 1 or self.n_users < 1:
-            raise ValueError("n_aps and n_users must be >= 1")
 
 
 def load_schema(path) -> dict:
     """Read and normalize a schema descriptor."""
     with open(path, "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
-    return normalize_schema(schema)
+        return normalize_schema(json.load(fh))
 
 
 def normalize_schema(schema: dict) -> dict:
+    """The keys the loader reads, with their defaults; other keys are ignored."""
     if "rssi_columns" not in schema or not schema["rssi_columns"]:
         raise SchemaMismatch("schema must list rssi_columns")
     out = {
         "delimiter": schema.get("delimiter", ","),
         "rssi_columns": list(schema["rssi_columns"]),
-        "x": schema.get("x"),
-        "y": schema.get("y"),
         "floor": schema.get("floor"),
         "not_detected": str(schema.get("not_detected", "")),
     }
@@ -76,14 +60,15 @@ def _parse_rssi(cell: str, marker: str, row_number: int, column: str) -> float:
     return value if value > SENTINEL_RSSI else SENTINEL_RSSI
 
 
-def load_fingerprints(path, schema: dict) -> Tuple[DatasetMeta, List[Fingerprint]]:
-    """Parse one delimited fingerprint file into domain objects.
+def load_fingerprints(path, schema: dict) -> np.ndarray:
+    """Parse one delimited fingerprint file into a read-only (n, APs)
+    float64 RSSI matrix, one row per kept file row and one column per
+    schema RSSI column, in schema order.
 
     Rows failing the optional floor filter are dropped silently; rows with
     unparseable cells raise MalformedRow with their 1-based line number.
     """
     schema = normalize_schema(schema)
-    path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema["delimiter"])
         try:
@@ -98,21 +83,14 @@ def load_fingerprints(path, schema: dict) -> Tuple[DatasetMeta, List[Fingerprint
             raise SchemaMismatch(f"missing RSSI columns: {missing}")
         rssi_idx = [positions[c] for c in schema["rssi_columns"]]
 
-        def optional(colname):
-            if colname is None:
-                return None
-            if colname not in positions:
-                raise SchemaMismatch(f"missing column {colname!r}")
-            return positions[colname]
-
-        x_idx = optional(schema["x"])
-        y_idx = optional(schema["y"])
         floor = schema["floor"]
-        floor_idx = optional(floor["column"]) if floor else None
+        if floor is not None and floor["column"] not in positions:
+            raise SchemaMismatch(f"missing column {floor['column']!r}")
+        floor_idx = positions[floor["column"]] if floor else None
         floor_value = str(floor["value"]).strip() if floor else None
 
         marker = schema["not_detected"]
-        fingerprints: List[Fingerprint] = []
+        values = array("d")  # row after row, 8 bytes a cell
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -122,28 +100,15 @@ def load_fingerprints(path, schema: dict) -> Tuple[DatasetMeta, List[Fingerprint
                 )
             if floor_idx is not None and row[floor_idx].strip() != floor_value:
                 continue
-            rssi = np.array(
-                [
-                    _parse_rssi(row[i], marker, row_number, header[i])
-                    for i in rssi_idx
-                ]
+            values.extend(
+                [_parse_rssi(row[i], marker, row_number, header[i]) for i in rssi_idx]
             )
-            location = None
-            if x_idx is not None and y_idx is not None:
-                try:
-                    location = (float(row[x_idx]), float(row[y_idx]))
-                except ValueError:
-                    raise MalformedRow(row_number, "bad coordinate value")
-            fingerprints.append(Fingerprint(rssi=rssi, location=location))
 
-    if not fingerprints:
+    if not values:
         raise SchemaMismatch("no rows survived parsing and filtering")
-    meta = DatasetMeta(
-        name=path.stem,
-        n_aps=len(schema["rssi_columns"]),
-        n_users=len(fingerprints),
-    )
-    return meta, fingerprints
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(-1, len(rssi_idx))
+    matrix.setflags(write=False)
+    return matrix
 
 
 def synth_population(zone_counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -39,36 +39,58 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_rssi(rssi: np.ndarray) -> np.ndarray:
+    """The RSSI rule: ValueError on NaN, +inf or a value below the sentinel
+    (-inf included). NaN and +inf would otherwise sort as strongest."""
+    if not np.all((rssi >= SENTINEL_RSSI) & (rssi < np.inf)):
+        raise ValueError(f"rssi values must be finite and >= {SENTINEL_RSSI} dBm")
+    return rssi
+
+
 @dataclass(frozen=True)
 class Fingerprint:
-    """One observation: an optional planar location plus a per-AP RSSI vector.
+    """One observation: a per-AP RSSI vector.
 
     ``rssi[i]`` is the strength measured from access point ``i`` in dBm, or
-    ``SENTINEL_RSSI`` when that AP was not sensed. Client-side rows carry no
-    location; only surveyed training rows do.
+    ``SENTINEL_RSSI`` when that AP was not sensed.
     """
 
     rssi: np.ndarray
-    location: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         rssi = np.asarray(self.rssi, dtype=np.float64)
         if rssi.ndim != 1 or rssi.size == 0:
             raise ValueError("rssi must be a nonempty 1-d vector")
-        if np.any(rssi < SENTINEL_RSSI):
-            raise ValueError(
-                f"rssi values below the {SENTINEL_RSSI} dBm sentinel are invalid"
-            )
-        if not np.all(np.isfinite(rssi)):
-            raise ValueError("rssi values must not be NaN or +inf")
-        object.__setattr__(self, "rssi", _readonly(rssi))
-        if self.location is not None:
-            x, y = self.location
-            object.__setattr__(self, "location", (float(x), float(y)))
+        object.__setattr__(self, "rssi", _readonly(_check_rssi(rssi)))
 
-    @property
-    def n_aps(self) -> int:
-        return int(self.rssi.size)
+
+def rssi_matrix(rows, width: Optional[int] = None) -> np.ndarray:
+    """The read-only (n, APs) float64 matrix of a set of fingerprints.
+
+    ``rows`` is either such a matrix, checked by the RSSI rule, or a
+    sequence of ``Fingerprint``, checked when each was built and here only
+    joined; an empty sequence gives n = 0 rows of ``width`` (or 0) APs.
+    ValueError when the rows differ in width, or from ``width`` when it is
+    given.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ValueError(f"an rssi matrix must be 2-d, got shape {rows.shape}")
+        # a writable matrix is copied, so the caller cannot change it later
+        matrix = _check_rssi(rows.astype(np.float64, copy=rows.flags.writeable))
+        widths = {matrix.shape[1]}
+    else:
+        vectors = [fp.rssi for fp in rows]
+        widths = {vector.size for vector in vectors} or {width or 0}
+    wrong = widths - {width} if width is not None else set()
+    if wrong:
+        raise ValueError(f"rssi length {min(wrong)} does not match AP count {width}")
+    if len(widths) > 1:
+        raise ValueError(f"inconsistent AP counts: {sorted(widths)}")
+    if not isinstance(rows, np.ndarray):
+        joined = np.concatenate(vectors) if vectors else np.empty(0)
+        matrix = joined.reshape(len(vectors), widths.pop())
+    return _readonly(matrix)
 
 
 def max_zone_count(n_aps: int, m_strongest: int) -> int:

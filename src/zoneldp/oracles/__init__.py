@@ -118,20 +118,28 @@ def write_reports(batch: ReportBatch, fh) -> None:
 def read_reports(fh):
     """The batch a JSON-lines trace holds, checked by its type's ``of``.
 
-    ParamMismatch for an unknown ``mech`` tag, a line of another mechanism
-    than the first, or a payload that does not fit. An empty trace reads
-    as an empty list, which every ``aggregate`` takes as no reports.
+    ParamMismatch, naming the line, for a line that is not an object with
+    a known ``mech`` tag and a ``payload``, or that holds another mechanism
+    than the first; ParamMismatch for a payload that does not fit. An empty
+    trace reads as an empty list, which every ``aggregate`` takes as no
+    reports.
     """
     batch_type, payloads = None, []
-    for line in fh:
+    for number, line in enumerate(fh, start=1):
         if not line.strip():
             continue
         data = json.loads(line)
+        if not (isinstance(data, dict) and {"mech", "payload"} <= data.keys()):
+            raise ParamMismatch(f'line {number}: not an object with "mech", "payload"')
         tag = data["mech"]
-        if tag not in _BATCHES:
-            raise ParamMismatch(f"unknown report tag {tag!r}; expected one of {MECHANISMS}")
+        if not isinstance(tag, str) or tag not in _BATCHES:
+            raise ParamMismatch(
+                f"line {number}: unknown report tag {tag!r}; expected {MECHANISMS}"
+            )
         if batch_type not in (None, _BATCHES[tag]):
-            raise ParamMismatch(f"{tag} report in a trace of {_TAGS[batch_type]} reports")
+            raise ParamMismatch(
+                f"line {number}: {tag} report in a trace of {_TAGS[batch_type]} reports"
+            )
         batch_type = _BATCHES[tag]
         payloads.append(data["payload"])
     return [] if batch_type is None else batch_type.of(payloads)

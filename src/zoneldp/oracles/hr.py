@@ -9,8 +9,10 @@ every zone's column is orthogonal to the others AND carries signal.
 A user samples one row uniformly, reads the +/-1 entry at their zone's
 column, flips its sign with probability 1/(e^eps + 1), and scales the
 result so the estimate is unbiased. The aggregator sums the reported signs
-per row, an exact integer vector of length d', and decodes it against the
-d' x L table of +/-1 entries at the zone columns.
+per row, an exact integer vector of length d', and decodes it by a fast
+Walsh-Hadamard transform, keeping columns 1..L. Its partial sums are
+integers, exact in float64, so the result equals the product with the
+d' x L table of +/-1 entries bit for bit, with no such table built.
 """
 from __future__ import annotations
 
@@ -52,6 +54,17 @@ def _sign_entries(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return 1 - 2 * parity
 
 
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """In place, entry c of a power-of-two-length vector becomes the sum
+    over r of (-1)^<r, c> * values[r]: one butterfly pass per bit."""
+    for bit in range(values.size.bit_length() - 1):
+        pairs = values.reshape(-1, 2, 1 << bit)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+    return values
+
+
 class HadamardResponse(FrequencyOracle):
     name: ClassVar[str] = "HR"
 
@@ -85,7 +98,5 @@ class HadamardResponse(FrequencyOracle):
             raise ParamMismatch(f"report magnitude must be {self._magnitude!r}")
         # integer per-row sign sums: independent of report order
         row_sums = np.bincount(rows, weights=np.sign(values), minlength=self.dim)
-        columns = np.arange(1, self.l_zones + 1, dtype=np.uint64)
-        table = _sign_entries(np.arange(self.dim, dtype=np.uint64)[:, None], columns)
-        raw = self._scale * (row_sums @ table)
+        raw = self._scale * _walsh_hadamard(row_sums)[1:self.l_zones + 1]
         return FrequencyEstimate.from_raw(raw, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,8 +23,9 @@ from .domain import (
     ZoneTable,
     _is_int,
     _is_real,
+    rssi_matrix,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import MetricReport, metric_report
 from .oracles import make_mechanism
 from .oracles.base import ReportBatch
@@ -81,10 +82,16 @@ class CountsPopulation:
 
 @dataclass(frozen=True)
 class LookupPopulation:
-    """Population given as fingerprints mapped through a zone table."""
+    """Population given as fingerprints, an RSSI matrix or a sequence of
+    ``Fingerprint``, mapped through a zone table; holds them as the
+    read-only (n, APs) matrix (ValueError unless of the table's width)."""
 
-    fingerprints: tuple
+    fingerprints: np.ndarray
     table: ZoneTable
+
+    def __post_init__(self):
+        matrix = rssi_matrix(self.fingerprints, self.table.ap_count)
+        object.__setattr__(self, "fingerprints", matrix)
 
     def resolve(self, rng: np.random.Generator):
         zones, insufficient, unmatched = assign_zones(self.table, self.fingerprints)
@@ -237,6 +244,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
     round's PRNG stream is keyed by its grid position, never by schedule.
     Each (mechanism, epsilon) cell is one task, so at most one worker
     process per cell is started; with one, the grid runs in this process.
+    A task carries the resolved zones, not the population they came from.
     """
     if not (_is_int(workers) and workers >= 1):
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
@@ -250,9 +258,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
     if workers == 1:
         chunks = [_run_cell(config, mi, ei, zones, l_zones, drops) for mi, ei in cells]
     else:
+        grid = replace(config, population=None)  # cells never read it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_cell, config, mi, ei, zones, l_zones, drops)
+                pool.submit(_run_cell, grid, mi, ei, zones, l_zones, drops)
                 for mi, ei in cells
             ]
             chunks = [f.result() for f in futures]  # canonical cell order
@@ -442,9 +451,13 @@ def write_results(results: Sequence[TrialResult], fh) -> None:
 
 
 def read_results(fh) -> List[TrialResult]:
+    """The results of a JSON-lines file; DataError, naming the line, for a
+    line that is not a trial result."""
     out = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            out.append(trial_result_from_dict(json.loads(line)))
+    for number, line in enumerate(fh, start=1):
+        try:
+            if line.strip():
+                out.append(trial_result_from_dict(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"line {number} is not a trial result: {exc!r}") from exc
     return out

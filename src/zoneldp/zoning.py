@@ -4,19 +4,20 @@ A zone is the set of locations sharing the same M strongest access points.
 Building the table is an offline batch step over training fingerprints; the
 resulting table is public, immutable, and safe for concurrent lookups.
 
-Table building and lookup are one array pass over all rows: the rows are
-joined into an (n, APs) matrix, M passes of ``argmax`` pick the M strongest
-APs of each row (equal signals go to the lower AP id), and each sorted id set
-becomes a byte-string key that is matched against the table's sorted keys
-with ``searchsorted``. ``lookup_zone`` is that pass on a batch of one, and
-``strongest_aps`` is the plain scalar statement of the same rule, kept as a
-reference.
+Table building and lookup are one array pass over an (n, APs) RSSI matrix,
+given as such or joined from ``Fingerprint`` rows by ``domain.rssi_matrix``:
+M passes of ``argmax`` pick the M strongest APs of each row (equal signals go
+to the lower AP id), and each sorted id set becomes a byte-string key that is
+matched against the table's sorted keys with ``searchsorted``.
+``lookup_zone`` is ``assign_zones`` on a batch of one, and ``strongest_aps``
+is the plain scalar statement of the same rule, kept as a reference.
 
 Rows with fewer than M sensed APs (above the sentinel) are counted as
-insufficient and never matched. NaN and +inf RSSI values are rejected when a
-``Fingerprint`` is built (``lookup_zone`` checks its raw vector the same
-way), and a zone table rejects AP ids and zone indices
-that are not integers, so no key can be truncated into a different set.
+insufficient and never matched. NaN, +inf and below-sentinel RSSI values are
+rejected by the one RSSI rule of ``domain``, whether they come in a
+``Fingerprint``, a matrix or ``lookup_zone``'s vector, and a zone table
+rejects AP ids and zone indices that are not integers, so no key can be
+truncated into a different set.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from .domain import SENTINEL_RSSI, Fingerprint, ZoneTable
+from .domain import SENTINEL_RSSI, Fingerprint, ZoneTable, rssi_matrix
 from .errors import EmptyTable, InsufficientSignals
 
 StrongestSet = FrozenSet[int]
@@ -90,32 +91,20 @@ def _zones_of(table: ZoneTable, ids: np.ndarray) -> np.ndarray:
     return np.where(table_keys[at] == keys, table_zones[at], -1)
 
 
-def _check_width(width: int, table: ZoneTable) -> None:
-    if width != table.ap_count:
-        raise ValueError(
-            f"rssi length {width} does not match table AP count {table.ap_count}"
-        )
-
-
-def build_zone_table(training: Sequence[Fingerprint], m: int) -> ZoneTable:
+def build_zone_table(training: np.ndarray | Sequence[Fingerprint], m: int) -> ZoneTable:
     """One zone per distinct strongest-AP set seen in the training data.
 
-    Zone indices are dense and assigned in first-seen order. Training rows
-    with fewer than ``m`` sensed APs are skipped and tallied in
+    ``training`` is an RSSI matrix or a sequence of ``Fingerprint``. Zone
+    indices are dense and assigned in first-seen order. Training rows with
+    fewer than ``m`` sensed APs are skipped and tallied in
     ``skipped_training``.
     """
-    if not training:
+    if len(training) == 0:
         raise EmptyTable("no training fingerprints")
-    widths = {fp.n_aps for fp in training}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent AP counts in training data: {sorted(widths)}")
-    n_aps = widths.pop()
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m > n_aps:
-        raise ValueError(f"m={m} exceeds AP count {n_aps}")
-
-    rssi = np.concatenate([fp.rssi for fp in training]).reshape(len(training), n_aps)
+    rssi = rssi_matrix(training)
+    n_aps = rssi.shape[1]
+    if not 1 <= m <= n_aps:
+        raise ValueError(f"m={m} must be in [1, {n_aps}], the AP count")
     ids = _strongest_sets(rssi, m)
     if not len(ids):
         raise EmptyTable("every training fingerprint had too few sensed APs")
@@ -138,16 +127,13 @@ def lookup_zone(table: ZoneTable, rssi: np.ndarray) -> Optional[int]:
     InsufficientSignals when fewer than ``table.strongest_count`` APs are
     sensed.
     """
-    rssi = Fingerprint(rssi).rssi
-    _check_width(rssi.size, table)
-    ids = _strongest_sets(rssi.reshape(1, -1), table.strongest_count)
-    if not len(ids):
-        sensed = int(np.count_nonzero(rssi > SENTINEL_RSSI))
-        raise InsufficientSignals(
-            f"only {sensed} APs sensed, need {table.strongest_count}"
-        )
-    zone = int(_zones_of(table, ids)[0])
-    return None if zone < 0 else zone
+    fingerprint = Fingerprint(rssi)
+    zones, insufficient, _ = assign_zones(table, [fingerprint])
+    if insufficient:
+        sensed = int(np.count_nonzero(fingerprint.rssi > SENTINEL_RSSI))
+        need = table.strongest_count
+        raise InsufficientSignals(f"only {sensed} APs sensed, need {need}")
+    return zones[0] if zones else None
 
 
 def zone_table_to_json(table: ZoneTable) -> str:
@@ -184,21 +170,18 @@ def load_zone_table(path) -> ZoneTable:
 
 
 def assign_zones(
-    table: ZoneTable, fingerprints: Sequence[Fingerprint]
+    table: ZoneTable, fingerprints: np.ndarray | Sequence[Fingerprint]
 ) -> tuple[List[int], int, int]:
-    """Look up many fingerprints; returns (zones, n_insufficient, n_unmatched).
+    """Look up many fingerprints, an RSSI matrix or a sequence of
+    ``Fingerprint``; returns (zones, n_insufficient, n_unmatched).
 
     Users whose rows cannot be mapped are excluded (a real aggregator never
     hears from them) and tallied per cause. ``zones`` keeps input order.
     """
-    rows = [fp.rssi for fp in fingerprints]
-    for width in {row.size for row in rows}:
-        _check_width(width, table)
-    if not rows:
+    if len(fingerprints) == 0:
         return [], 0, 0
-    ids = _strongest_sets(
-        np.concatenate(rows).reshape(len(rows), table.ap_count), table.strongest_count
-    )
+    rssi = rssi_matrix(fingerprints, table.ap_count)
+    ids = _strongest_sets(rssi, table.strongest_count)
     zones = _zones_of(table, ids)
     matched = zones[zones >= 0]
-    return matched.tolist(), len(rows) - len(ids), len(ids) - len(matched)
+    return matched.tolist(), len(fingerprints) - len(ids), len(ids) - len(matched)

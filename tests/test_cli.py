@@ -529,6 +529,27 @@ class TestSweep:
         assert code == EXIT_DATA
         assert "bad zone table" in stderr
 
+    def test_fingerprints_of_another_width_are_a_data_error(self, workspace, capsys):
+        table = workspace / "table4.json"
+        table.write_text(
+            '{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": 0}]}',
+            encoding="utf-8",
+        )
+        config = self._write_config(
+            workspace,
+            population={
+                "fingerprints": str(workspace / "fingerprints.csv"),
+                "schema": str(workspace / "schema.json"),
+                "table": str(table),
+            },
+        )
+        code, _, stderr = run_cli(
+            ["sweep", "--config", config, "--out", workspace / "run"], capsys
+        )
+        assert code == EXIT_DATA
+        assert "rssi length 3 does not match AP count 4" in stderr
+        assert "Traceback" not in stderr
+
     def test_missing_grid_axes_are_config_errors(self, workspace, capsys):
         for missing in ("mechanisms", "epsilons"):
             config = self._write_config(workspace)
@@ -650,13 +671,30 @@ class TestSummarize:
         assert zones2.read_bytes() == (out / "zone_stats.csv").read_bytes()
 
     def test_malformed_results_are_a_data_error(self, workspace, capsys):
-        results = workspace / "results.jsonl"
-        results.write_text("this is not json\n", encoding="utf-8")
-        code, _, stderr = run_cli(
-            ["summarize", "--results", results, "--out", workspace / "s.csv"], capsys
-        )
-        assert code == EXIT_DATA
-        assert "data error" in stderr
+        config = TestSweep()._write_config(workspace)
+        out = workspace / "run"
+        assert run_cli(["sweep", "--config", config, "--out", out], capsys)[0] == EXIT_OK
+        lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        # the third line is not JSON, not an object, or has a field of the
+        # wrong type
+        for damage in (
+            "this is not json",
+            "[1, 2]",
+            json.dumps(dict(record, epsilon="x")),
+            json.dumps(dict(record, metrics=None)),
+        ):
+            results = workspace / "results.jsonl"
+            text = "\n".join(lines[:2] + [damage] + lines[3:]) + "\n"
+            results.write_text(text, encoding="utf-8")
+            code, _, stderr = run_cli(
+                ["summarize", "--results", results, "--out", workspace / "s.csv"],
+                capsys,
+            )
+            assert code == EXIT_DATA, damage
+            assert "data error: line 3 " in stderr
+            assert "Traceback" not in stderr
+            assert not (workspace / "s.csv").exists()
 
     def test_empty_results_are_a_data_error(self, workspace, capsys):
         results = workspace / "results.jsonl"

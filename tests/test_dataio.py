@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from zoneldp.dataio import (
-    DatasetMeta,
     load_fingerprints,
     load_schema,
     normalize_schema,
@@ -14,6 +13,8 @@ from zoneldp.dataio import (
 from zoneldp.domain import SENTINEL_RSSI
 from zoneldp.errors import MalformedRow, SchemaMismatch
 
+# "x" and "y" name coordinate columns, which the loader ignores as it does
+# every key it does not read
 SCHEMA = {
     "delimiter": ",",
     "rssi_columns": ["AP1", "AP2", "AP3"],
@@ -34,7 +35,6 @@ class TestSchema:
     def test_normalize_fills_defaults(self):
         schema = normalize_schema({"rssi_columns": ["A"]})
         assert schema["delimiter"] == ","
-        assert schema["x"] is None and schema["y"] is None
         assert schema["floor"] is None
         assert schema["not_detected"] == ""
 
@@ -47,6 +47,11 @@ class TestSchema:
     def test_floor_filter_needs_column(self):
         with pytest.raises(SchemaMismatch):
             normalize_schema({"rssi_columns": ["A"], "floor": {"value": 1}})
+
+    def test_unread_keys_are_dropped(self):
+        assert normalize_schema(SCHEMA) == normalize_schema(
+            {k: v for k, v in SCHEMA.items() if k not in ("x", "y")}
+        )
 
     def test_load_schema_from_file(self, tmp_path):
         path = tmp_path / "schema.json"
@@ -62,29 +67,26 @@ class TestLoadFingerprints:
             "1.0,2.0,-40,-55.5,-80\n"
             "3.0,4.0,-60,-110,-45\n",
         )
-        meta, fps = load_fingerprints(path, SCHEMA)
-        assert meta == DatasetMeta(name="data", n_aps=3, n_users=2)
-        assert fps[0].location == (1.0, 2.0)
-        assert fps[0].rssi.tolist() == [-40.0, -55.5, -80.0]
-        # values at the sentinel level count as not sensed
-        assert fps[1].rssi[1] == SENTINEL_RSSI
+        rssi = load_fingerprints(path, SCHEMA)
+        assert rssi.dtype == np.float64
+        assert rssi.tolist() == [[-40.0, -55.5, -80.0], [-60.0, SENTINEL_RSSI, -45.0]]
+        with pytest.raises(ValueError):
+            rssi[0, 0] = 0.0  # read-only
 
     def test_marker_and_empty_cells_become_sentinel(self, tmp_path):
         path = write_csv(
             tmp_path, "x,y,AP1,AP2,AP3\n1,2,-110,,-50\n"
         )
-        _, fps = load_fingerprints(path, SCHEMA)
-        assert fps[0].rssi.tolist() == [SENTINEL_RSSI, SENTINEL_RSSI, -50.0]
+        rssi = load_fingerprints(path, SCHEMA)
+        assert rssi[0].tolist() == [SENTINEL_RSSI, SENTINEL_RSSI, -50.0]
 
     def test_below_sentinel_values_are_floored(self, tmp_path):
         path = write_csv(tmp_path, "x,y,AP1,AP2,AP3\n1,2,-200,-40,-50\n")
-        _, fps = load_fingerprints(path, SCHEMA)
-        assert fps[0].rssi[0] == SENTINEL_RSSI
+        assert load_fingerprints(path, SCHEMA)[0, 0] == SENTINEL_RSSI
 
     def test_minus_inf_counts_as_not_sensed(self, tmp_path):
         path = write_csv(tmp_path, "x,y,AP1,AP2,AP3\n1,2,-inf,-40,-50\n")
-        _, fps = load_fingerprints(path, SCHEMA)
-        assert fps[0].rssi[0] == SENTINEL_RSSI
+        assert load_fingerprints(path, SCHEMA)[0, 0] == SENTINEL_RSSI
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "+inf", "NaN"])
     def test_nan_and_plus_inf_raise_with_row_number(self, tmp_path, cell):
@@ -105,16 +107,14 @@ class TestLoadFingerprints:
             "1,2,3,-41,-51,-61\n"
             "1,2,2,-42,-52,-62\n",
         )
-        meta, fps = load_fingerprints(path, schema)
-        assert meta.n_users == 2
-        assert fps[1].rssi[0] == -42.0
+        rssi = load_fingerprints(path, schema)
+        assert rssi[:, 0].tolist() == [-40.0, -42.0]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_csv(
             tmp_path, "x,y,AP1,AP2,AP3\n\n1,2,-40,-50,-60\n  , , , , \n"
         )
-        _, fps = load_fingerprints(path, SCHEMA)
-        assert len(fps) == 1
+        assert load_fingerprints(path, SCHEMA).shape == (1, 3)
 
     def test_unparseable_cell_raises_with_row_number(self, tmp_path):
         path = write_csv(
@@ -130,10 +130,9 @@ class TestLoadFingerprints:
         with pytest.raises(MalformedRow):
             load_fingerprints(path, SCHEMA)
 
-    def test_bad_coordinate_raises(self, tmp_path):
-        path = write_csv(tmp_path, "x,y,AP1,AP2,AP3\nnorth,2,-40,-50,-60\n")
-        with pytest.raises(MalformedRow):
-            load_fingerprints(path, SCHEMA)
+    def test_coordinate_columns_are_not_read(self, tmp_path):
+        path = write_csv(tmp_path, "x,y,AP1,AP2,AP3\nnorth,,-40,-50,-60\n")
+        assert load_fingerprints(path, SCHEMA).tolist() == [[-40.0, -50.0, -60.0]]
 
     def test_missing_rssi_column_raises(self, tmp_path):
         path = write_csv(tmp_path, "x,y,AP1,AP2\n1,2,-40,-50\n")
@@ -159,15 +158,12 @@ class TestLoadFingerprints:
             cells = ",".join(repr(float(v)) for v in row)
             lines.append(f"{i},{i},{cells}")
         path = write_csv(tmp_path, "\n".join(lines) + "\n")
-        _, fps = load_fingerprints(path, SCHEMA)
-        recovered = np.stack([fp.rssi for fp in fps])
-        assert np.array_equal(recovered, rows)
+        assert np.array_equal(load_fingerprints(path, SCHEMA), rows)
 
     def test_tab_delimiter(self, tmp_path):
         schema = dict(SCHEMA, delimiter="\t")
         path = write_csv(tmp_path, "x\ty\tAP1\tAP2\tAP3\n1\t2\t-40\t-50\t-60\n")
-        _, fps = load_fingerprints(path, schema)
-        assert fps[0].rssi.tolist() == [-40.0, -50.0, -60.0]
+        assert load_fingerprints(path, schema).tolist() == [[-40.0, -50.0, -60.0]]
 
 
 class TestSynthPopulation:

@@ -12,18 +12,15 @@ from zoneldp.domain import (
     PrivacyParams,
     ZoneTable,
     max_zone_count,
+    rssi_matrix,
 )
 
 
 class TestFingerprint:
-    def test_accepts_plain_lists_and_keeps_location(self):
-        fp = Fingerprint(rssi=[-40, -60.5, SENTINEL_RSSI], location=(1, 2))
+    def test_accepts_plain_lists(self):
+        fp = Fingerprint(rssi=[-40, -60.5, SENTINEL_RSSI])
         assert fp.rssi.dtype == np.float64
-        assert fp.n_aps == 3
-        assert fp.location == (1.0, 2.0)
-
-    def test_location_defaults_to_none(self):
-        assert Fingerprint(rssi=[-40.0]).location is None
+        assert fp.rssi.shape == (3,)
 
     def test_rejects_below_sentinel(self):
         with pytest.raises(ValueError):
@@ -45,6 +42,52 @@ class TestFingerprint:
         fp = Fingerprint(rssi=[-40.0, -50.0])
         with pytest.raises(ValueError):
             fp.rssi[0] = 0.0
+
+
+class TestRssiMatrix:
+    ROWS = [[-40.0, -60.5, SENTINEL_RSSI], [-70.0, -41.0, -45.0]]
+
+    def test_a_sequence_and_a_matrix_give_the_same_matrix(self):
+        joined = rssi_matrix([Fingerprint(rssi=row) for row in self.ROWS])
+        given = rssi_matrix(np.array(self.ROWS))
+        for matrix in (joined, given):
+            assert matrix.dtype == np.float64 and matrix.shape == (2, 3)
+            assert not matrix.flags.writeable
+        assert np.array_equal(joined, given)
+        assert rssi_matrix(np.array([[-40, -60]])).dtype == np.float64
+
+    def test_a_writable_matrix_is_copied(self):
+        rows = np.array(self.ROWS)
+        matrix = rssi_matrix(rows)
+        rows[0, 0] = np.nan
+        assert matrix[0, 0] == -40.0
+        assert rows.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, SENTINEL_RSSI - 1])
+    def test_a_matrix_obeys_the_rssi_rule(self, bad):
+        rows = np.array(self.ROWS)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="rssi values"):
+            rssi_matrix(rows)
+        with pytest.raises(ValueError, match="rssi values"):
+            Fingerprint(rssi=rows[1])
+
+    def test_widths_must_agree(self):
+        rows = [Fingerprint(rssi=[-40.0, -50.0]), Fingerprint(rssi=[-40.0, -50.0, -60.0])]
+        with pytest.raises(ValueError, match=r"inconsistent AP counts: \[2, 3\]"):
+            rssi_matrix(rows)
+        with pytest.raises(ValueError, match="rssi length 3 does not match AP count 2"):
+            rssi_matrix(rows, 2)
+        with pytest.raises(ValueError, match="rssi length 3 does not match AP count 4"):
+            rssi_matrix(np.array(self.ROWS), 4)
+
+    def test_a_matrix_is_two_dimensional(self):
+        with pytest.raises(ValueError, match="2-d"):
+            rssi_matrix(np.array(self.ROWS[0]))
+
+    def test_an_empty_sequence_has_the_given_width(self):
+        assert rssi_matrix([], 3).shape == (0, 3)
+        assert rssi_matrix(()).shape == (0, 0)
 
 
 class TestMaxZoneCount:

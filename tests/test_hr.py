@@ -1,5 +1,6 @@
 """Sign-flip mechanism over an orthogonal +/-1 transform."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wire import payloads
 from zoneldp.oracles.hr import (
     HadamardResponse,
     HrBatch,
+    _sign_entries,
     padded_dimension,
     probabilities,
     scale_factor,
@@ -196,6 +198,33 @@ class TestAggregate:
                 sums[zone] += sign * (1 - 2 * ((row & (zone + 1)).bit_count() & 1))
         want = np.array([scale_factor(1.0) * total for total in sums])
         assert np.array_equal(mech.aggregate(batch).raw, want)
+
+    @pytest.mark.parametrize("l_zones", [1, 8, 373, 1733])
+    def test_transform_equals_the_table_product(self, l_zones):
+        # the d' x L table of the client's +/-1 entries is the reference
+        mech = HadamardResponse(l_zones=l_zones, epsilon=1.0)
+        rng = np.random.default_rng(l_zones)
+        batch = mech.perturb_batch(rng.integers(0, l_zones, size=20_000), rng)
+        sums = np.bincount(
+            batch.row_index, weights=np.sign(batch.signed_value), minlength=mech.dim
+        )
+        rows = np.arange(mech.dim, dtype=np.uint64)[:, None]
+        columns = np.arange(1, l_zones + 1, dtype=np.uint64)
+        want = scale_factor(1.0) * (sums @ _sign_entries(rows, columns))
+        assert mech.aggregate(batch).raw.tobytes() == want.tobytes()
+
+    def test_decoding_builds_no_table(self):
+        # at L = 7140 (C(36, 3) zones) the d' x L table alone is 468 MB
+        mech = HadamardResponse(l_zones=7140, epsilon=1.0)
+        rng = np.random.default_rng(7140)
+        batch = mech.perturb_batch(rng.integers(0, 7140, size=20_000), rng)
+        tracemalloc.start()
+        try:
+            mech.aggregate(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_off_magnitude_value_rejected(self):
         # only the sign enters the statistic, so any other magnitude than

@@ -1,5 +1,6 @@
-"""Every top-level import in the package is used or re-exported, and only
-the block scheduler starts threads.
+"""Every top-level import in the package is used or re-exported, every
+import names a declared dependency, and only the block scheduler starts
+threads.
 
 No linter ships with the package's toolchain, so this is the check that
 catches imports left behind when code moves between modules: a name that
@@ -8,9 +9,12 @@ listed in its ``__all__``. Threads belong to ``oracles/base.py`` alone,
 whose ``run_blocks`` keeps results independent of the core count, so no
 other module may import ``threading`` or a thread pool. The sweep's
 process pool (``ProcessPoolExecutor`` in ``simulator.py``) starts no
-thread in the calling code and stays allowed.
+thread in the calling code and stays allowed. The package declares numpy
+as its one dependency, so an import of anything else outside the standard
+library would fail where only that is installed.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +86,42 @@ def test_the_check_sees_an_unused_import():
     )
     used = read_names(tree) | exported_names(tree)
     assert sorted(n for n in imported_names(tree) if n not in used) == ["List", "os"]
+
+
+ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "zoneldp"}
+
+
+def undeclared_imports(tree: ast.Module) -> list:
+    """(line, top-level module) of every import, at any depth, that is
+    neither the standard library, numpy nor the package itself (relative
+    imports are the package)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [(node.lineno, root) for root in roots if root not in ALLOWED_ROOTS]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(PACKAGE)) for p in MODULES]
+)
+def test_imports_only_declared_dependencies(path):
+    found = undeclared_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} imports undeclared modules: {found}"
+
+
+def test_the_check_sees_an_undeclared_import():
+    tree = ast.parse(
+        "import json, numpy.linalg\nimport scipy.sparse as sp\n"
+        "from . import domain\nfrom zoneldp.errors import DataError\n"
+        "def f():\n    from scipy.optimize import nnls\n    import pandas\n"
+    )
+    assert undeclared_imports(tree) == [(2, "scipy"), (6, "scipy"), (7, "pandas")]
 
 
 SCHEDULER = PACKAGE / "oracles" / "base.py"

@@ -320,11 +320,16 @@ class TestWireFormat:
             ({"mech": "OLH", "payload": {"hash_seed": 1, "value": 0, "zone": 2}}, "zone"),
             ({"mech": "OLH", "payload": {"hash_seed": 1}}, "value"),
             ({"mech": "HR", "payload": {"row": 1, "signed_value": 1.0}}, "row"),
+            ({"payload": {"value": 1}}, "line 2: not an object"),
+            ({"mech": "OUE"}, "line 2: not an object"),
+            ([1, 2], "line 2: not an object"),
+            (None, "line 2: not an object"),
+            ({"mech": ["OUE"], "payload": {}}, r"line 2: unknown report tag \['OUE'\]"),
         ],
     )
     def test_unknown_tags_and_fields_are_rejected(self, data, named):
         with pytest.raises(ParamMismatch, match=named):
-            read_reports(io.StringIO(json.dumps(data) + "\n"))
+            read_reports(io.StringIO("\n" + json.dumps(data) + "\n"))
 
     def test_a_trace_holds_one_mechanism(self):
         mixed = trace_text(self.BATCHES[0]) + trace_text(self.BATCHES[1])

@@ -52,8 +52,8 @@ from zoneldp.zoning import build_zone_table
 
 def _tiny_table():
     training = [
-        Fingerprint(rssi=[-40.0, -45.0, -90.0], location=(0, 0)),
-        Fingerprint(rssi=[-90.0, -45.0, -40.0], location=(5, 0)),
+        Fingerprint(rssi=[-40.0, -45.0, -90.0]),
+        Fingerprint(rssi=[-90.0, -45.0, -40.0]),
     ]
     return build_zone_table(training, m=2), training
 
@@ -92,6 +92,29 @@ class TestLookupPopulation:
         assert l_zones == table.n_zones == 2
         assert zones.tolist() == [0, 1]
         assert drops == DropCounts(insufficient_signals=1, unmatched=1)
+
+    def test_a_tuple_and_a_matrix_give_the_same_matrix(self):
+        table, training = _tiny_table()
+        rows = np.array([fp.rssi for fp in training])
+        joined = LookupPopulation(fingerprints=tuple(training), table=table)
+        given = LookupPopulation(fingerprints=rows, table=table)
+        for pop in (joined, given):
+            assert pop.fingerprints.dtype == np.float64
+            assert not pop.fingerprints.flags.writeable
+            assert np.array_equal(pop.fingerprints, rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, SENTINEL_RSSI - 1])
+    def test_a_matrix_obeys_the_rssi_rule(self, bad):
+        table, training = _tiny_table()
+        rows = np.array([fp.rssi for fp in training])
+        rows[0, 1] = bad
+        with pytest.raises(ValueError, match="rssi values"):
+            LookupPopulation(fingerprints=rows, table=table)
+
+    def test_width_must_be_the_tables(self):
+        table, _ = _tiny_table()
+        with pytest.raises(ValueError, match="rssi length 4 does not match AP count 3"):
+            LookupPopulation(fingerprints=np.full((2, 4), -50.0), table=table)
 
 
 class TestExperimentConfig:
@@ -254,19 +277,26 @@ class TestRunSweep:
         )
 
     def test_worker_count_does_not_change_results(self):
-        config = self._config()
-        serial = io.StringIO()
-        write_results(run_sweep(config, workers=1), serial)
-        parallel = io.StringIO()
-        write_results(run_sweep(config, workers=2), parallel)
-        assert serial.getvalue() == parallel.getvalue()
+        table, _ = _tiny_table()
+        rssi = np.random.default_rng(12).uniform(-95.0, -35.0, size=(200, 3))
+        lookup = LookupPopulation(fingerprints=rssi, table=table)
+        for config in (
+            self._config(),
+            dataclasses.replace(self._config(), population=lookup),
+        ):
+            serial = io.StringIO()
+            write_results(run_sweep(config, workers=1), serial)
+            parallel = io.StringIO()
+            write_results(run_sweep(config, workers=2), parallel)
+            assert serial.getvalue() == parallel.getvalue()
 
     @pytest.mark.parametrize("workers, pool_sizes", [(64, [4]), (3, [3]), (2, [2])])
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, workers, pool_sizes):
-        sizes = []
+        sizes, tasks = [], []
 
         class InlinePool:
-            """Records the pool size and runs each task in this process."""
+            """Records the pool size and each task's arguments, and runs
+            each task in this process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -278,6 +308,7 @@ class TestRunSweep:
                 return False
 
             def submit(self, fn, *args):
+                tasks.append(args)
                 future = Future()
                 future.set_result(fn(*args))
                 return future
@@ -287,6 +318,11 @@ class TestRunSweep:
         pooled = io.StringIO()
         write_results(run_sweep(config, workers=workers), pooled)
         assert sizes == pool_sizes
+        # the cells need the resolved zones, never the population itself
+        assert len(tasks) == 4
+        for args in tasks:
+            assert not any(isinstance(a, CountsPopulation) for a in args)
+            assert all(getattr(a, "population", None) is None for a in args)
         serial = io.StringIO()
         write_results(run_sweep(config, workers=1), serial)
         assert pooled.getvalue() == serial.getvalue()

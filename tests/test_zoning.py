@@ -45,10 +45,10 @@ class TestBuildZoneTable:
     def _grid(self):
         # four training points with three distinct strongest-pairs
         return [
-            Fingerprint(rssi=[-40.0, -45.0, -90.0], location=(0, 0)),
-            Fingerprint(rssi=[-42.0, -44.0, -88.0], location=(0, 1)),
-            Fingerprint(rssi=[-90.0, -45.0, -40.0], location=(5, 0)),
-            Fingerprint(rssi=[-44.0, -90.0, -41.0], location=(5, 5)),
+            Fingerprint(rssi=[-40.0, -45.0, -90.0]),
+            Fingerprint(rssi=[-42.0, -44.0, -88.0]),
+            Fingerprint(rssi=[-90.0, -45.0, -40.0]),
+            Fingerprint(rssi=[-44.0, -90.0, -41.0]),
         ]
 
     def test_first_seen_order_and_dense_indices(self):
@@ -178,6 +178,22 @@ class TestAssignZones:
         assert insufficient == 1
         assert unmatched == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, SENTINEL_RSSI - 1])
+    def test_a_matrix_obeys_the_rssi_rule(self, bad):
+        rssi = np.array([[-40.0, -45.0, -90.0], [-41.0, -42.0, -80.0]])
+        table = build_zone_table(rssi, m=2)
+        rssi[1, 2] = bad
+        with pytest.raises(ValueError, match="rssi values"):
+            build_zone_table(rssi, m=2)
+        with pytest.raises(ValueError, match="rssi values"):
+            assign_zones(table, rssi)
+
+    def test_an_empty_matrix_is_an_empty_input(self):
+        table = build_zone_table(np.array([[-40.0, -45.0, -90.0]]), m=2)
+        assert assign_zones(table, np.empty((0, 3))) == ([], 0, 0)
+        with pytest.raises(EmptyTable):
+            build_zone_table(np.empty((0, 3)), m=2)
+
 
 class TestSerialization:
     def _table(self):
@@ -289,6 +305,9 @@ class TestArrayPassMatchesReference:
         assert table.skipped_training == skipped
         expected = ZoneTable(entries=entries, ap_count=width, strongest_count=m)
         assert zone_table_to_json(table) == zone_table_to_json(expected)
+        from_matrix = build_zone_table(np.stack([fp.rssi for fp in training]), m)
+        assert zone_table_to_json(from_matrix) == zone_table_to_json(table)
+        assert from_matrix.skipped_training == skipped
 
     @pytest.mark.parametrize("width,m", CASES)
     def test_lookup_matches_reference_row_for_row(self, width, m):
@@ -305,6 +324,8 @@ class TestArrayPassMatchesReference:
         expected = [reference_zone(table, fp.rssi) for fp in queries]
 
         zones, insufficient, unmatched = assign_zones(table, tuple(queries))
+        matrix = np.stack([fp.rssi for fp in queries])
+        assert assign_zones(table, matrix) == (zones, insufficient, unmatched)
         assert zones == [z for z in expected if isinstance(z, int)]
         assert all(type(z) is int for z in zones)
         assert insufficient == expected.count("insufficient")
