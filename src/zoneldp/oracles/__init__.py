@@ -1,14 +1,19 @@
 """Six local-differential-privacy frequency oracles behind one contract.
 
-Each mechanism is a perturb/aggregate pair: clients perturb zone indices
-into a report batch, one report per row; the aggregator reduces a batch to
-debiased per-zone counts. A report trace is that batch as JSON lines.
+Each mechanism is a client randomizer, an additive statistic and a
+decoder: clients perturb zone indices into a report batch, one report per
+row; the aggregator reduces batches to an integer ``Stats``, adds them and
+decodes the sum into debiased per-zone counts. A report trace is that
+batch as JSON lines.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import fields
 from typing import Optional
+
+import numpy as np
 
 from ..domain import MECHANISMS, PrivacyParams
 from ..errors import ParamMismatch
@@ -96,35 +101,62 @@ _BATCHES = {
 _TAGS = {cls: tag for tag, cls in _BATCHES.items()}
 
 
-def write_reports(batch: ReportBatch, fh) -> None:
-    """Write a batch to an open text handle, one report per JSON line.
+def _field_texts(prefix: str, column: np.ndarray, suffix: str) -> list:
+    """Each row's value of one field as ``json.dumps`` writes it, between
+    ``prefix`` and ``suffix``. Rows of bits are formatted in one byte array."""
+    if column.dtype != np.uint8 or column.ndim != 2 or not column.shape[1]:
+        return [prefix + json.dumps(value) + suffix for value in column.tolist()]
+    # prefix, "[", then a digit and ", " per bit with the last ", " cut, "]", suffix
+    head, tail = (prefix + "[").encode(), ("]" + suffix).encode()
+    n, width = column.shape
+    size = len(head) + 3 * width - 2 + len(tail)
+    text = np.empty((n, size), dtype=np.uint8)
+    text[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+    bits = text[:, len(head):size - len(tail)]
+    np.add(column, ord("0"), out=bits[:, 0::3])
+    bits[:, 1::3] = ord(",")
+    bits[:, 2::3] = ord(" ")
+    text[:, size - len(tail):] = np.frombuffer(tail, dtype=np.uint8)
+    rows = text.tobytes().decode("ascii")
+    return [rows[start:start + size] for start in range(0, len(rows), size)]
 
-    Rows become Python values a block of ``_BLOCK_CELLS`` cells at a time,
-    so the scratch memory stays near one block for any batch size.
+
+def write_reports(batch: ReportBatch, fh) -> None:
+    """Write a batch to an open text handle, one report per JSON line, as
+    ``json.dumps({"mech": tag, "payload": {field: value, ...}})`` writes it.
+
+    Rows are formatted a block of ``_BLOCK_CELLS`` cells at a time, so the
+    scratch memory stays near one block for any batch size.
     """
-    tag = _TAGS[type(batch)]
     names = [f.name for f in fields(batch)]
     columns = [getattr(batch, name) for name in names]
+    # the text before each field's value, and after the last one's
+    head = '{"mech": ' + json.dumps(_TAGS[type(batch)]) + ', "payload": {'
+    keys = [json.dumps(name) + ": " for name in names]
+    prefixes = [head + keys[0]] + [", " + key for key in keys[1:]]
+    suffixes = [""] * (len(names) - 1) + ["}}\n"]
     width = sum(column[:1].size for column in columns)
     step = max(1, _BLOCK_CELLS // max(width, 1))
     for start in range(0, batch.n_reports, step):
-        rows = zip(*(column[start:start + step].tolist() for column in columns))
-        fh.write("".join(
-            json.dumps({"mech": tag, "payload": dict(zip(names, row))}) + "\n"
-            for row in rows
-        ))
+        texts = [
+            _field_texts(prefix, column[start:start + step], suffix)
+            for prefix, column, suffix in zip(prefixes, columns, suffixes)
+        ]
+        fh.write("".join(itertools.chain.from_iterable(zip(*texts))))
 
 
 def read_reports(fh):
     """The batch a JSON-lines trace holds, checked by its type's ``of``.
 
+    Lines are converted a block of about ``_BLOCK_CELLS`` characters at a
+    time, so no more than one block of parsed payloads is held.
     ParamMismatch, naming the line, for a line that is not an object with
     a known ``mech`` tag and a ``payload``, or that holds another mechanism
     than the first; ParamMismatch for a payload that does not fit. An empty
     trace reads as an empty list, which every ``aggregate`` takes as no
     reports.
     """
-    batch_type, payloads = None, []
+    batch_type, payloads, chars, blocks = None, [], 0, []
     for number, line in enumerate(fh, start=1):
         if not line.strip():
             continue
@@ -142,4 +174,12 @@ def read_reports(fh):
             )
         batch_type = _BATCHES[tag]
         payloads.append(data["payload"])
-    return [] if batch_type is None else batch_type.of(payloads)
+        chars += len(line)
+        if chars >= _BLOCK_CELLS:
+            blocks.append(batch_type.of(payloads))
+            payloads, chars = [], 0
+    if batch_type is None:
+        return []
+    if payloads:
+        blocks.append(batch_type.of(payloads))
+    return batch_type.concat(blocks)

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from .base import CmsBatch, HashedSketch
+from .base import CmsBatch, FrequencyOracle, HashedSketch, Stats, column_sums
 
 
 class CountMeanSketch(HashedSketch):
@@ -41,21 +41,34 @@ class CountMeanSketch(HashedSketch):
         self.k = int(k)
         self.m = int(m)
 
-    def perturb_batch(self, zones, rng: np.random.Generator) -> CmsBatch:
-        return CmsBatch(*self._perturb_rows(zones, rng))
+    def perturb_batch(self, zones, rng: np.random.Generator, rows=None) -> CmsBatch:
+        """``rows``: each user's hash index, drawn from ``rng`` when None."""
+        return CmsBatch(*self._perturb_rows(zones, rng, rows))
 
-    def aggregate(self, reports) -> FrequencyEstimate:
+    def reduce(self, reports) -> Stats:
+        """Reports sorted by hash index, then each index's contiguous run
+        of bit rows summed by ``column_sums``."""
         batch = CmsBatch.of(reports)
         n = batch.n_reports
         if n == 0:
-            return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
-        row_counts = self._row_sizes(batch)
+            return self.empty_stats()
+        row_sizes = self._row_sizes(batch)
+        # a stable radix sort on the narrowest type that holds k - 1
+        order = np.argsort(
+            batch.hash_index.astype(np.min_scalar_type(self.k - 1)), kind="stable"
+        )
+        bits = batch.bits[order]
+        ends = np.cumsum(row_sizes)
         bit_sums = np.zeros((self.k, self.m), dtype=np.int64)
-        for j in range(self.k):
-            mask = batch.hash_index == j
-            if mask.any():
-                bit_sums[j] = batch.bits[mask].sum(axis=0, dtype=np.int64)
-        debiased = self._debias(bit_sums, row_counts)
+        for j in np.flatnonzero(row_sizes).tolist():
+            bit_sums[j] = column_sums(bits[ends[j] - row_sizes[j]:ends[j]])
+        return Stats(self.name, n, bit_sums, row_sizes)
+
+    def decode(self, stats: Stats) -> FrequencyEstimate:
+        debiased = self._debias(stats)
         support = debiased[np.arange(self.k)[:, None], self.targets].sum(axis=0)
+        n = stats.n_reports
         raw = (self.m / (self.m - 1.0)) * (support - n / self.m)
         return FrequencyEstimate.from_raw(raw, n)
+
+    aggregate = FrequencyOracle.aggregate

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
-from .base import FrequencyOracle, HrBatch, PerturbProbabilities
+from .base import FrequencyOracle, HrBatch, PerturbProbabilities, Stats
 
 
 def padded_dimension(l_zones: int) -> int:
@@ -85,11 +85,13 @@ class HadamardResponse(FrequencyOracle):
         values = keeps * signs * self._magnitude
         return HrBatch(row_index=rows.astype(np.int64), signed_value=values)
 
-    def aggregate(self, reports) -> FrequencyEstimate:
+    def empty_stats(self) -> Stats:
+        return Stats(self.name, 0, np.zeros(self.dim, dtype=np.int64))
+
+    def reduce(self, reports) -> Stats:
         batch = HrBatch.of(reports)
-        n = batch.n_reports
-        if n == 0:
-            return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
+        if batch.n_reports == 0:
+            return self.empty_stats()
         rows = batch.row_index
         if rows.min() < 0 or rows.max() >= self.dim:
             raise ParamMismatch(f"row index out of range [0, {self.dim})")
@@ -98,5 +100,11 @@ class HadamardResponse(FrequencyOracle):
             raise ParamMismatch(f"report magnitude must be {self._magnitude!r}")
         # integer per-row sign sums: independent of report order
         row_sums = np.bincount(rows, weights=np.sign(values), minlength=self.dim)
+        return Stats(self.name, batch.n_reports, row_sums.astype(np.int64))
+
+    def decode(self, stats: Stats) -> FrequencyEstimate:
+        row_sums = stats.counts.astype(np.float64)  # the transform runs in place
         raw = self._scale * _walsh_hadamard(row_sums)[1:self.l_zones + 1]
-        return FrequencyEstimate.from_raw(raw, n)
+        return FrequencyEstimate.from_raw(raw, stats.n_reports)
+
+    aggregate = FrequencyOracle.aggregate

@@ -13,14 +13,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
 from .base import (
     _SMALL_BLOCK_CELLS,
     FrequencyOracle,
     OlhBatch,
     PerturbProbabilities,
-    estimate_frequency,
+    Stats,
     run_blocks,
 )
 from .hashing import hash_bucket_array
@@ -80,11 +79,11 @@ class OptimizedLocalHashing(FrequencyOracle):
         values = np.where(keep, true_buckets, others)
         return OlhBatch(hash_seed=seeds, value=values.astype(np.int64))
 
-    def aggregate(self, reports) -> FrequencyEstimate:
+    def reduce(self, reports) -> Stats:
         batch = OlhBatch.of(reports)
         n = batch.n_reports
         if n == 0:
-            return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
+            return self.empty_stats()
         if batch.value.min() < 0 or batch.value.max() >= self.g:
             raise ParamMismatch(f"report value out of range [0, {self.g})")
         zone_ids = np.arange(self.l_zones, dtype=np.uint64)
@@ -98,5 +97,6 @@ class OptimizedLocalHashing(FrequencyOracle):
 
         # integer counts: the block sums are the same in any order
         blocks = run_blocks(n, self.l_zones, replay, cells=_SMALL_BLOCK_CELLS)
-        counts = np.sum(blocks, axis=0)
-        return estimate_frequency(counts, n, self._probs)
+        return Stats(self.name, n, np.sum(blocks, axis=0, dtype=np.int64))
+
+    aggregate = FrequencyOracle.aggregate

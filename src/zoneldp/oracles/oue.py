@@ -13,13 +13,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
 from .base import (
     FrequencyOracle,
     OueBatch,
     PerturbProbabilities,
-    estimate_frequency,
+    Stats,
+    column_sums,
     one_hot_rr,
 )
 
@@ -36,19 +36,20 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     def __init__(self, l_zones: int, epsilon: float):
         super().__init__(l_zones, epsilon)
         self._probs = probabilities(epsilon)
+        self._row_bytes = self.l_zones
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OueBatch:
         zones = self._check_zones(zones)
         return OueBatch(bits=one_hot_rr(zones, self.l_zones, self._probs, rng))
 
-    def aggregate(self, reports) -> FrequencyEstimate:
+    def reduce(self, reports) -> Stats:
         batch = OueBatch.of(reports)
-        n = batch.n_reports
-        if n == 0:
-            return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
+        if batch.n_reports == 0:
+            return self.empty_stats()
         if batch.bits.shape[1] != self.l_zones:
             raise ParamMismatch(
                 f"report width {batch.bits.shape[1]} != l_zones {self.l_zones}"
             )
-        counts = batch.bits.sum(axis=0, dtype=np.int64)
-        return estimate_frequency(counts, n, self._probs)
+        return Stats(self.name, batch.n_reports, column_sums(batch.bits))
+
+    aggregate = FrequencyOracle.aggregate

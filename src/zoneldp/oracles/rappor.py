@@ -30,7 +30,7 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import SingularFitWarning
-from .base import _BLOCK_CELLS, HashedSketch, RapporBatch
+from .base import _BLOCK_CELLS, FrequencyOracle, HashedSketch, RapporBatch, Stats
 
 # relative penalty grid; 0 keeps the unpenalized fit in the running
 _LAMBDA_GRID = (0.0, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -167,8 +167,27 @@ class Rappor(HashedSketch):
         self.k = int(k)
         self.m = int(m)
 
-    def perturb_batch(self, zones, rng: np.random.Generator) -> RapporBatch:
-        return RapporBatch(*self._perturb_rows(zones, rng))
+    def perturb_batch(self, zones, rng: np.random.Generator, rows=None) -> RapporBatch:
+        """``rows``: each user's cohort, drawn from ``rng`` when None."""
+        return RapporBatch(*self._perturb_rows(zones, rng, rows))
+
+    def reduce(self, reports) -> Stats:
+        """Per-(cohort, bit) sums by a flat ``bincount`` over blocks of
+        ``_BLOCK_CELLS`` cells, so its keys and weights stay one block."""
+        batch = RapporBatch.of(reports)
+        n = batch.n_reports
+        if n == 0:
+            return self.empty_stats()
+        cohort_sizes = self._row_sizes(batch)
+        bit_sums = np.zeros(self.m * self.k)
+        step = max(1, _BLOCK_CELLS // self.k)
+        for start in range(0, n, step):
+            keys = batch.cohort[start:start + step, None] * self.k + np.arange(self.k)
+            bits = batch.bits[start:start + step]
+            # bit sums are exact integers in float64, in any order
+            bit_sums += np.bincount(keys.ravel(), weights=bits.ravel(), minlength=bit_sums.size)
+        counts = bit_sums.astype(np.int64).reshape(self.m, self.k)
+        return Stats(self.name, n, counts, cohort_sizes)
 
     def _normal_equations(self, targets, weights, debiased):
         """Gram matrix and linear term of the weighted least-squares fit
@@ -241,21 +260,9 @@ class Rappor(HashedSketch):
         start = 0.5 * (best_fits[0] + best_fits[1])
         return nonneg_lasso(gram, linear, best_rel * lambda_max, start)
 
-    def aggregate(self, reports) -> FrequencyEstimate:
-        batch = RapporBatch.of(reports)
-        n = batch.n_reports
-        if n == 0:
-            return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
-        cohort_sizes = self._row_sizes(batch)
-        # per-(cohort, bit) sums via one flat bincount; bit sums are exact
-        # integers in float64, so the result is order-independent
-        flat = (batch.cohort[:, None] * self.k + np.arange(self.k)).ravel()
-        bit_sums = np.bincount(
-            flat, weights=batch.bits.ravel().astype(np.float64), minlength=self.m * self.k
-        ).reshape(self.m, self.k)
-        debiased = self._debias(bit_sums, cohort_sizes)
-        weights = cohort_sizes / n
-
+    def decode(self, stats: Stats) -> FrequencyEstimate:
+        debiased = self._debias(stats)
+        weights = stats.row_sizes / stats.n_reports
         halves = [
             self._normal_equations(
                 self.targets[parity::2], weights[parity::2], debiased[parity::2]
@@ -264,7 +271,9 @@ class Rappor(HashedSketch):
         ]
         (g_even, l_even), (g_odd, l_odd) = halves
         raw = self._decode(g_even + g_odd, l_even + l_odd, halves)
-        return FrequencyEstimate.from_raw(raw, n)
+        return FrequencyEstimate.from_raw(raw, stats.n_reports)
+
+    aggregate = FrequencyOracle.aggregate
 
     def _decode(self, gram, linear, halves) -> np.ndarray:
         """Solve the fit; zones with zero curvature are warned and pinned to 0."""

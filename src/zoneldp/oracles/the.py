@@ -14,14 +14,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
 from .base import (
     _SMALL_BLOCK_CELLS,
     FrequencyOracle,
     PerturbProbabilities,
+    Stats,
     TheBatch,
-    estimate_frequency,
+    column_sums,
     run_blocks,
 )
 
@@ -51,6 +51,7 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         self.theta = float(theta)
         self.scale = 2.0 / self.epsilon
         self._probs = probabilities(self.epsilon, self.theta)
+        self._row_bytes = 8 * self.l_zones  # float64 values
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> TheBatch:
         zones = self._check_zones(zones)
@@ -65,14 +66,15 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         values[np.arange(n), zones] += 1.0
         return TheBatch(values=values)
 
-    def aggregate(self, reports) -> FrequencyEstimate:
+    def reduce(self, reports) -> Stats:
         batch = TheBatch.of(reports)
-        n = batch.n_reports
-        if n == 0:
-            return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
+        if batch.n_reports == 0:
+            return self.empty_stats()
         if batch.values.shape[1] != self.l_zones:
             raise ParamMismatch(
                 f"report width {batch.values.shape[1]} != l_zones {self.l_zones}"
             )
-        counts = (batch.values >= self.theta).sum(axis=0, dtype=np.int64)
-        return estimate_frequency(counts, n, self._probs)
+        cleared = (batch.values >= self.theta).view(np.uint8)
+        return Stats(self.name, batch.n_reports, column_sums(cleared))
+
+    aggregate = FrequencyOracle.aggregate

@@ -157,15 +157,19 @@ def run_round(
     rng: Optional[np.random.Generator] = None,
     collect_reports: Optional[Callable[[ReportBatch], None]] = None,
 ) -> FrequencyEstimate:
-    """Perturb every user's zone and aggregate the reports once.
+    """Perturb every user's zone, reduce the reports a chunk at a time and
+    aggregate their summed statistic once.
 
     The hash family of a sketch (CMS or RAPPOR) is drawn from ``rng`` first,
     so repeated rounds average over families; everything else about the
-    round is a deterministic function of (inputs, rng state).
+    round is a deterministic function of (inputs, rng state), the same as
+    one ``perturb_batch`` over all users followed by ``aggregate``. At most
+    one chunk of reports (``perturb_chunks``) is held at a time.
 
-    ``collect_reports``: pass a function to also receive the batch of
-    reports, the one that is then aggregated, so asking for a trace never
-    changes the estimate. It is not called when there are no users.
+    ``collect_reports``: pass a function to also receive the reports, once
+    per chunk and in user order, the same ones that are reduced, so asking
+    for a trace never changes the estimate. It is not called when there
+    are no users.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -176,10 +180,12 @@ def run_round(
     oracle = make_mechanism(mechanism, l_zones, epsilon, params, **kwargs)
     if users.size == 0:
         return FrequencyEstimate.from_raw(np.zeros(l_zones), 0)
-    batch = oracle.perturb_batch(users, rng)
-    if collect_reports is not None:
-        collect_reports(batch)
-    return oracle.aggregate(batch)
+    stats = oracle.empty_stats()
+    for batch in oracle.perturb_chunks(users, rng):
+        if collect_reports is not None:
+            collect_reports(batch)
+        stats = stats + oracle.reduce(batch)
+    return oracle.aggregate(stats)
 
 
 def resolve_population(config: ExperimentConfig):

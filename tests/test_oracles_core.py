@@ -39,6 +39,7 @@ from zoneldp.oracles.hashing import (
     mix64,
     mix64_array,
 )
+from zoneldp.simulator import run_round
 
 
 class TestPerturbProbabilities:
@@ -376,6 +377,74 @@ class TestWireFormat:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_a_chunked_round_writes_what_json_dumps_writes(self, monkeypatch, mechanism):
+        # small chunks and blocks, so a round writes several chunks of
+        # several blocks each; OLH and HR reports come as one chunk
+        monkeypatch.setattr(zoneldp.oracles.base, "_CHUNK_BYTES", 600)
+        monkeypatch.setattr(zoneldp.oracles, "_BLOCK_CELLS", 150)
+        users = np.random.default_rng(1).integers(0, 30, size=400)
+        buffer, chunks = io.StringIO(), []
+
+        def collect(batch):
+            chunks.append(batch)
+            write_reports(batch, buffer)
+
+        run_round(users, 30, mechanism, 1.0, SMALL, np.random.default_rng(2), collect)
+        assert len(chunks) >= (1 if mechanism in ("OLH", "HR") else 3)
+        expected = []
+        for batch in chunks:
+            names = [f.name for f in dataclasses.fields(batch)]
+            columns = [getattr(batch, name).tolist() for name in names]
+            for row in zip(*columns):
+                data = {"mech": mechanism, "payload": dict(zip(names, row))}
+                expected.append(json.dumps(data) + "\n")
+        assert buffer.getvalue() == "".join(expected)
+
+    def test_errors_name_their_line_in_a_later_block(self, monkeypatch):
+        # blocks of about 100 characters: the bad line sits many blocks in
+        monkeypatch.setattr(zoneldp.oracles, "_BLOCK_CELLS", 100)
+        lines = trace_text(self.BATCHES[0]).splitlines(keepends=True) * 30
+        for bad, named in [
+            ('{"mech": "RR", "payload": {}}\n', "line 48: unknown report tag 'RR'"),
+            ("[1]\n", 'line 48: not an object with "mech", "payload"'),
+            (trace_text(self.BATCHES[1]), "line 48: OUE report in a trace of OLH"),
+        ]:
+            with pytest.raises(ParamMismatch, match=named):
+                read_reports(io.StringIO("".join(lines[:47] + [bad] + lines[47:])))
+        again = read_reports(io.StringIO("".join(lines)))
+        assert again.n_reports == 60
+        assert np.array_equal(again.value, np.tile(self.BATCHES[0].value, 30))
+
+    def test_rows_of_unequal_width_across_blocks_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(zoneldp.oracles, "_BLOCK_CELLS", 100)
+        wide = OueBatch(bits=np.ones((40, 5), dtype=np.uint8))
+        text = trace_text(wide) + trace_text(OueBatch(bits=np.ones((1, 4), dtype=np.uint8)))
+        with pytest.raises(ParamMismatch, match="'bits' holds rows of unequal width"):
+            read_reports(io.StringIO(text))
+
+    def test_the_reader_holds_about_one_block_of_payloads(self, tmp_path):
+        # 1000 CMS reports at m = 1024: 1 MB of bits, a 3.1 MB trace, and
+        # 9.8 MB traced when every parsed payload was held at once
+        n, m = 1000, 1024
+        rng = np.random.default_rng(7)
+        batch = CmsBatch(
+            hash_index=rng.integers(0, 128, size=n),
+            bits=rng.integers(0, 2, size=(n, m), dtype=np.uint8),
+        )
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_reports(batch, fh)
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                again = read_reports(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.bits, batch.bits)
+        assert peak < 6 << 20
 
     def test_payloads_are_plain_json_types(self):
         for batch in self.BATCHES:

@@ -1,0 +1,160 @@
+"""The oracle contract: reduce to an additive integer statistic, decode it.
+
+Covers the sum property of every mechanism's ``Stats``, the checks on
+mismatched statistics, chunked rounds that equal one ``perturb_batch`` and
+one ``aggregate`` bit for bit, the memory a chunked round holds, and the
+sketch reductions against their plain loop forms.
+"""
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from zoneldp.domain import MECHANISMS, PrivacyParams
+from zoneldp.errors import ParamMismatch
+from zoneldp.oracles import make_mechanism
+from zoneldp.oracles.base import _CHUNK_BYTES, CmsBatch, RapporBatch, Stats
+from zoneldp.simulator import run_round
+
+
+def _reduced(mechanism, l_zones=20, n=301, seed=5, params=None):
+    mech = make_mechanism(mechanism, l_zones, 1.0, params, hash_seed=3)
+    zones = np.random.default_rng(seed).integers(0, l_zones, size=n)
+    return mech, mech.perturb_batch(zones, np.random.default_rng(seed + 1))
+
+
+def _rows(batch, rows):
+    return type(batch)(*(getattr(batch, f.name)[rows] for f in dataclasses.fields(batch)))
+
+
+def _assert_same(a: Stats, b: Stats):
+    assert (a.mechanism, a.n_reports) == (b.mechanism, b.n_reports)
+    assert a.counts.dtype == b.counts.dtype == np.int64
+    assert np.array_equal(a.counts, b.counts)
+    if a.row_sizes is None:
+        assert b.row_sizes is None
+    else:
+        assert np.array_equal(a.row_sizes, b.row_sizes)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_the_statistics_of_two_halves_add_up_to_the_whole(mechanism):
+    mech, batch = _reduced(mechanism)
+    whole = mech.reduce(batch)
+    halves = mech.reduce(_rows(batch, slice(None, 140))) + mech.reduce(
+        _rows(batch, slice(140, None))
+    )
+    _assert_same(halves, whole)
+    _assert_same(mech.empty_stats() + whole, whole)
+    assert whole.n_reports == 301
+    # aggregate takes the statistic or the batch alike
+    assert np.array_equal(mech.aggregate(halves).raw, mech.aggregate(batch).raw)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_statistics_of_another_mechanism_or_shape_do_not_add(mechanism):
+    mech, batch = _reduced(mechanism)
+    stats = mech.reduce(batch)
+    other = MECHANISMS[(MECHANISMS.index(mechanism) + 1) % len(MECHANISMS)]
+    foreign = _reduced(other)[0].empty_stats()
+    # a sketch's statistic has the shape of its sketch, whatever L is
+    resized = _reduced(mechanism, 40, params=PrivacyParams(cms_k=64, rappor_m=512))[0]
+    for bad in (foreign, resized.empty_stats()):
+        with pytest.raises(ParamMismatch, match="does not fit"):
+            stats + bad
+        with pytest.raises(ParamMismatch, match="does not fit"):
+            mech.aggregate(bad)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_each_class_binds_perturb_batch_and_aggregate_itself(mechanism):
+    # so one mechanism's pair can be wrapped without touching the others
+    cls = type(make_mechanism(mechanism, 4, 1.0))
+    assert {"perturb_batch", "aggregate"} <= set(vars(cls))
+
+
+# (mechanism, l_zones, users, params): each round spans at least 3 chunks
+CHUNKED = [
+    ("OUE", 1000, 12_600, None),
+    ("THE", 200, 8_000, None),
+    ("CMS", 8, 12_300, None),
+    ("RAPPOR", 8, 12_300, PrivacyParams(rappor_k=1024, rappor_m=16)),
+]
+
+
+@pytest.mark.parametrize("mechanism, l_zones, n, params", CHUNKED)
+def test_a_chunked_round_is_one_batch_and_one_aggregate(mechanism, l_zones, n, params):
+    users = np.random.default_rng(2).integers(0, l_zones, size=n)
+    chunks = []
+    est = run_round(users, l_zones, mechanism, 1.0, params,
+                    rng=np.random.default_rng(9), collect_reports=chunks.append)
+    assert len(chunks) >= 3
+    for chunk in chunks:
+        row = chunk.bits if hasattr(chunk, "bits") else chunk.values
+        assert row[:1].nbytes * chunk.n_reports <= _CHUNK_BYTES
+
+    rng = np.random.default_rng(9)
+    kwargs = {}
+    if mechanism in ("CMS", "RAPPOR"):
+        kwargs["hash_seed"] = int(rng.integers(0, 1 << 63))
+    mech = make_mechanism(mechanism, l_zones, 1.0, params, **kwargs)
+    batch = mech.perturb_batch(users, rng)
+    joined = type(batch).concat(chunks)
+    for f in dataclasses.fields(batch):
+        assert np.array_equal(getattr(joined, f.name), getattr(batch, f.name)), f.name
+    assert np.array_equal(est.raw, mech.aggregate(batch).raw)
+    assert est.n_reports == n
+
+
+def test_a_chunked_round_holds_a_few_chunks():
+    # one batch of these reports would be 347 MB of bits
+    users = np.random.default_rng(0).integers(0, 1733, size=200_000)
+    tracemalloc.start()
+    try:
+        est = run_round(users, 1733, "OUE", 1.0, rng=np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_reports == 200_000
+    assert peak < 4 * _CHUNK_BYTES
+
+
+@pytest.mark.parametrize("n", [255, 256, 5000])
+def test_cms_reduction_equals_the_mask_loop(n):
+    # up to 256 all-ones reports in one row: 255 fill uint8 exactly, 256
+    # need uint16
+    mech = make_mechanism("CMS", 8, 1.0, PrivacyParams(cms_k=16, cms_m=64), hash_seed=4)
+    rng = np.random.default_rng(n)
+    index = rng.integers(0, 16, size=n)
+    bits = rng.integers(0, 2, size=(n, 64), dtype=np.uint8)
+    index[:256], bits[:256] = 3, 1
+    stats = mech.reduce(CmsBatch(hash_index=index, bits=bits))
+    expected = np.zeros((16, 64), dtype=np.int64)
+    for row in range(16):
+        expected[row] = bits[index == row].sum(axis=0, dtype=np.int64)
+    assert np.array_equal(stats.counts, expected)
+    assert stats.row_sizes.tolist() == np.bincount(index, minlength=16).tolist()
+
+
+def test_rappor_reduction_over_blocks_equals_one_bincount():
+    # 20k reports of 64 bits are three bincount blocks
+    mech = make_mechanism("RAPPOR", 8, 1.0, hash_seed=4)
+    rng = np.random.default_rng(8)
+    cohort = rng.integers(0, mech.m, size=20_000)
+    bits = rng.integers(0, 2, size=(20_000, mech.k), dtype=np.uint8)
+    stats = mech.reduce(RapporBatch(cohort=cohort, bits=bits))
+    flat = (cohort[:, None] * mech.k + np.arange(mech.k)).ravel()
+    expected = np.bincount(flat, weights=bits.ravel(), minlength=mech.m * mech.k)
+    assert np.array_equal(stats.counts, expected.reshape(mech.m, mech.k))
+
+
+@pytest.mark.parametrize("mechanism", ["CMS", "RAPPOR"])
+def test_sketch_rows_given_to_perturb_batch_are_checked(mechanism):
+    mech = make_mechanism(mechanism, 4, 1.0)
+    zones = np.arange(4)
+    rng = np.random.default_rng(0)
+    rows = mech.targets.shape[0]
+    for bad in ([0, 1, 2], [0, 1, 2, rows], [0, -1, 2, 3]):
+        with pytest.raises(ValueError, match="rows"):
+            mech.perturb_batch(zones, rng, rows=np.array(bad))
