@@ -46,6 +46,11 @@ def normalize_schema(schema: dict) -> dict:
     return out
 
 
+# distinct cell texts load_fingerprints remembers the RSSI of; a file of
+# more distinct texts parses the rows holding the others cell by cell
+_KNOWN_TEXTS = 1 << 16
+
+
 def _parse_rssi(cell: str, marker: str, row_number: int, column: str) -> float:
     text = cell.strip()
     if text == "" or (marker and text == marker):
@@ -67,6 +72,8 @@ def load_fingerprints(path, schema: dict) -> np.ndarray:
 
     Rows failing the optional floor filter are dropped silently; rows with
     unparseable cells raise MalformedRow with their 1-based line number.
+    A cell's RSSI depends only on its text, so each distinct text is parsed
+    once (up to ``_KNOWN_TEXTS`` of them) and looked up after that.
     """
     schema = normalize_schema(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -91,6 +98,9 @@ def load_fingerprints(path, schema: dict) -> np.ndarray:
 
         marker = schema["not_detected"]
         values = array("d")  # row after row, 8 bytes a cell
+        # cell text -> its RSSI, for texts that parsed: RSSI files repeat a
+        # few texts, so most rows are one dict lookup a cell
+        known = {}
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -100,9 +110,14 @@ def load_fingerprints(path, schema: dict) -> np.ndarray:
                 )
             if floor_idx is not None and row[floor_idx].strip() != floor_value:
                 continue
-            values.extend(
-                [_parse_rssi(row[i], marker, row_number, header[i]) for i in rssi_idx]
-            )
+            cells = list(map(row.__getitem__, rssi_idx))
+            try:
+                parsed = list(map(known.__getitem__, cells))
+            except KeyError:  # a new text: cell by cell, naming a bad one
+                parsed = [_parse_rssi(row[i], marker, row_number, header[i]) for i in rssi_idx]
+                if len(known) < _KNOWN_TEXTS:
+                    known.update(zip(cells, parsed))
+            values.extend(parsed)
 
     if not values:
         raise SchemaMismatch("no rows survived parsing and filtering")

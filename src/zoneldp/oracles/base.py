@@ -13,13 +13,17 @@ statistic is a sum, the estimate is invariant under any permutation of the
 reports. Each mechanism is defined by its (p, q) pair, which the base
 class returns from ``probabilities()``. The three mechanisms that report a
 randomized one-hot bit row (OUE over the L zones, CMS and RAPPOR over a
-hashed row) share one client randomizer, ``one_hot_rr``. Every per-cell
-loop (``one_hot_rr``'s uniforms, THE's Laplace noise, OLH's hash replay)
-runs on one block scheduler, ``run_blocks``, which fills large jobs on
-one thread per core, drawing from jump-ahead copies of the caller's PCG64
-generator, without changing a bit of the output. CMS and RAPPOR are one
-``HashedSketch``: the same hash table, client and per-(row, bit) sums
-under their own size names, each with its own reduction and decoder.
+hashed row) share one client randomizer, ``one_hot_rr``: each bit
+compares one 32-bit lane of the generator's raw stream against an integer
+threshold, so these three mechanisms hold their (p, q) pair on the 2^-32
+grid (``lane_probabilities``), the pair the client realizes exactly. Every
+per-cell loop (``one_hot_rr``'s words of two lanes, THE's Laplace noise,
+OLH's hash replay) runs on one block scheduler, ``run_blocks``, which
+fills large jobs on the process's threads, one per core, drawing from
+jump-ahead copies of the caller's PCG64 generator, without changing a bit
+of the output. CMS and RAPPOR are one ``HashedSketch``: the same hash
+table, client and per-(row, bit) sums under their own size names, each
+with its own reduction and decoder.
 
 A batch is the only form a report takes. Each mechanism's reports travel
 between perturb_batch and reduce as a ``ReportBatch``: one array per
@@ -34,7 +38,7 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
@@ -62,10 +66,14 @@ class PerturbProbabilities:
             raise DegenerateProbabilities(f"p={self.p} must exceed q={self.q}")
 
 
+# values a 32-bit lane takes: one_hot_rr's probabilities are multiples of
+# 1/_LANE
+_LANE = 1 << 32
+
 # cells per block of the blocked loops, over all threads: each job's
 # per-block scratch stays near 4 MB of 8-byte cells (512 rows at width
 # 1024, 8192 rows at width 64), and a job of at most one block runs on one
-# thread. one_hot_rr's uniforms use this size.
+# thread. one_hot_rr's cells, raw words of two lanes, use this size.
 _BLOCK_CELLS = 1 << 19
 
 # cells per block of the loops that cost more per cell, THE's Laplace noise
@@ -93,6 +101,37 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+# the process's worker threads as (threads, pool), made on first use
+_pool: Optional[tuple] = None
+_pool_lock = threading.Lock()
+
+
+def _thread_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of worker threads, holding at least ``threads``.
+
+    It is made on first use, and made again, larger, when a call needs more
+    threads than it holds (when the cores this process may use grow). A
+    caller still holding the old pool finishes on it; its threads end once
+    nothing refers to it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            _pool = (threads, ThreadPoolExecutor(threads))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    """In a forked child the parent's threads do not exist, and its pool
+    lock may be held by one of them: start over with neither."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_blocks(
     n: int,
     width: int,
@@ -106,29 +145,31 @@ def run_blocks(
     A block holds ``cells`` cells (default ``_BLOCK_CELLS``) summed over
     all threads. When the job has more than that, one thread per available
     core (at most one per block) runs blocks: the calling thread and
-    threads started and joined within the call. A thread takes the next
-    unclaimed block when it is free, so a core that runs slowly runs fewer
-    blocks. Otherwise every block runs in order on the calling thread.
-    Blocks must write disjoint rows.
+    threads of the process's pool, which lives as long as the process (a
+    forked child makes its own). The call returns once every block has
+    run. A thread takes the next unclaimed block when it is free, so a core
+    that runs slowly runs fewer blocks. Otherwise every block runs in order
+    on the calling thread. Blocks must write disjoint rows.
 
     ``gen`` is None for a job that draws nothing. For a job that draws,
     ``rng`` is the caller's generator, and the job must read one 64-bit
     word of its stream per cell, in row-major order, so that the result
-    equals one draw of all n x width cells. Run in order, blocks share
-    ``rng`` itself. Split, each thread holds a copy of ``rng`` and jumps it
-    ahead to the first cell of every block it takes; that is exact only for
-    PCG64 and PCG64DXSM, so other bit generators never split. A sampler
-    that may read more than one word for a cell (numpy's Laplace redraws
-    on a uniform of exactly 0.0) is checked: extra words shift a copy for
-    good, so when any copy does not end exactly one word per cell of its
-    blocks past where it started, the whole job runs again in order on
-    ``rng``, untouched until then. Otherwise ``rng`` ends where one draw
+    equals one draw of all n x width cells. A cell is one of THE's
+    doubles, or one raw word, two of ``one_hot_rr``'s 32-bit lanes. Run in
+    order, blocks share ``rng`` itself. Split, each thread holds a copy of
+    ``rng`` and jumps it ahead to the first cell of every block it takes;
+    that is exact only for PCG64 and PCG64DXSM, so other bit generators
+    never split. A sampler that may read more than one word for a cell
+    (numpy's Laplace redraws on a uniform of exactly 0.0) is checked:
+    extra words shift a copy for good, so when any copy does not end
+    exactly one word per cell of its blocks past where it started, the
+    whole job runs again in order on ``rng``, untouched until then. Otherwise ``rng`` ends where one draw
     leaves it, buffered 32-bit half included.
     """
     cells = _BLOCK_CELLS if cells is None else cells
     threads = 1
     # only these bit generators' advance(k) skips exactly the k 64-bit words
-    # that k doubles consume; looked up here because numpy loads
+    # that k cells consume; looked up here because numpy loads
     # numpy.random on first use, and import zoneldp does not need it
     jumpable = rng is None or type(rng.bit_generator) in (
         np.random.PCG64,
@@ -163,15 +204,18 @@ def run_blocks(
         return gen is None or _landed(gen, entry, done * width)
 
     copies = [None if rng is None else _copy(rng) for _ in range(threads)]
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(work, gen) for gen in copies[1:]]
+    pool = _thread_pool(threads - 1)
+    futures = [pool.submit(work, gen) for gen in copies[1:]]
+    try:
         landed = [work(copies[0])]
+    finally:  # no block outlives the call, even one after an error
+        wait(futures)
     landed += [future.result() for future in futures]
     if rng is None:
         return results
     if not all(landed):
         return [block(start, stop, rng) for start, stop in bounds]
-    # advance() drops the buffered 32-bit half that a double never touches
+    # advance() drops the buffered 32-bit half that a cell never touches
     buffered = rng.bit_generator.state
     rng.bit_generator.advance(n * width)
     state = rng.bit_generator.state
@@ -195,6 +239,32 @@ def _landed(rng: np.random.Generator, before: dict, words: int) -> bool:
     return probe.state["state"] == rng.bit_generator.state["state"]
 
 
+def lane_probabilities(probs: PerturbProbabilities) -> PerturbProbabilities:
+    """A closed-form pair rounded onto the 2^-32 grid, p down (to at most
+    1 - 2^-32, the most a lane threshold can give) and q up: exactly the
+    pair ``one_hot_rr`` realizes from either.
+
+    The rounding only narrows both ratios p/q and (1 - q)/(1 - p), so a
+    likelihood-ratio bound that holds for the closed form holds for the
+    rounded pair, and debiasing with it is exactly unbiased.
+    DegenerateProbabilities for a pair that the grid does not keep apart.
+    """
+    return PerturbProbabilities(
+        p=min(math.floor(probs.p * _LANE), _LANE - 1) / _LANE,
+        q=math.ceil(probs.q * _LANE) / _LANE,
+    )
+
+
+def _lanes(gen: np.random.Generator, words: int) -> np.ndarray:
+    """2 * ``words`` uniform 32-bit lanes from ``words`` raw 64-bit words
+    of ``gen``, low half first, leaving a buffered 32-bit half untouched.
+    MT19937's raw outputs hold 32 bits, so it gives one lane per output."""
+    bit_generator = gen.bit_generator
+    if isinstance(bit_generator, np.random.MT19937):
+        return bit_generator.random_raw(2 * words).astype(np.uint32)
+    return bit_generator.random_raw(words).astype("<u8", copy=False).view("<u4")
+
+
 def one_hot_rr(
     positions, width: int, probs: PerturbProbabilities, rng: np.random.Generator
 ) -> np.ndarray:
@@ -202,23 +272,32 @@ def one_hot_rr(
 
     Row i has a 1 at ``positions[i]`` before randomization: that bit is
     reported as 1 with probability p and every other bit with probability
-    q. Each bit is one uniform compared against its threshold, and the
-    uniforms are the row-major stream of a single ``rng.random((n, width))``
-    call, which leaves ``rng`` where that call would. Rows are filled in
-    blocks by ``run_blocks``, so memory stays bounded for any n and the
-    bits are the same for any core count.
+    q, both taken on the 2^-32 grid as ``lane_probabilities`` rounds them.
+    Each bit is one uniform 32-bit lane compared against its integer
+    threshold. Row i reads the ceil(width / 2) raw words of the stream
+    after row i - 1's, two lanes a word, low half first; an odd width
+    drops the high lane of the row's last word. So a job of n rows reads
+    n * ceil(width / 2) words and leaves ``rng`` where
+    ``rng.bit_generator.random_raw`` of that many would, buffered 32-bit
+    half untouched. Rows are filled in blocks by ``run_blocks`` with the
+    word as its cell, so memory stays bounded for any n and the bits are
+    the same for any core count.
     """
     positions = np.asarray(positions, dtype=np.int64)
     bits = np.empty((positions.size, width), dtype=np.uint8)
+    words = -(-width // 2)
+    grid = lane_probabilities(probs)
+    t_p, t_q = np.uint32(grid.p * _LANE), np.uint32(grid.q * _LANE)
 
     def fill(start, stop, gen):
-        uniforms = gen.random((stop - start, width))
+        rows = stop - start
+        lanes = _lanes(gen, rows * words).reshape(rows, 2 * words)[:, :width]
         out = bits[start:stop]
-        np.less(uniforms, probs.q, out=out.view(np.bool_))
-        rows, targets = np.arange(stop - start), positions[start:stop]
-        out[rows, targets] = uniforms[rows, targets] < probs.p
+        np.less(lanes, t_q, out=out.view(np.bool_))
+        index, targets = np.arange(rows), positions[start:stop]
+        out[index, targets] = lanes[index, targets] < t_p
 
-    run_blocks(positions.size, width, fill, rng)
+    run_blocks(positions.size, words, fill, rng)
     return bits
 
 
@@ -256,27 +335,31 @@ class Stats:
 
     ``counts`` is int64: per-zone support counts (OUE, THE, OLH), per-row
     sign sums (HR) or the rows x width bit sums of a sketch (CMS, RAPPOR),
-    whose reports per row are ``row_sizes`` (None for the others).
-    ``n_reports`` is how many reports were reduced. The ``Stats`` of two
-    disjoint sets of reports add up to the ``Stats`` of their union.
+    whose reports per row are ``row_sizes`` and whose hash family is
+    seeded by ``hash_seed`` (both None for the others). ``n_reports`` is
+    how many reports were reduced. The ``Stats`` of two disjoint sets of
+    reports add up to the ``Stats`` of their union.
     """
 
     mechanism: str
     n_reports: int
     counts: np.ndarray
     row_sizes: Optional[np.ndarray] = None
+    hash_seed: Optional[int] = None
 
     def _shape(self) -> tuple:
-        """(mechanism, counts shape, row_sizes shape or None)."""
+        """(mechanism, counts shape, row_sizes shape or None, hash_seed):
+        a sketch's sums under one hash family mean nothing under another."""
         rows = None if self.row_sizes is None else self.row_sizes.shape
-        return self.mechanism, self.counts.shape, rows
+        return self.mechanism, self.counts.shape, rows, self.hash_seed
 
     def check_fits(self, other: "Stats") -> None:
-        """ParamMismatch unless ``other`` is of this mechanism and shape."""
+        """ParamMismatch unless ``other`` is of this mechanism, shape and
+        hash family."""
         if self._shape() != other._shape():
             raise ParamMismatch(
-                f"a statistic of (mechanism, counts, rows) {other._shape()} does "
-                f"not fit one of {self._shape()}"
+                f"a statistic of (mechanism, counts, rows, hash seed) {other._shape()} "
+                f"does not fit one of {self._shape()}"
             )
 
     def __add__(self, other: "Stats") -> "Stats":
@@ -285,7 +368,8 @@ class Stats:
         self.check_fits(other)
         rows = None if self.row_sizes is None else self.row_sizes + other.row_sizes
         return Stats(
-            self.mechanism, self.n_reports + other.n_reports, self.counts + other.counts, rows
+            self.mechanism, self.n_reports + other.n_reports, self.counts + other.counts,
+            rows, self.hash_seed,
         )
 
 
@@ -524,9 +608,11 @@ class HashedSketch(FrequencyOracle):
     Row r of a public hash family, seeded from ``hash_seed``, sends zone v
     to bit ``targets[r, v]``. A client draws one row uniformly, sets its
     zone's bit in a width-bit row and randomizes every bit with
-    ``one_hot_rr`` at budget eps/2 per bit. A zone change moves exactly two
-    bits, so the whole report is eps-private. The statistic is the
-    per-(row, bit) sums with the reports per row; the decoders debias it.
+    ``one_hot_rr`` at budget eps/2 per bit: p = e^(eps/2) / (e^(eps/2) + 1)
+    and q = 1 - p, rounded onto the 2^-32 grid. A zone change moves exactly
+    two bits, so the whole report is eps-private. The statistic is the
+    per-(row, bit) sums with the reports per row, under the family's seed;
+    the decoders debias it.
     A subclass names the sizes, the report batch (row index field first,
     then the bits), the reduction and the decoder.
     """
@@ -540,7 +626,9 @@ class HashedSketch(FrequencyOracle):
         self.hash_seed = int(hash_seed)
         self._width = self._row_bytes = int(width)
         half = math.exp(self.epsilon / 2.0)
-        self._probs = PerturbProbabilities(p=half / (half + 1.0), q=1.0 / (half + 1.0))
+        self._probs = lane_probabilities(
+            PerturbProbabilities(p=half / (half + 1.0), q=1.0 / (half + 1.0))
+        )
         seeds = family_member_seed(self.hash_seed, np.arange(int(rows)))
         zone_ids = np.arange(self.l_zones, dtype=np.uint64)
         # rows x L table of hashed positions, shared by clients and aggregator
@@ -567,7 +655,7 @@ class HashedSketch(FrequencyOracle):
         rows = self.targets.shape[0]
         return Stats(
             self.name, 0, np.zeros((rows, self._width), dtype=np.int64),
-            np.zeros(rows, dtype=np.int64),
+            np.zeros(rows, dtype=np.int64), self.hash_seed,
         )
 
     def _row_sizes(self, batch: ReportBatch) -> np.ndarray:
@@ -581,8 +669,3 @@ class HashedSketch(FrequencyOracle):
         if index.min() < 0 or index.max() >= rows:
             raise ParamMismatch(f"{index_field} out of range [0, {rows})")
         return np.bincount(index, minlength=rows)
-
-    def _debias(self, stats: Stats) -> np.ndarray:
-        """Per-(row, bit) sums minus their noise floor, over p - q."""
-        p, q = self._probs.p, self._probs.q
-        return (stats.counts - stats.row_sizes[:, None] * q) / (p - q)

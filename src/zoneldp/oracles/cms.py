@@ -6,9 +6,9 @@ budget eps/2 per bit: the client of ``HashedSketch``, with k rows of
 width m. RAPPOR is the same sketch with the two sizes named the other way
 round and a different decoder.
 
-The aggregator rebuilds the k x m sketch of debiased row sums and reads
-each zone's estimate through the same hash functions, with a m/(m-1)
-correction removing the uniform collision floor.
+The aggregator reads each zone's k bit sums through the same hash
+functions, debiases their total once, and removes the uniform collision
+floor with a m/(m-1) correction.
 
 Estimates are unbiased in expectation over the hash family; a single fixed
 family carries a small collision bias, which is why the simulator redraws
@@ -62,12 +62,15 @@ class CountMeanSketch(HashedSketch):
         bit_sums = np.zeros((self.k, self.m), dtype=np.int64)
         for j in np.flatnonzero(row_sizes).tolist():
             bit_sums[j] = column_sums(bits[ends[j] - row_sizes[j]:ends[j]])
-        return Stats(self.name, n, bit_sums, row_sizes)
+        return Stats(self.name, n, bit_sums, row_sizes, self.hash_seed)
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
-        debiased = self._debias(stats)
-        support = debiased[np.arange(self.k)[:, None], self.targets].sum(axis=0)
-        n = stats.n_reports
+        """Only the k x L sums a zone hashes to are read: their integer
+        total over the k rows is debiased once, since the row sizes add
+        up to n."""
+        hits = stats.counts[np.arange(self.k)[:, None], self.targets].sum(axis=0)
+        n, p, q = stats.n_reports, self._probs.p, self._probs.q
+        support = (hits - n * q) / (p - q)
         raw = (self.m / (self.m - 1.0)) * (support - n / self.m)
         return FrequencyEstimate.from_raw(raw, n)
 

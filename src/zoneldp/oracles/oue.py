@@ -4,7 +4,8 @@ The zone is one-hot encoded over L bits and every bit is reported
 independently: a set bit stays 1 with probability 1/2, a clear bit turns 1
 with probability 1/(e^eps + 1). Splitting the budget this way minimizes the
 estimator variance of the unary family. The client step is ``one_hot_rr``
-with the zone itself as the bit position.
+with the zone itself as the bit position, so the mechanism's pair is this
+closed form rounded onto the 2^-32 grid of its 32-bit lanes.
 """
 from __future__ import annotations
 
@@ -20,11 +21,14 @@ from .base import (
     PerturbProbabilities,
     Stats,
     column_sums,
+    lane_probabilities,
     one_hot_rr,
 )
 
 
 def probabilities(epsilon: float) -> PerturbProbabilities:
+    """The closed-form pair (1/2, 1/(e^eps + 1)); the mechanism holds it
+    rounded onto the 2^-32 grid of ``one_hot_rr``."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return PerturbProbabilities(p=0.5, q=1.0 / (math.exp(epsilon) + 1.0))
@@ -35,7 +39,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
 
     def __init__(self, l_zones: int, epsilon: float):
         super().__init__(l_zones, epsilon)
-        self._probs = probabilities(epsilon)
+        self._probs = lane_probabilities(probabilities(epsilon))
         self._row_bytes = self.l_zones
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OueBatch:

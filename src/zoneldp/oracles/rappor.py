@@ -187,7 +187,7 @@ class Rappor(HashedSketch):
             # bit sums are exact integers in float64, in any order
             bit_sums += np.bincount(keys.ravel(), weights=bits.ravel(), minlength=bit_sums.size)
         counts = bit_sums.astype(np.int64).reshape(self.m, self.k)
-        return Stats(self.name, n, counts, cohort_sizes)
+        return Stats(self.name, n, counts, cohort_sizes, self.hash_seed)
 
     def _normal_equations(self, targets, weights, debiased):
         """Gram matrix and linear term of the weighted least-squares fit
@@ -261,7 +261,9 @@ class Rappor(HashedSketch):
         return nonneg_lasso(gram, linear, best_rel * lambda_max, start)
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
-        debiased = self._debias(stats)
+        p, q = self._probs.p, self._probs.q
+        # per-(cohort, bit) sums minus their noise floor, over p - q
+        debiased = (stats.counts - stats.row_sizes[:, None] * q) / (p - q)
         weights = stats.row_sizes / stats.n_reports
         halves = [
             self._normal_equations(

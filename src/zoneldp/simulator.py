@@ -180,11 +180,14 @@ def run_round(
     oracle = make_mechanism(mechanism, l_zones, epsilon, params, **kwargs)
     if users.size == 0:
         return FrequencyEstimate.from_raw(np.zeros(l_zones), 0)
-    stats = oracle.empty_stats()
+    # the sum starts from the first chunk's: a zero statistic to add into
+    # would be one more rows x width array a sketch round allocates
+    stats = None
     for batch in oracle.perturb_chunks(users, rng):
         if collect_reports is not None:
             collect_reports(batch)
-        stats = stats + oracle.reduce(batch)
+        reduced = oracle.reduce(batch)
+        stats = reduced if stats is None else stats + reduced
     return oracle.aggregate(stats)
 
 

@@ -3,7 +3,8 @@
 Each helper builds {report outcome -> probability} for one mechanism from
 the first-principles definition of that mechanism, using only python
 floats and itertools. The privacy suites compare these distributions
-across input zones and assert the max ratio stays below e^eps. Public
+across input zones and assert the max ratio stays below e^eps;
+``within_exp`` checks the same bound on integer lane thresholds exactly. Public
 protocol constants that both sides must share (hash target tables, domain
 sizes) are passed in by the caller; every probability here is computed
 from scratch, never read off the implementation.
@@ -12,6 +13,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Context, Decimal, localcontext
+
+# values a 32-bit lane takes: the one-hot clients' probabilities are
+# integer thresholds over LANE
+LANE = 1 << 32
+
+
+def within_exp(lhs: int, x: float, rhs: int) -> bool:
+    """Whether lhs <= e^x * rhs for integers lhs, rhs and the float x.
+
+    Decimal's exp is correctly rounded, and 80 significant digits carry
+    products of 64-bit integers with sixty digits to spare, so only a
+    ratio lhs/rhs within 1e-60 of e^x could be misjudged.
+    """
+    with localcontext(Context(prec=80)):
+        return Decimal(lhs) <= Decimal(x).exp() * Decimal(rhs)
 
 
 def max_ratio(dist_a: dict, dist_b: dict) -> float:

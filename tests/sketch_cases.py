@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from ldp_enum import LANE, within_exp
 from wire import payloads
 from zoneldp.errors import ParamMismatch
 
@@ -36,14 +37,16 @@ class Sketch:
 class Probabilities(Sketch):
     def test_frozen_values_at_eps_two(self):
         # hand-computed from the definition: the per-bit budget is eps/2,
-        # so at eps = 2 the pair is (e/(e+1), 1/(e+1)); in RAPPOR's terms
-        # q = f/2 and p = 1 - f/2 with f = 2/(e^{eps/2} + 1)
+        # so at eps = 2 the closed-form pair is (e/(e+1), 1/(e+1)); in
+        # RAPPOR's terms q = f/2 and p = 1 - f/2 with f = 2/(e^{eps/2} + 1).
+        # The client compares 32-bit lanes, so the pair is held on the
+        # 2^-32 grid, p rounded down and q rounded up
         probs = self.make(4, 2.0, rows=4, width=8).probabilities()
-        assert probs.p == pytest.approx(0.7310585786300049, rel=1e-15)
-        assert probs.q == pytest.approx(0.2689414213699951, rel=1e-15)
+        assert probs.p == 3139872686 / LANE == math.floor(0.7310585786300049 * LANE) / LANE
+        assert probs.q == 1155094610 / LANE == math.ceil(0.2689414213699951 * LANE) / LANE
         f = 0.5378828427399902
-        assert probs.q == pytest.approx(f / 2.0, rel=1e-15)
-        assert probs.p == pytest.approx(1.0 - f / 2.0, rel=1e-15)
+        assert probs.q == math.ceil(f / 2.0 * LANE) / LANE
+        assert probs.p == math.floor((1.0 - f / 2.0) * LANE) / LANE
 
     def test_pair_sums_to_one(self):
         for epsilon in (0.3, 1.0, 2.0, 5.0):
@@ -54,9 +57,11 @@ class Probabilities(Sketch):
         grid = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
         pairs = [self.make(4, e, rows=4, width=8).probabilities() for e in grid]
         for epsilon, probs in zip(grid, pairs):
-            assert probs.p / probs.q == pytest.approx(
-                math.exp(epsilon / 2.0), rel=1e-12
-            )
+            half = math.exp(epsilon / 2.0)
+            assert probs.p == math.floor(half / (half + 1.0) * LANE) / LANE
+            assert probs.q == math.ceil(1.0 / (half + 1.0) * LANE) / LANE
+            # p/q <= e^{eps/2}, checked exactly on the integer thresholds
+            assert within_exp(int(probs.p * LANE), epsilon / 2.0, int(probs.q * LANE))
         # the flip rate falls as the budget grows
         assert all(a.q > b.q for a, b in zip(pairs, pairs[1:]))
         assert all(0.0 < probs.q < 0.5 for probs in pairs)

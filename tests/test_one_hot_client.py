@@ -1,32 +1,40 @@
-"""The one-hot randomizer that OUE, CMS and RAPPOR clients share, the
-scalar perturb() that runs a batch of one, and the block scheduler that
-also runs THE's Laplace noise and OLH's hash replay.
+"""The one-hot randomizer that OUE, CMS and RAPPOR clients share, its
+probabilities on the 2^-32 grid, the scalar perturb() that runs a batch of
+one, and the block scheduler that also runs THE's Laplace noise and OLH's
+hash replay.
 
-The reference is the direct construction: a threshold matrix holding q
-everywhere and p at each row's target bit, compared against one
-rng.random((n, width)) draw, and for THE one rng.laplace((n, L)) draw. The
-blocked samplers must give the same values for the same seed, at every
-block boundary, for any number of row segments they split the stream
-into, and must leave the generator where that one draw leaves it. OLH's
-support counts must not depend on the core count.
+The reference is the direct construction: a threshold matrix holding
+ceil(q * 2^32) everywhere and floor(p * 2^32) at each row's target bit,
+compared against the 32-bit lanes of one random_raw draw of n *
+ceil(width / 2) words (each word's low half, then its high half, taken
+apart with shifts and masks; an odd row drops its last high half), and
+for THE one rng.laplace((n, L)) draw. The blocked samplers must give the
+same values for the same seed, at every block boundary, for any number of
+row segments they split the stream into, and must leave the generator
+where that one draw leaves it. OLH's support counts must not depend on
+the core count.
 """
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zoneldp
-from zoneldp.oracles import base
+from zoneldp.oracles import base, make_mechanism
+from ldp_enum import LANE, within_exp
 from zoneldp.oracles.base import (
     _BLOCK_CELLS,
     _SMALL_BLOCK_CELLS,
     PerturbProbabilities,
+    lane_probabilities,
     one_hot_rr,
 )
 from zoneldp.oracles.cms import CountMeanSketch
@@ -38,16 +46,35 @@ from zoneldp.oracles.the import ThresholdHistogramEncoding
 PROBS = PerturbProbabilities(p=0.62, q=0.38)
 
 
+def words(width):
+    """Raw 64-bit words a row of ``width`` bits reads."""
+    return (width + 1) // 2
+
+
+def reference_lanes(rng, n, width):
+    """n x width lanes of one raw draw: row i holds words [i * w, (i + 1) *
+    w) for w = ceil(width / 2), each split into its low and high 32 bits.
+    MT19937's raw outputs are 32-bit, so there each output is one lane."""
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raw = rng.bit_generator.random_raw(2 * n * words(width))
+        return raw.reshape(n, 2 * words(width))[:, :width]
+    raw = rng.bit_generator.random_raw(n * words(width)).reshape(n, words(width))
+    lanes = np.empty((n, 2 * words(width)), dtype=np.uint64)
+    lanes[:, 0::2] = raw & np.uint64(LANE - 1)
+    lanes[:, 1::2] = raw >> np.uint64(32)
+    return lanes[:, :width]
+
+
 def reference_bits(positions, width, probs, rng):
     n = positions.size
-    thresholds = np.full((n, width), probs.q)
-    thresholds[np.arange(n), positions] = probs.p
-    return (rng.random((n, width)) < thresholds).astype(np.uint8)
+    thresholds = np.full((n, width), math.ceil(probs.q * LANE), dtype=np.uint64)
+    thresholds[np.arange(n), positions] = math.floor(probs.p * LANE)
+    return (reference_lanes(rng, n, width) < thresholds).astype(np.uint8)
 
 
-@pytest.mark.parametrize("width", [1024, 64])
+@pytest.mark.parametrize("width", [1024, 64, 1023, 7])
 def test_matches_the_threshold_matrix_at_block_edges(width):
-    rows = _BLOCK_CELLS // width
+    rows = _BLOCK_CELLS // words(width)
     for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
         positions = np.random.default_rng(n).integers(0, width, size=n)
         got = one_hot_rr(positions, width, PROBS, np.random.default_rng(31))
@@ -56,16 +83,70 @@ def test_matches_the_threshold_matrix_at_block_edges(width):
         assert np.array_equal(got, want), n
 
 
-def test_consumes_exactly_n_times_width_uniforms():
-    rng = np.random.default_rng(5)
-    one_hot_rr(np.zeros(700, dtype=np.int64), 1024, PROBS, rng)
-    ref = np.random.default_rng(5)
-    ref.random((700, 1024))
-    assert rng.random() == ref.random()
+@pytest.mark.parametrize("width", [1024, 1023, 2, 1])
+def test_consumes_exactly_n_times_half_the_width_words(width):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for gen in (rng, ref):  # one int32 draw leaves half of a word buffered
+        gen.integers(0, 1000, dtype=np.int32)
+    one_hot_rr(np.zeros(700, dtype=np.int64), width, PROBS, rng)
+    ref.bit_generator.random_raw(700 * words(width))
+    # the buffered half too: the state holds has_uint32 and uinteger
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 1 << 30, dtype=np.int32) == ref.integers(0, 1 << 30, dtype=np.int32)
+
+
+def closed_form(mechanism, epsilon):
+    """(p, q) * 2^32 from the definition, to 80 digits: OUE's (1/2,
+    1/(e^eps + 1)) or the sketches' per-bit pair at eps/2."""
+    with localcontext(Context(prec=80)):
+        if mechanism == "OUE":
+            return Decimal(LANE) / 2, LANE / (Decimal(epsilon).exp() + 1)
+        half = (Decimal(epsilon) / 2).exp()
+        return LANE * half / (half + 1), LANE / (half + 1)
+
+
+@pytest.mark.parametrize("mechanism", ["OUE", "CMS", "RAPPOR"])
+def test_lane_pairs_keep_the_ratio_bound_in_integers(mechanism):
+    for epsilon in np.geomspace(1e-3, 20.0, 97).tolist():
+        probs = make_mechanism(mechanism, 4, epsilon).probabilities()
+        t_p, t_q = probs.p * LANE, probs.q * LANE
+        assert t_p == int(t_p) and t_q == int(t_q), epsilon  # on the grid
+        t_p, t_q = int(t_p), int(t_q)
+        # the closed form rounded one grid step at most: p down, q up
+        p, q = closed_form(mechanism, epsilon)
+        assert 0 <= p - t_p < 1 and 0 <= t_q - q < 1, epsilon
+        # a zone change moves two bits: the report's ratio is e^eps at most
+        assert within_exp(t_p * (LANE - t_q), epsilon, t_q * (LANE - t_p)), epsilon
+        if mechanism != "OUE":  # and each sketch bit spends eps/2 at most
+            assert within_exp(t_p, epsilon / 2.0, t_q), epsilon
+            assert within_exp(LANE - t_q, epsilon / 2.0, LANE - t_p), epsilon
+
+
+def test_lane_probabilities_round_p_down_and_q_up():
+    for p, q in ((0.62, 0.38), (0.5, 0.25), (1.0, 0.0), (0.75, 2.0**-40)):
+        probs = lane_probabilities(PerturbProbabilities(p, q))
+        assert probs.p == min(math.floor(p * LANE), LANE - 1) / LANE
+        assert probs.q == math.ceil(q * LANE) / LANE
+        assert lane_probabilities(probs) == probs  # the grid is fixed
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_bit_rates_are_the_lane_thresholds(bit_generator):
+    # 400k rows of 5 bits: each column's target and other cells, 2M in all,
+    # fire at t / 2^32 within 5 standard errors, high and padded lanes too
+    probs = lane_probabilities(PerturbProbabilities(0.7, 0.2))
+    n, width = 400_000, 5
+    positions = np.random.default_rng(3).integers(0, width, size=n)
+    bits = one_hot_rr(positions, width, probs, np.random.Generator(bit_generator(8)))
+    for column in range(width):
+        target = positions == column
+        for cells, rate in ((bits[target, column], probs.p), (bits[~target, column], probs.q)):
+            stderr = math.sqrt(rate * (1.0 - rate) / cells.size)
+            assert abs(cells.mean() - rate) < 5.0 * stderr, (column, rate)
 
 
 def test_scratch_memory_is_one_bounded_block():
-    n, width = 4096, 1024  # 32 MB of uniforms if drawn in one piece
+    n, width = 4096, 1024  # 16 MB of raw words if drawn in one piece
     tracemalloc.start()
     try:
         bits = one_hot_rr(
@@ -167,9 +248,9 @@ def expected_threads(n, width, cores, cells=_BLOCK_CELLS):
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3, 5])
-@pytest.mark.parametrize("width", [1024, 64])
+@pytest.mark.parametrize("width", [1024, 64, 1023, 63])
 def test_split_bits_are_the_threshold_matrix(split, width, cores):
-    rows = _BLOCK_CELLS // width
+    rows = _BLOCK_CELLS // words(width)
     # split blocks are 1/threads of an unsplit one, so most of these row
     # counts end inside a block
     for n in (rows, rows + 1, 2 * rows + 1, 3 * rows + 7, 5 * rows - 3):
@@ -178,12 +259,12 @@ def test_split_bits_are_the_threshold_matrix(split, width, cores):
         got = one_hot_rr(positions, width, PROBS, np.random.default_rng(17))
         want = reference_bits(positions, width, PROBS, np.random.default_rng(17))
         assert np.array_equal(got, want), n
-        assert len(copies) == expected_threads(n, width, cores), n
+        assert len(copies) == expected_threads(n, words(width), cores), n
 
 
 @pytest.mark.parametrize("width", [1024, 64])
 def test_more_threads_than_rows(split, monkeypatch, width):
-    monkeypatch.setattr(base, "_BLOCK_CELLS", width // 4)  # four blocks a row
+    monkeypatch.setattr(base, "_BLOCK_CELLS", words(width) // 4)  # four blocks a row
     for n in (1, 2, 3, 4):
         copies = split(5)
         positions = np.random.default_rng(n).integers(0, width, size=n)
@@ -220,25 +301,25 @@ def test_blocks_go_to_whichever_thread_is_free(split):
 
 @pytest.mark.parametrize("cores", [2, 3, 5])
 def test_split_leaves_the_generator_where_one_draw_does(split, cores):
-    n, width = 3 * (_BLOCK_CELLS // 1024) + 7, 1024
+    n, width = 3 * (_BLOCK_CELLS // 512) + 7, 1024
     copies = split(cores)
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     one_hot_rr(np.zeros(n, dtype=np.int64), width, PROBS, rng)
-    ref.random((n, width))
+    ref.bit_generator.random_raw(n * words(width))
     assert copies and rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("cores", [2, 3, 5])
 def test_split_keeps_the_buffered_32_bit_half(split, cores):
-    n, width = 2 * (_BLOCK_CELLS // 64) + 5, 64
+    n, width = 2 * (_BLOCK_CELLS // 32) + 5, 64
     copies = split(cores)
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
     for gen in (rng, ref):  # one int32 draw leaves half of a word buffered
         gen.integers(0, 1000, dtype=np.int32)
     assert rng.bit_generator.state["has_uint32"] == 1
     one_hot_rr(np.zeros(n, dtype=np.int64), width, PROBS, rng)
-    ref.random((n, width))
+    ref.bit_generator.random_raw(n * words(width))
     assert copies
     assert np.array_equal(
         rng.integers(0, 1 << 30, size=5, dtype=np.int32),
@@ -247,7 +328,7 @@ def test_split_keeps_the_buffered_32_bit_half(split, cores):
 
 
 def test_pcg64dxsm_splits(split):
-    n, width = 3 * (_BLOCK_CELLS // 1024) + 7, 1024
+    n, width = 3 * (_BLOCK_CELLS // 512) + 7, 1024
     copies = split(3)
     positions = np.random.default_rng(1).integers(0, width, size=n)
     rng = np.random.Generator(np.random.PCG64DXSM(4))
@@ -262,7 +343,7 @@ def test_pcg64dxsm_splits(split):
     "bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox]
 )
 def test_generators_that_cannot_jump_run_unsplit(split, bit_generator):
-    n, width = 3 * (_BLOCK_CELLS // 1024) + 7, 1024
+    n, width = 3 * (_BLOCK_CELLS // 512) + 7, 1024
     copies = split(3)
     positions = np.random.default_rng(2).integers(0, width, size=n)
     rng = np.random.Generator(bit_generator(6))
@@ -274,7 +355,7 @@ def test_generators_that_cannot_jump_run_unsplit(split, bit_generator):
 
 
 def test_error_in_a_worker_thread_reaches_the_caller(split):
-    n, width = 2 * (_BLOCK_CELLS // 64), 64
+    n, width = 2 * (_BLOCK_CELLS // 32), 64
     split(2)
     positions = np.zeros(n, dtype=np.int64)
     positions[-1] = width  # out of range, in the last block
@@ -406,14 +487,14 @@ def test_a_block_that_reads_an_extra_word_runs_again_in_order(split, cores):
 
 def test_olh_support_counts_are_the_same_on_every_core_count(split, monkeypatch):
     mech = OptimizedLocalHashing(VENUE_L, 1.0)
-    pool = base.ThreadPoolExecutor
-    started = []  # threads per call beside the calling one
+    pool = base._thread_pool
+    started = []  # pool threads per call beside the calling one
 
-    def recording(workers):
-        started.append(workers)
-        return pool(workers)
+    def recording(threads):
+        started.append(threads)
+        return pool(threads)
 
-    monkeypatch.setattr(base, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(base, "_thread_pool", recording)
     rows = _SMALL_BLOCK_CELLS // VENUE_L
     for n in (rows - 1, rows + 1, 3 * rows + 7, 11 * rows):
         rng = np.random.default_rng(n)

@@ -14,6 +14,7 @@ import pytest
 
 import ldp_enum
 import sketch_cases
+from ldp_enum import LANE
 from rappor_reference import cd_nonneg_lasso, loop_normal_equations
 from zoneldp.errors import SingularFitWarning
 from zoneldp.oracles.base import _BLOCK_CELLS
@@ -40,15 +41,17 @@ def flip_rate(epsilon):
 
 class TestFlipParameter:
     def test_frozen_value_at_eps_two(self):
-        # hand-computed from the definition: f = 2/(e^{eps/2} + 1)
-        assert flip_rate(2.0) == pytest.approx(0.5378828427399902, rel=1e-15)
+        # hand-computed from the definition: f = 2/(e^{eps/2} + 1), and
+        # q = f/2 rounded up onto the 2^-32 grid of the client's lanes
+        assert flip_rate(2.0) == 2.0 * 1155094610 / LANE
+        assert flip_rate(2.0) == 2.0 * math.ceil(0.5378828427399902 / 2.0 * LANE) / LANE
 
     def test_per_bit_pair_derives_from_f(self):
         for epsilon in (0.5, 1.0, 2.0):
             f = 2.0 / (math.exp(epsilon / 2.0) + 1.0)
             probs = Rappor(l_zones=4, epsilon=epsilon, k=8, m=4).probabilities()
-            assert probs.p == pytest.approx(1.0 - f / 2.0, rel=1e-15)
-            assert probs.q == pytest.approx(f / 2.0, rel=1e-15)
+            assert probs.p == math.floor((1.0 - f / 2.0) * LANE) / LANE
+            assert probs.q == math.ceil(f / 2.0 * LANE) / LANE
 
 
 class TestNonnegLasso:

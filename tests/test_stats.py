@@ -29,7 +29,7 @@ def _rows(batch, rows):
 
 
 def _assert_same(a: Stats, b: Stats):
-    assert (a.mechanism, a.n_reports) == (b.mechanism, b.n_reports)
+    assert (a.mechanism, a.n_reports, a.hash_seed) == (b.mechanism, b.n_reports, b.hash_seed)
     assert a.counts.dtype == b.counts.dtype == np.int64
     assert np.array_equal(a.counts, b.counts)
     if a.row_sizes is None:
@@ -65,6 +65,30 @@ def test_statistics_of_another_mechanism_or_shape_do_not_add(mechanism):
             stats + bad
         with pytest.raises(ParamMismatch, match="does not fit"):
             mech.aggregate(bad)
+
+
+@pytest.mark.parametrize("mechanism", ["CMS", "RAPPOR"])
+def test_sketch_statistics_of_another_hash_family_do_not_add(mechanism):
+    # same mechanism, sizes and L, another family: the sums are of other
+    # bits, so decoding them against this table would be silently wrong
+    mech, batch = _reduced(mechanism)
+    stats = mech.reduce(batch)
+    other = make_mechanism(mechanism, 20, 1.0, hash_seed=4)
+    assert stats.hash_seed == 3 and other.empty_stats().hash_seed == 4
+    foreign = other.reduce(batch)
+    assert foreign.counts.shape == stats.counts.shape
+    with pytest.raises(ParamMismatch, match="does not fit"):
+        stats + foreign
+    with pytest.raises(ParamMismatch, match="does not fit"):
+        mech.aggregate(foreign)
+    assert (stats + mech.reduce(batch)).hash_seed == 3
+
+
+@pytest.mark.parametrize("mechanism", ["OLH", "OUE", "THE", "HR"])
+def test_statistics_without_a_sketch_carry_no_hash_seed(mechanism):
+    mech, batch = _reduced(mechanism)
+    assert mech.reduce(batch).hash_seed is None
+    assert mech.empty_stats().hash_seed is None
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
