@@ -46,11 +46,6 @@ def normalize_schema(schema: dict) -> dict:
     return out
 
 
-# distinct cell texts load_fingerprints remembers the RSSI of; a file of
-# more distinct texts parses the rows holding the others cell by cell
-_KNOWN_TEXTS = 1 << 16
-
-
 def _parse_rssi(cell: str, marker: str, row_number: int, column: str) -> float:
     text = cell.strip()
     if text == "" or (marker and text == marker):
@@ -72,8 +67,9 @@ def load_fingerprints(path, schema: dict) -> np.ndarray:
 
     Rows failing the optional floor filter are dropped silently; rows with
     unparseable cells raise MalformedRow with their 1-based line number.
-    A cell's RSSI depends only on its text, so each distinct text is parsed
-    once (up to ``_KNOWN_TEXTS`` of them) and looked up after that.
+    A row's RSSI cells go through ``float`` in one pass; a row that pass
+    cannot take as it is (a bad cell, NaN or an infinity, a padded marker)
+    is parsed cell by cell, which names a bad cell.
     """
     schema = normalize_schema(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -97,10 +93,15 @@ def load_fingerprints(path, schema: dict) -> np.ndarray:
         floor_value = str(floor["value"]).strip() if floor else None
 
         marker = schema["not_detected"]
+        # empty and marker cells reach float() as the sentinel
+        not_sensed = {"": SENTINEL_RSSI, marker: SENTINEL_RSSI}
+        # a marker float() reads above the sentinel, such as "100": a cell of
+        # that value may be a padded marker text
+        try:
+            raised = float(marker) if float(marker) > SENTINEL_RSSI else None
+        except ValueError:
+            raised = None
         values = array("d")  # row after row, 8 bytes a cell
-        # cell text -> its RSSI, for texts that parsed: RSSI files repeat a
-        # few texts, so most rows are one dict lookup a cell
-        known = {}
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -112,16 +113,20 @@ def load_fingerprints(path, schema: dict) -> np.ndarray:
                 continue
             cells = list(map(row.__getitem__, rssi_idx))
             try:
-                parsed = list(map(known.__getitem__, cells))
-            except KeyError:  # a new text: cell by cell, naming a bad one
+                parsed = list(map(float, map(not_sensed.get, cells, cells)))
+                # a finite sum: no NaN and no infinity
+                whole = math.isfinite(sum(parsed)) and (raised is None or raised not in parsed)
+            except ValueError:
+                whole = False
+            if not whole:
                 parsed = [_parse_rssi(row[i], marker, row_number, header[i]) for i in rssi_idx]
-                if len(known) < _KNOWN_TEXTS:
-                    known.update(zip(cells, parsed))
             values.extend(parsed)
 
     if not values:
         raise SchemaMismatch("no rows survived parsing and filtering")
     matrix = np.frombuffer(values, dtype=np.float64).reshape(-1, len(rssi_idx))
+    # anything at or below the sentinel level counts as not sensed
+    np.maximum(matrix, SENTINEL_RSSI, out=matrix)
     matrix.setflags(write=False)
     return matrix
 

@@ -293,6 +293,15 @@ class TestSimulate:
         assert json.loads((workspace / "r.json").read_text())["n_reports"] == 0
         assert trace.read_bytes() == b""
 
+    def test_a_budget_below_the_lane_grid_is_a_data_error(self, workspace, capsys):
+        # CMS keeps p > q on the 2^-32 grid only from eps of about 2^-29
+        config = self._write_config(workspace, mechanism="CMS", epsilon=1e-9)
+        out = workspace / "r.json"
+        code, _, stderr = run_cli(["simulate", "--config", config, "--out", out], capsys)
+        assert code == EXIT_DATA
+        assert stderr.startswith("data error:") and "must exceed" in stderr
+        assert not out.exists()
+
     def test_a_failed_round_leaves_no_trace(self, workspace, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise OSError("disk full")

@@ -126,28 +126,28 @@ class TestLoadFingerprints:
         assert err.value.row_number == 3
         assert "AP2" in err.value.detail
 
-    def test_a_bad_cell_among_known_texts_is_named(self, tmp_path):
-        # every other text of row 4 was parsed on rows 2 and 3 already
-        path = write_csv(
-            tmp_path,
-            "x,y,AP1,AP2,AP3\n1,2,-40,-50,-60\n1,2,-50,-60,-40\n1,2,-60,-40,- 50\n",
-        )
+    def test_a_bad_cell_in_a_row_of_numbers_is_named(self, tmp_path):
+        path = write_csv(tmp_path, "x,y,AP1,AP2,AP3\n1,2,-40,-50,-60\n1,2,-60,-40,- 50\n")
         with pytest.raises(MalformedRow) as err:
             load_fingerprints(path, SCHEMA)
-        assert err.value.row_number == 4
+        assert err.value.row_number == 3
         assert "AP3" in err.value.detail and "'- 50'" in err.value.detail
 
-    @pytest.mark.parametrize("known_texts", [0, 3, 1 << 16])
-    def test_remembered_texts_parse_as_each_cell_does(self, tmp_path, monkeypatch, known_texts):
-        # texts that differ only in spacing, the marker and below-sentinel
-        # values, with the memory of texts full at once, soon, or never
-        monkeypatch.setattr(dataio, "_KNOWN_TEXTS", known_texts)
-        texts = ["-40", " -40", "-40.0", "-110", " -110 ", "", "-200", "-inf", "-55.5"]
-        rng = np.random.default_rng(7)
-        rows = rng.choice(texts, size=(200, 3))
+    @pytest.mark.parametrize("marker", ["-110", "100", "NA", ""])
+    def test_rows_parse_as_each_cell_does(self, tmp_path, marker):
+        # spacing, padded and rewritten markers, empty cells, values at and
+        # below the sentinel: a row parsed at once reads as cell by cell
+        texts = ["-40", " -40", "-40.0", "-110", " -110 ", "", "  ", "-200", "-inf",
+                 "-55.5", "100", " 100", "100.0"]
+        if marker == "NA":
+            texts += ["NA", " NA "]
+        rows = np.random.default_rng(7).choice(texts, size=(300, 3))
         body = "".join(f"1,2,{','.join(row)}\n" for row in rows)
-        rssi = load_fingerprints(write_csv(tmp_path, "x,y,AP1,AP2,AP3\n" + body), SCHEMA)
-        want = [[dataio._parse_rssi(cell, "-110", 2, "AP") for cell in row] for row in rows]
+        rssi = load_fingerprints(
+            write_csv(tmp_path, "x,y,AP1,AP2,AP3\n" + body),
+            dict(SCHEMA, not_detected=marker),
+        )
+        want = [[dataio._parse_rssi(cell, marker, 2, "AP") for cell in row] for row in rows]
         assert rssi.tolist() == want
 
     def test_short_row_raises(self, tmp_path):

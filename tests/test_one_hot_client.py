@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import zoneldp
+from zoneldp.errors import DegenerateProbabilities
 from zoneldp.oracles import base, make_mechanism
 from ldp_enum import LANE, within_exp
 from zoneldp.oracles.base import (
@@ -128,6 +129,19 @@ def test_lane_probabilities_round_p_down_and_q_up():
         assert probs.p == min(math.floor(p * LANE), LANE - 1) / LANE
         assert probs.q == math.ceil(q * LANE) / LANE
         assert lane_probabilities(probs) == probs  # the grid is fixed
+
+
+@pytest.mark.parametrize("mechanism, smallest", [
+    ("OUE", 2.0**-30), ("CMS", 2.0**-29), ("RAPPOR", 2.0**-29),
+])
+def test_budgets_the_grid_cannot_split_are_degenerate(mechanism, smallest):
+    # OUE's q is about 1/2 - eps/4 under p = 1/2, the sketches' pair about
+    # 1/2 +- eps/8: less than a grid step from 1/2, p rounded down and q
+    # rounded up meet
+    with pytest.raises(DegenerateProbabilities, match="must exceed"):
+        make_mechanism(mechanism, 4, 0.9 * smallest)
+    probs = make_mechanism(mechanism, 4, 1.1 * smallest).probabilities()
+    assert probs.p - probs.q >= 1.0 / LANE
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
