@@ -14,10 +14,10 @@ reports. Each mechanism is defined by its (p, q) pair, which the base
 class returns from ``probabilities()``. The three mechanisms that report a
 randomized one-hot bit row (OUE over the L zones, CMS and RAPPOR over a
 hashed row) share one client randomizer, ``one_hot_rr``: each bit
-compares one 32-bit lane of the generator's raw stream against an integer
-threshold, so these three mechanisms hold their (p, q) pair on the 2^-32
+compares one 16-bit lane of the generator's raw stream against an integer
+threshold, so these three mechanisms hold their (p, q) pair on the 2^-16
 grid (``lane_probabilities``), the pair the client realizes exactly. Every
-per-cell loop (``one_hot_rr``'s words of two lanes, THE's Laplace noise,
+per-cell loop (``one_hot_rr``'s words of four lanes, THE's Laplace noise,
 OLH's hash replay) runs on one block scheduler, ``run_blocks``, which
 fills large jobs on the process's threads, one per core, drawing from
 jump-ahead copies of the caller's PCG64 generator, without changing a bit
@@ -66,14 +66,15 @@ class PerturbProbabilities:
             raise DegenerateProbabilities(f"p={self.p} must exceed q={self.q}")
 
 
-# values a 32-bit lane takes: one_hot_rr's probabilities are multiples of
+# values a 16-bit lane takes: one_hot_rr's probabilities are multiples of
 # 1/_LANE
-_LANE = 1 << 32
+_LANE = 1 << 16
 
 # cells per block of the blocked loops, over all threads: each job's
 # per-block scratch stays near 4 MB of 8-byte cells (512 rows at width
 # 1024, 8192 rows at width 64), and a job of at most one block runs on one
-# thread. one_hot_rr's cells, raw words of two lanes, use this size.
+# thread. one_hot_rr's cells, raw words of four lanes, use this size: a
+# block is 2048 rows of a 1024-bit CMS report.
 _BLOCK_CELLS = 1 << 19
 
 # cells per block of the loops that cost more per cell, THE's Laplace noise
@@ -86,10 +87,11 @@ _BLOCK_CELLS = 1 << 19
 _SMALL_BLOCK_CELLS = 1 << 17
 
 # bytes of reports that perturb_chunks hands out at a time, 4 MB: a chunk
-# of one-byte bits is 8 blocks of _BLOCK_CELLS and one of THE's float64
-# rows 4 blocks of _SMALL_BLOCK_CELLS, so every chunk still splits across
-# threads. Measured on 50k CMS reports at m = 1024, 4096-row chunks reduce
-# in 31-38 ms, as fast as the whole batch at once.
+# of one-byte bits is 2 blocks of _BLOCK_CELLS raw words (a 4096-row CMS
+# chunk reads 2^20 words, four bits each), so it splits onto at most two
+# threads, and one of THE's float64 rows is 4 blocks of _SMALL_BLOCK_CELLS.
+# Measured on 50k CMS reports at m = 1024, 4096-row chunks reduce in
+# 31-38 ms, as fast as the whole batch at once.
 _CHUNK_BYTES = 8 * _BLOCK_CELLS
 
 
@@ -155,7 +157,7 @@ def run_blocks(
     ``rng`` is the caller's generator, and the job must read one 64-bit
     word of its stream per cell, in row-major order, so that the result
     equals one draw of all n x width cells. A cell is one of THE's
-    doubles, or one raw word, two of ``one_hot_rr``'s 32-bit lanes. Run in
+    doubles, or one raw word, four of ``one_hot_rr``'s 16-bit lanes. Run in
     order, blocks share ``rng`` itself. Split, each thread holds a copy of
     ``rng`` and jumps it ahead to the first cell of every block it takes;
     that is exact only for PCG64 and PCG64DXSM, so other bit generators
@@ -240,14 +242,17 @@ def _landed(rng: np.random.Generator, before: dict, words: int) -> bool:
 
 
 def lane_probabilities(probs: PerturbProbabilities) -> PerturbProbabilities:
-    """A closed-form pair rounded onto the 2^-32 grid, p down (to at most
-    1 - 2^-32, the most a lane threshold can give) and q up: exactly the
+    """A closed-form pair rounded onto the 2^-16 grid, p down (to at most
+    1 - 2^-16, the most a lane threshold can give) and q up: exactly the
     pair ``one_hot_rr`` realizes from either.
 
     The rounding only narrows both ratios p/q and (1 - q)/(1 - p), so a
     likelihood-ratio bound that holds for the closed form holds for the
-    rounded pair, and debiasing with it is exactly unbiased.
-    DegenerateProbabilities for a pair that the grid does not keep apart.
+    rounded pair, and debiasing with it is exactly unbiased. Neither ratio
+    exceeds 2^16 - 1, so a bit spends at most ln(2^16 - 1) ~ 11.09 of the
+    budget, however large the closed form's. DegenerateProbabilities for a
+    pair that the grid does not keep apart: OUE below a budget of about
+    2^-14, CMS and RAPPOR below about 2^-13.
     """
     return PerturbProbabilities(
         p=min(math.floor(probs.p * _LANE), _LANE - 1) / _LANE,
@@ -256,13 +261,14 @@ def lane_probabilities(probs: PerturbProbabilities) -> PerturbProbabilities:
 
 
 def _lanes(gen: np.random.Generator, words: int) -> np.ndarray:
-    """2 * ``words`` uniform 32-bit lanes from ``words`` raw 64-bit words
-    of ``gen``, low half first, leaving a buffered 32-bit half untouched.
-    MT19937's raw outputs hold 32 bits, so it gives one lane per output."""
+    """4 * ``words`` uniform 16-bit lanes from ``words`` raw 64-bit words
+    of ``gen``, low lane first, leaving a buffered 32-bit half untouched.
+    MT19937's raw outputs hold 32 bits, so it gives two lanes per output,
+    from two outputs per word."""
     bit_generator = gen.bit_generator
     if isinstance(bit_generator, np.random.MT19937):
-        return bit_generator.random_raw(2 * words).astype(np.uint32)
-    return bit_generator.random_raw(words).astype("<u8", copy=False).view("<u4")
+        return bit_generator.random_raw(2 * words).astype("<u4").view("<u2")
+    return bit_generator.random_raw(words).astype("<u8", copy=False).view("<u2")
 
 
 def one_hot_rr(
@@ -272,12 +278,12 @@ def one_hot_rr(
 
     Row i has a 1 at ``positions[i]`` before randomization: that bit is
     reported as 1 with probability p and every other bit with probability
-    q, both taken on the 2^-32 grid as ``lane_probabilities`` rounds them.
-    Each bit is one uniform 32-bit lane compared against its integer
-    threshold. Row i reads the ceil(width / 2) raw words of the stream
-    after row i - 1's, two lanes a word, low half first; an odd width
-    drops the high lane of the row's last word. So a job of n rows reads
-    n * ceil(width / 2) words and leaves ``rng`` where
+    q, both taken on the 2^-16 grid as ``lane_probabilities`` rounds them.
+    Each bit is one uniform 16-bit lane compared against its integer
+    threshold. Row i reads the ceil(width / 4) raw words of the stream
+    after row i - 1's, four lanes a word, low lane first; a width that is
+    not a multiple of four drops the high lanes of the row's last word. So
+    a job of n rows reads n * ceil(width / 4) words and leaves ``rng`` where
     ``rng.bit_generator.random_raw`` of that many would, buffered 32-bit
     half untouched. Rows are filled in blocks by ``run_blocks`` with the
     word as its cell, so memory stays bounded for any n and the bits are
@@ -285,13 +291,13 @@ def one_hot_rr(
     """
     positions = np.asarray(positions, dtype=np.int64)
     bits = np.empty((positions.size, width), dtype=np.uint8)
-    words = -(-width // 2)
+    words = -(-width // 4)
     grid = lane_probabilities(probs)
-    t_p, t_q = np.uint32(grid.p * _LANE), np.uint32(grid.q * _LANE)
+    t_p, t_q = np.uint16(grid.p * _LANE), np.uint16(grid.q * _LANE)
 
     def fill(start, stop, gen):
         rows = stop - start
-        lanes = _lanes(gen, rows * words).reshape(rows, 2 * words)[:, :width]
+        lanes = _lanes(gen, rows * words).reshape(rows, 4 * words)[:, :width]
         out = bits[start:stop]
         np.less(lanes, t_q, out=out.view(np.bool_))
         index, targets = np.arange(rows), positions[start:stop]
@@ -609,7 +615,7 @@ class HashedSketch(FrequencyOracle):
     to bit ``targets[r, v]``. A client draws one row uniformly, sets its
     zone's bit in a width-bit row and randomizes every bit with
     ``one_hot_rr`` at budget eps/2 per bit: p = e^(eps/2) / (e^(eps/2) + 1)
-    and q = 1 - p, rounded onto the 2^-32 grid. A zone change moves exactly
+    and q = 1 - p, rounded onto the 2^-16 grid. A zone change moves exactly
     two bits, so the whole report is eps-private. The statistic is the
     per-(row, bit) sums with the reports per row, under the family's seed;
     the decoders debias it.

@@ -3,8 +3,11 @@
 Each user picks one of k public hash functions, one-hot encodes the hashed
 zone into an m-column row, and randomizes every bit independently with
 budget eps/2 per bit: the client of ``HashedSketch``, with k rows of
-width m. RAPPOR is the same sketch with the two sizes named the other way
-round and a different decoder.
+width m. Its per-bit pair is held on the 2^-16 grid of ``one_hot_rr``'s
+16-bit lanes, so a bit flips with probability at least 2^-16 at any
+budget (the per-bit budget stops growing past eps = 2 ln(2^16 - 1) ~ 22.2).
+RAPPOR is the same sketch with the two sizes named the other way round
+and a different decoder.
 
 The aggregator reads each zone's k bit sums through the same hash
 functions, debiases their total once, and removes the uniform collision

@@ -5,7 +5,10 @@ independently: a set bit stays 1 with probability 1/2, a clear bit turns 1
 with probability 1/(e^eps + 1). Splitting the budget this way minimizes the
 estimator variance of the unary family. The client step is ``one_hot_rr``
 with the zone itself as the bit position, so the mechanism's pair is this
-closed form rounded onto the 2^-32 grid of its 32-bit lanes.
+closed form rounded onto the 2^-16 grid of its 16-bit lanes: q is never
+below 2^-16, so past eps = ln(2^16 - 1) ~ 11.09 a clear bit still turns 1
+with probability 2^-16, and below eps of about 2^-14 the grid cannot keep
+p above q.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .base import (
 
 def probabilities(epsilon: float) -> PerturbProbabilities:
     """The closed-form pair (1/2, 1/(e^eps + 1)); the mechanism holds it
-    rounded onto the 2^-32 grid of ``one_hot_rr``."""
+    rounded onto the 2^-16 grid of ``one_hot_rr``."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return PerturbProbabilities(p=0.5, q=1.0 / (math.exp(epsilon) + 1.0))

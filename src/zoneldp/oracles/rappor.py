@@ -6,10 +6,13 @@ positions with its own public hash function, so each zone lights one bit
 per cohort (different bits in different cohorts, which is what makes the
 decoding well-posed). The bit vector is then reported with flip parameter
 f = 2/(e^{eps/2} + 1): a set bit stays 1 with probability 1 - f/2, a clear
-bit turns 1 with probability f/2. One report per user, so only this
-permanent randomization round applies. This is the client of
-``HashedSketch`` with m rows (cohorts) of width k, the same sketch CMS
-uses with its sizes named the other way round; only the decoder differs.
+bit turns 1 with probability f/2, both rounded onto the 2^-16 grid of
+``one_hot_rr``'s 16-bit lanes (so f/2 is never below 2^-16, and the
+budget must be at least about 2^-13 for the grid to keep the two apart).
+One report per user, so only this permanent randomization round applies.
+This is the client of ``HashedSketch`` with m rows (cohorts) of width k,
+the same sketch CMS uses with its sizes named the other way round; only
+the decoder differs.
 
 Decoding debiases each cohort's bit counts and fits per-zone counts by
 nonnegative L1-regularized least squares (penalty weight picked on an

@@ -25,7 +25,7 @@ from .domain import (
     _is_real,
     rssi_matrix,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateProbabilities
 from .metrics import MetricReport, metric_report
 from .oracles import make_mechanism
 from .oracles.base import ReportBatch
@@ -119,7 +119,9 @@ class ExperimentConfig:
     def __post_init__(self):
         """Checks every field once, coercing nothing: ConfigError unless the
         grid axes are nonempty lists of known mechanisms and of finite
-        positive reals, trials is an integer >= 1 and seed one >= 0."""
+        positive reals, every mechanism can randomize at every budget (its
+        pair, on the 2^-16 lane grid for OUE, CMS and RAPPOR, keeps p above
+        q), trials is an integer >= 1 and seed one >= 0."""
         mechanisms = _items(self.mechanisms, "mechanisms")
         if not mechanisms:
             raise ConfigError("mechanisms must be nonempty")
@@ -129,6 +131,14 @@ class ExperimentConfig:
         epsilons = _items(self.epsilons, "epsilons")
         if not epsilons or not all(_is_real(e) and 0 < e < math.inf for e in epsilons):
             raise ConfigError(f"epsilons must be finite positive reals, got {epsilons!r}")
+        for mechanism in mechanisms:
+            for epsilon in epsilons:
+                try:  # the pair a round of it would build
+                    make_mechanism(mechanism, 1, float(epsilon), self.params)
+                except DegenerateProbabilities as exc:
+                    raise ConfigError(
+                        f"{mechanism} cannot randomize at epsilon {epsilon!r}: {exc}"
+                    ) from None
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (_is_int(self.seed) and self.seed >= 0):

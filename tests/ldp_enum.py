@@ -15,9 +15,9 @@ import itertools
 import math
 from decimal import Context, Decimal, localcontext
 
-# values a 32-bit lane takes: the one-hot clients' probabilities are
+# values a 16-bit lane takes: the one-hot clients' probabilities are
 # integer thresholds over LANE
-LANE = 1 << 32
+LANE = 1 << 16
 
 
 def within_exp(lhs: int, x: float, rhs: int) -> bool:

@@ -39,11 +39,11 @@ class Probabilities(Sketch):
         # hand-computed from the definition: the per-bit budget is eps/2,
         # so at eps = 2 the closed-form pair is (e/(e+1), 1/(e+1)); in
         # RAPPOR's terms q = f/2 and p = 1 - f/2 with f = 2/(e^{eps/2} + 1).
-        # The client compares 32-bit lanes, so the pair is held on the
-        # 2^-32 grid, p rounded down and q rounded up
+        # The client compares 16-bit lanes, so the pair is held on the
+        # 2^-16 grid, p rounded down and q rounded up
         probs = self.make(4, 2.0, rows=4, width=8).probabilities()
-        assert probs.p == 3139872686 / LANE == math.floor(0.7310585786300049 * LANE) / LANE
-        assert probs.q == 1155094610 / LANE == math.ceil(0.2689414213699951 * LANE) / LANE
+        assert probs.p == 47910 / LANE == math.floor(0.7310585786300049 * LANE) / LANE
+        assert probs.q == 17626 / LANE == math.ceil(0.2689414213699951 * LANE) / LANE
         f = 0.5378828427399902
         assert probs.q == math.ceil(f / 2.0 * LANE) / LANE
         assert probs.p == math.floor((1.0 - f / 2.0) * LANE) / LANE

@@ -238,20 +238,20 @@ class TestSimulate:
 
     # sha256 of each trace at counts [30, 20, 10] and seed 9, as written when
     # the trace was built from one report object per user; OUE, CMS and
-    # RAPPOR as written since their bits compare 32-bit lanes of raw words
+    # RAPPOR as written since their bits compare 16-bit lanes of raw words
     TRACE_SHA256 = {
         ("OLH", 0.5): "3b065a1b9be74f574b50aea53bedd9e0efa822fd53dddbae333f934f4c586846",
         ("OLH", 2.0): "b866e7e529dc08460ffb9e362783068463b2d9084a95ed80f2531a783d728b62",
-        ("OUE", 0.5): "f3ba21f15c99684db9ec302b1ab7f8c221997fd2ade5f396f7e00c64a2162308",
-        ("OUE", 2.0): "ee2b4f0c444254c93f202e042fdeb4f812ca07c0d164a4733b7e4a67722cd9af",
+        ("OUE", 0.5): "8539f2743945a8e4195cbf8e79094378f08cb067478b91fc6ccd080737b55f8a",
+        ("OUE", 2.0): "ab997d69a5410605b0e44563a1520fed652a00da6027986aa45742c32de13354",
         ("THE", 0.5): "7c4b45ef6fb7c560f4ff018063c4d4b040a853dab1c9d4082378abeabb40f80e",
         ("THE", 2.0): "2e1ca112017909dca1417228a370be5f484bef09e1d2b8e91a3d0a762072e0a4",
         ("HR", 0.5): "b5bc951cba6f0b4b038b3bf098292427dfcf5c913493919e6227b9f2e9dc9aa2",
         ("HR", 2.0): "f87719b94625fcee5c916f24547c512fa225386aa02471e32cf3b19bcf57e841",
-        ("CMS", 0.5): "12828eadcf7eac49066a575d343001e640cfa5f2f8b5de7e5414d5043e80a337",
-        ("CMS", 2.0): "acb44aed2900954e5ed98e926ab6adf2c597230c128dc5d6880dd22a09ce813f",
-        ("RAPPOR", 0.5): "ad22d94dec95c040bd93f300e10c331796d5a03e32c55879fcd3f0ee9fed82fe",
-        ("RAPPOR", 2.0): "2fdea7b5db8e0db5956ffde08c9e789859656e408c2205d1312192e12f962608",
+        ("CMS", 0.5): "a8f24f070a2cbfda4a3f52c433c8503203a33f91d8d80a9b5a68676f34997799",
+        ("CMS", 2.0): "41955c7c1b441de6b155b9d5379ce35f5f87693ffd03abf20619aae37f245d07",
+        ("RAPPOR", 0.5): "2c8b85bd9dc5791b58777159c6532ac61df2698c5d1411d36f9f69958b9da82d",
+        ("RAPPOR", 2.0): "be98180bccb6427a4fcfd05d74b4ce377666ea6c8a54e805166c6c8e406c6152",
     }
 
     @pytest.mark.parametrize("mechanism, epsilon", sorted(TRACE_SHA256))
@@ -293,13 +293,13 @@ class TestSimulate:
         assert json.loads((workspace / "r.json").read_text())["n_reports"] == 0
         assert trace.read_bytes() == b""
 
-    def test_a_budget_below_the_lane_grid_is_a_data_error(self, workspace, capsys):
-        # CMS keeps p > q on the 2^-32 grid only from eps of about 2^-29
-        config = self._write_config(workspace, mechanism="CMS", epsilon=1e-9)
+    def test_a_budget_below_the_lane_grid_is_a_config_error(self, workspace, capsys):
+        # CMS keeps p > q on the 2^-16 grid only from eps of about 2^-13
+        config = self._write_config(workspace, mechanism="CMS", epsilon=5e-5)
         out = workspace / "r.json"
         code, _, stderr = run_cli(["simulate", "--config", config, "--out", out], capsys)
-        assert code == EXIT_DATA
-        assert stderr.startswith("data error:") and "must exceed" in stderr
+        assert code == EXIT_USAGE
+        assert stderr.startswith("config error:") and "must exceed" in stderr
         assert not out.exists()
 
     def test_a_failed_round_leaves_no_trace(self, workspace, capsys, monkeypatch):
@@ -469,6 +469,17 @@ class TestSweep:
         code, _, stderr = run_cli(argv, capsys)
         assert code == EXIT_USAGE
         assert "config error" in stderr and "workers" in stderr
+        assert not (workspace / "run").exists()
+
+    def test_a_budget_below_a_mechanisms_lane_grid_is_a_config_error(self, workspace, capsys):
+        # OLH can randomize at eps = 5e-5, CMS on its 2^-16 grid cannot:
+        # the whole grid is refused before any round runs
+        config = self._write_config(
+            workspace, mechanisms=["OLH", "CMS"], epsilons=[1.0, 5e-5]
+        )
+        code, _, stderr = run_cli(["sweep", "--config", config, "--out", workspace / "run"], capsys)
+        assert code == EXIT_USAGE
+        assert stderr.startswith("config error: CMS") and "must exceed" in stderr
         assert not (workspace / "run").exists()
 
     def test_trials_flag_overrides_config(self, workspace, capsys):

@@ -122,17 +122,19 @@ class TestAggregate(Cms, sketch_cases.Aggregate):
     test_rejects_hash_index_out_of_range = sketch_cases.Aggregate.rejects_row_index_out_of_range
 
     def test_noiseless_single_hash_closed_form(self):
-        # one hash function, a collision-free table and a huge budget leave
-        # every bit as encoded, so each zone's bit sum is its count c and
-        # the estimate is m/(m-1) * ((c - n q)/(p - q) - n/m), which is
-        # count + (count - n)/(m - 1) at q = 0; at eps = 50 the pair on the
-        # 2^-32 grid is (1 - 2^-32, 2^-32); hand-computed from the definition
+        # one hash function, a collision-free table and the encoded bits
+        # themselves (at eps = 50 a bit still flips with probability
+        # 2^-16): each zone's bit sum is its count c and the estimate is
+        # m/(m-1) * ((c - n q)/(p - q) - n/m), with the pair on the 2^-16
+        # grid, (1 - 2^-16, 2^-16); hand-computed from the definition
         counts = np.array([20, 15, 0, 10, 5, 25, 10, 15])
         zones = np.repeat(np.arange(8), counts)
         mech = CountMeanSketch(l_zones=8, epsilon=50.0, k=1, m=1024, hash_seed=0)
         assert len(set(mech.targets[0].tolist())) == 8
-        est = mech.aggregate(mech.perturb_batch(zones, np.random.default_rng(11)))
-        n, p, q = counts.sum(), 1.0 - 2.0**-32, 2.0**-32
+        bits = np.zeros((zones.size, mech.m), dtype=np.uint8)
+        bits[np.arange(zones.size), mech.targets[0, zones]] = 1
+        est = mech.aggregate(self.batch(np.zeros(zones.size), bits))
+        n, p, q = counts.sum(), 1.0 - 2.0**-16, 2.0**-16
         assert (mech.probabilities().p, mech.probabilities().q) == (p, q)
         expected = (mech.m / (mech.m - 1.0)) * ((counts - n * q) / (p - q) - n / mech.m)
         np.testing.assert_allclose(est.raw, expected, atol=1e-9)

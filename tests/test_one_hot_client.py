@@ -1,18 +1,18 @@
 """The one-hot randomizer that OUE, CMS and RAPPOR clients share, its
-probabilities on the 2^-32 grid, the scalar perturb() that runs a batch of
+probabilities on the 2^-16 grid, the scalar perturb() that runs a batch of
 one, and the block scheduler that also runs THE's Laplace noise and OLH's
 hash replay.
 
 The reference is the direct construction: a threshold matrix holding
-ceil(q * 2^32) everywhere and floor(p * 2^32) at each row's target bit,
-compared against the 32-bit lanes of one random_raw draw of n *
-ceil(width / 2) words (each word's low half, then its high half, taken
-apart with shifts and masks; an odd row drops its last high half), and
-for THE one rng.laplace((n, L)) draw. The blocked samplers must give the
-same values for the same seed, at every block boundary, for any number of
-row segments they split the stream into, and must leave the generator
-where that one draw leaves it. OLH's support counts must not depend on
-the core count.
+ceil(q * 2^16) everywhere and floor(p * 2^16) at each row's target bit,
+compared against the 16-bit lanes of one random_raw draw of n *
+ceil(width / 4) words (each word's four lanes, low lane first, taken
+apart with shifts and masks; a row whose width is not a multiple of four
+drops its last word's high lanes), and for THE one rng.laplace((n, L))
+draw. The blocked samplers must give the same values for the same seed,
+at every block boundary, for any number of row segments they split the
+stream into, and must leave the generator where that one draw leaves it.
+OLH's support counts must not depend on the core count.
 """
 import math
 import os
@@ -49,20 +49,20 @@ PROBS = PerturbProbabilities(p=0.62, q=0.38)
 
 def words(width):
     """Raw 64-bit words a row of ``width`` bits reads."""
-    return (width + 1) // 2
+    return (width + 3) // 4
 
 
 def reference_lanes(rng, n, width):
     """n x width lanes of one raw draw: row i holds words [i * w, (i + 1) *
-    w) for w = ceil(width / 2), each split into its low and high 32 bits.
-    MT19937's raw outputs are 32-bit, so there each output is one lane."""
-    if isinstance(rng.bit_generator, np.random.MT19937):
-        raw = rng.bit_generator.random_raw(2 * n * words(width))
-        return raw.reshape(n, 2 * words(width))[:, :width]
-    raw = rng.bit_generator.random_raw(n * words(width)).reshape(n, words(width))
-    lanes = np.empty((n, 2 * words(width)), dtype=np.uint64)
-    lanes[:, 0::2] = raw & np.uint64(LANE - 1)
-    lanes[:, 1::2] = raw >> np.uint64(32)
+    w) for w = ceil(width / 4), each split into its four 16-bit lanes, low
+    lane first. MT19937's raw outputs are 32-bit, two to a word, so there
+    each output is split into its low and high 16 bits."""
+    per_output = 2 if isinstance(rng.bit_generator, np.random.MT19937) else 4
+    outputs = 4 // per_output * words(width)
+    raw = rng.bit_generator.random_raw(n * outputs).reshape(n, outputs)
+    lanes = np.empty((n, 4 * words(width)), dtype=np.uint64)
+    for j in range(per_output):
+        lanes[:, j::per_output] = (raw >> np.uint64(16 * j)) & np.uint64(LANE - 1)
     return lanes[:, :width]
 
 
@@ -73,7 +73,7 @@ def reference_bits(positions, width, probs, rng):
     return (reference_lanes(rng, n, width) < thresholds).astype(np.uint8)
 
 
-@pytest.mark.parametrize("width", [1024, 64, 1023, 7])
+@pytest.mark.parametrize("width", [1024, 64, 1023, 1022, 1021, 7])
 def test_matches_the_threshold_matrix_at_block_edges(width):
     rows = _BLOCK_CELLS // words(width)
     for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
@@ -84,8 +84,9 @@ def test_matches_the_threshold_matrix_at_block_edges(width):
         assert np.array_equal(got, want), n
 
 
-@pytest.mark.parametrize("width", [1024, 1023, 2, 1])
+@pytest.mark.parametrize("width", [1024, 1023, 1022, 1021, 3, 2, 1])
 def test_consumes_exactly_n_times_half_the_width_words(width):
+    # n rows read n * ceil(width / 4) words, whatever width is modulo 4
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     for gen in (rng, ref):  # one int32 draw leaves half of a word buffered
         gen.integers(0, 1000, dtype=np.int32)
@@ -97,7 +98,7 @@ def test_consumes_exactly_n_times_half_the_width_words(width):
 
 
 def closed_form(mechanism, epsilon):
-    """(p, q) * 2^32 from the definition, to 80 digits: OUE's (1/2,
+    """(p, q) * 2^16 from the definition, to 80 digits: OUE's (1/2,
     1/(e^eps + 1)) or the sketches' per-bit pair at eps/2."""
     with localcontext(Context(prec=80)):
         if mechanism == "OUE":
@@ -124,15 +125,35 @@ def test_lane_pairs_keep_the_ratio_bound_in_integers(mechanism):
 
 
 def test_lane_probabilities_round_p_down_and_q_up():
-    for p, q in ((0.62, 0.38), (0.5, 0.25), (1.0, 0.0), (0.75, 2.0**-40)):
+    for p, q in ((0.62, 0.38), (0.5, 0.25), (1.0, 0.0), (0.75, 2.0**-40), (0.9, 2.0**-17)):
         probs = lane_probabilities(PerturbProbabilities(p, q))
         assert probs.p == min(math.floor(p * LANE), LANE - 1) / LANE
         assert probs.q == math.ceil(q * LANE) / LANE
         assert lane_probabilities(probs) == probs  # the grid is fixed
 
 
+def test_the_grid_is_the_lane_width():
+    lanes = base._lanes(np.random.default_rng(0), 3)
+    assert lanes.size == 12
+    assert base._LANE == LANE == 2 ** (8 * lanes.itemsize)
+
+
+@pytest.mark.parametrize("mechanism", ["OUE", "CMS", "RAPPOR"])
+def test_the_grid_costs_little_variance(mechanism):
+    # q(1 - q)/(p - q)^2, the noise variance per report of a debiased
+    # count, on the grid against the closed form, densely over [0.1, 5]
+    def variance(p, q):
+        return q * (1 - q) / (p - q) ** 2
+
+    for epsilon in np.linspace(0.1, 5.0, 491).tolist():
+        probs = make_mechanism(mechanism, 4, epsilon).probabilities()
+        p, q = (float(x) / LANE for x in closed_form(mechanism, epsilon))
+        ratio = variance(probs.p, probs.q) / variance(p, q)
+        assert abs(ratio - 1.0) <= 0.0025, epsilon
+
+
 @pytest.mark.parametrize("mechanism, smallest", [
-    ("OUE", 2.0**-30), ("CMS", 2.0**-29), ("RAPPOR", 2.0**-29),
+    ("OUE", 2.0**-14), ("CMS", 2.0**-13), ("RAPPOR", 2.0**-13),
 ])
 def test_budgets_the_grid_cannot_split_are_degenerate(mechanism, smallest):
     # OUE's q is about 1/2 - eps/4 under p = 1/2, the sketches' pair about
@@ -147,7 +168,7 @@ def test_budgets_the_grid_cannot_split_are_degenerate(mechanism, smallest):
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 def test_bit_rates_are_the_lane_thresholds(bit_generator):
     # 400k rows of 5 bits: each column's target and other cells, 2M in all,
-    # fire at t / 2^32 within 5 standard errors, high and padded lanes too
+    # fire at t / 2^16 within 5 standard errors, high and padded lanes too
     probs = lane_probabilities(PerturbProbabilities(0.7, 0.2))
     n, width = 400_000, 5
     positions = np.random.default_rng(3).integers(0, width, size=n)
@@ -157,6 +178,29 @@ def test_bit_rates_are_the_lane_thresholds(bit_generator):
         for cells, rate in ((bits[target, column], probs.p), (bits[~target, column], probs.q)):
             stderr = math.sqrt(rate * (1.0 - rate) / cells.size)
             assert abs(cells.mean() - rate) < 5.0 * stderr, (column, rate)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937]
+)
+@pytest.mark.parametrize("width", [1024, 1023, 1022, 1021, 3, 2, 1])
+def test_every_width_is_the_threshold_matrix_on_every_core_count(
+    split, monkeypatch, bit_generator, width
+):
+    # blocks of 8 rows, so every core count above one splits the 45-row
+    # job, except on MT19937, which cannot jump
+    monkeypatch.setattr(base, "_BLOCK_CELLS", 8 * words(width))
+    n = 45
+    positions = np.random.default_rng(width).integers(0, width, size=n)
+    for cores in (1, 2, 3, 5):
+        copies = split(cores)
+        rng = np.random.Generator(bit_generator(7))
+        ref = np.random.Generator(bit_generator(7))
+        got = one_hot_rr(positions, width, PROBS, rng)
+        assert np.array_equal(got, reference_bits(positions, width, PROBS, ref)), cores
+        assert rng.random() == ref.random(), cores
+        splits = cores > 1 and bit_generator is not np.random.MT19937
+        assert len(copies) == (min(cores, 6) if splits else 0), cores
 
 
 def test_scratch_memory_is_one_bounded_block():
@@ -315,7 +359,8 @@ def test_blocks_go_to_whichever_thread_is_free(split):
 
 @pytest.mark.parametrize("cores", [2, 3, 5])
 def test_split_leaves_the_generator_where_one_draw_does(split, cores):
-    n, width = 3 * (_BLOCK_CELLS // 512) + 7, 1024
+    width = 1024
+    n = 3 * (_BLOCK_CELLS // words(width)) + 7
     copies = split(cores)
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     one_hot_rr(np.zeros(n, dtype=np.int64), width, PROBS, rng)
@@ -326,7 +371,8 @@ def test_split_leaves_the_generator_where_one_draw_does(split, cores):
 
 @pytest.mark.parametrize("cores", [2, 3, 5])
 def test_split_keeps_the_buffered_32_bit_half(split, cores):
-    n, width = 2 * (_BLOCK_CELLS // 32) + 5, 64
+    width = 64
+    n = 2 * (_BLOCK_CELLS // words(width)) + 5
     copies = split(cores)
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
     for gen in (rng, ref):  # one int32 draw leaves half of a word buffered
@@ -342,7 +388,8 @@ def test_split_keeps_the_buffered_32_bit_half(split, cores):
 
 
 def test_pcg64dxsm_splits(split):
-    n, width = 3 * (_BLOCK_CELLS // 512) + 7, 1024
+    width = 1024
+    n = 3 * (_BLOCK_CELLS // words(width)) + 7
     copies = split(3)
     positions = np.random.default_rng(1).integers(0, width, size=n)
     rng = np.random.Generator(np.random.PCG64DXSM(4))
@@ -357,7 +404,8 @@ def test_pcg64dxsm_splits(split):
     "bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox]
 )
 def test_generators_that_cannot_jump_run_unsplit(split, bit_generator):
-    n, width = 3 * (_BLOCK_CELLS // 512) + 7, 1024
+    width = 1024
+    n = 3 * (_BLOCK_CELLS // words(width)) + 7
     copies = split(3)
     positions = np.random.default_rng(2).integers(0, width, size=n)
     rng = np.random.Generator(bit_generator(6))
@@ -369,7 +417,8 @@ def test_generators_that_cannot_jump_run_unsplit(split, bit_generator):
 
 
 def test_error_in_a_worker_thread_reaches_the_caller(split):
-    n, width = 2 * (_BLOCK_CELLS // 32), 64
+    width = 64
+    n = 2 * (_BLOCK_CELLS // words(width))
     split(2)
     positions = np.zeros(n, dtype=np.int64)
     positions[-1] = width  # out of range, in the last block

@@ -42,8 +42,8 @@ def flip_rate(epsilon):
 class TestFlipParameter:
     def test_frozen_value_at_eps_two(self):
         # hand-computed from the definition: f = 2/(e^{eps/2} + 1), and
-        # q = f/2 rounded up onto the 2^-32 grid of the client's lanes
-        assert flip_rate(2.0) == 2.0 * 1155094610 / LANE
+        # q = f/2 rounded up onto the 2^-16 grid of the client's lanes
+        assert flip_rate(2.0) == 2.0 * 17626 / LANE
         assert flip_rate(2.0) == 2.0 * math.ceil(0.5378828427399902 / 2.0 * LANE) / LANE
 
     def test_per_bit_pair_derives_from_f(self):
@@ -219,50 +219,61 @@ class TestPerturb(Cohorts, sketch_cases.Perturb):
 
 
 class TestExactRecovery:
-    """With a huge budget the bits are clean, and whenever the realized
-    cohort mix is consistent with the fitted model the decoder must return
-    the exact histogram.
+    """Given the encoded bits themselves (even at eps = 50 a bit flips
+    with probability 2^-16), and whenever the realized cohort mix is
+    consistent with the fitted model, the decoder must return the exact
+    histogram once rounded.
 
     A multi-zone population with randomly drawn cohorts is NOT exactly
     recoverable even with clean bits: the fit models each zone as splitting
     across cohorts proportionally to cohort size, and random assignment
     leaves a fluctuation around that. The two cases below are the ones
-    where the system is exactly consistent.
+    where the system is exactly consistent, up to the noise floor n*q
+    that debiasing subtracts from every bit.
     """
+
+    @staticmethod
+    def clean_batch(mech, cohorts, zones):
+        bits = np.zeros((len(zones), mech.k), dtype=np.uint8)
+        bits[np.arange(len(zones)), mech.targets[cohorts, zones]] = 1
+        return RapporBatch(cohort=np.asarray(cohorts, dtype=np.int64), bits=bits)
 
     @pytest.mark.parametrize("decoder", ["lasso"])
     def test_single_zone_population_end_to_end(self, decoder):
+        # every cohort's bit of zone 3 is set by all its n_c users, so the
+        # fit is exact at beta_3 = n (1 - q)/(p - q), with the pair on the
+        # 2^-16 grid, (1 - 2^-16, 2^-16): 200.00305..., hand-computed
         mech = Rappor(l_zones=8, epsilon=50.0, k=64, m=4, hash_seed=0)
-        est = mech.aggregate(
-            mech.perturb_batch(np.full(200, 3), np.random.default_rng(7))
-        )
+        p, q = 1.0 - 2.0**-16, 2.0**-16
+        assert (mech.probabilities().p, mech.probabilities().q) == (p, q)
+        cohorts = np.random.default_rng(7).integers(0, mech.m, size=200)
+        est = mech.aggregate(self.clean_batch(mech, cohorts, np.full(200, 3)))
         expected = np.zeros(8)
-        expected[3] = 200.0
+        expected[3] = 200.0 * (1.0 - q) / (p - q)
         np.testing.assert_allclose(est.raw, expected, atol=1e-6)
         assert est.rounded().tolist() == [0, 0, 0, 200, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("decoder", ["lasso"])
     def test_balanced_cohorts_recover_mixed_population(self, decoder):
         # each zone's users are spread evenly over the cohorts, so the
-        # clean-bit system is exactly consistent; two cohorts of this
-        # family have colliding zone pairs, which the fit resolves through
-        # the non-colliding cohorts
+        # clean-bit system is consistent up to the noise floor; two cohorts
+        # of this family have colliding zone pairs, which the fit resolves
+        # through the non-colliding cohorts. The holdout keeps the
+        # unpenalized fit, so the estimate is coordinate descent's on the
+        # comparison-loop system
         truth = np.array([48, 12, 0, 40, 24, 24, 32, 20])
         mech = Rappor(l_zones=8, epsilon=50.0, k=64, m=4, hash_seed=0)
-        cohorts, rows = [], []
-        for zone, count in enumerate(truth):
-            for cohort in range(mech.m):
-                for _ in range(count // mech.m):
-                    cohorts.append(cohort)
-                    row = np.zeros(mech.k, dtype=np.uint8)
-                    row[mech.targets[cohort, zone]] = 1
-                    rows.append(row)
-        batch = RapporBatch(
-            cohort=np.array(cohorts, dtype=np.int64),
-            bits=np.array(rows, dtype=np.uint8),
-        )
+        zones = np.repeat(np.arange(8), truth)
+        cohorts = np.concatenate([np.arange(c) % mech.m for c in truth])
+        batch = self.clean_batch(mech, cohorts, zones)
         est = mech.aggregate(batch)
-        np.testing.assert_allclose(est.raw, truth, atol=1e-6)
+        probs = mech.probabilities()
+        sizes = np.bincount(cohorts, minlength=mech.m)
+        sums = np.zeros((mech.m, mech.k))
+        np.add.at(sums, cohorts, batch.bits)
+        debiased = (sums - sizes[:, None] * probs.q) / (probs.p - probs.q)
+        gram, linear = loop_normal_equations(mech.targets, sizes / zones.size, debiased, 8)
+        np.testing.assert_allclose(est.raw, cd_nonneg_lasso(gram, linear, 0.0), atol=1e-6)
         assert est.rounded().tolist() == truth.tolist()
 
 
