@@ -22,8 +22,8 @@ OLH's hash replay) runs on one block scheduler, ``run_blocks``, which
 fills large jobs on the process's threads, one per core, drawing from
 jump-ahead copies of the caller's PCG64 generator, without changing a bit
 of the output. CMS and RAPPOR are one ``HashedSketch``: the same hash
-table, client and per-(row, bit) sums under their own size names, each
-with its own reduction and decoder.
+table and client under their own size names, each with its own
+statistic, reduction and decoder.
 
 A batch is the only form a report takes. Each mechanism's reports travel
 between perturb_batch and reduce as a ``ReportBatch``: one array per
@@ -340,11 +340,13 @@ class Stats:
     """The additive integer statistic of some reports of one mechanism.
 
     ``counts`` is int64: per-zone support counts (OUE, THE, OLH), per-row
-    sign sums (HR) or the rows x width bit sums of a sketch (CMS, RAPPOR),
-    whose reports per row are ``row_sizes`` and whose hash family is
-    seeded by ``hash_seed`` (both None for the others). ``n_reports`` is
-    how many reports were reduced. The ``Stats`` of two disjoint sets of
-    reports add up to the ``Stats`` of their union.
+    sign sums (HR), per-zone hits of a count-mean sketch (CMS) or the
+    rows x width bit sums of a RAPPOR sketch, whose reports per row are
+    ``row_sizes`` (None for the others). A sketch's statistic also
+    carries the sketch's (rows, width) as ``sketch_sizes`` and the seed
+    of its hash family as ``hash_seed`` (both None for the others).
+    ``n_reports`` is how many reports were reduced. The ``Stats`` of two
+    disjoint sets of reports add up to the ``Stats`` of their union.
     """
 
     mechanism: str
@@ -352,20 +354,22 @@ class Stats:
     counts: np.ndarray
     row_sizes: Optional[np.ndarray] = None
     hash_seed: Optional[int] = None
+    sketch_sizes: Optional[tuple] = None
 
     def _shape(self) -> tuple:
-        """(mechanism, counts shape, row_sizes shape or None, hash_seed):
-        a sketch's sums under one hash family mean nothing under another."""
+        """(mechanism, counts shape, row_sizes shape or None, sketch sizes,
+        hash_seed): a sketch's sums mean nothing under another sketch or
+        hash family, even where their shapes agree."""
         rows = None if self.row_sizes is None else self.row_sizes.shape
-        return self.mechanism, self.counts.shape, rows, self.hash_seed
+        return self.mechanism, self.counts.shape, rows, self.sketch_sizes, self.hash_seed
 
     def check_fits(self, other: "Stats") -> None:
-        """ParamMismatch unless ``other`` is of this mechanism, shape and
-        hash family."""
+        """ParamMismatch unless ``other`` is of this mechanism, shape,
+        sketch and hash family."""
         if self._shape() != other._shape():
             raise ParamMismatch(
-                f"a statistic of (mechanism, counts, rows, hash seed) {other._shape()} "
-                f"does not fit one of {self._shape()}"
+                "a statistic of (mechanism, counts, rows, sketch, hash seed) "
+                f"{other._shape()} does not fit one of {self._shape()}"
             )
 
     def __add__(self, other: "Stats") -> "Stats":
@@ -375,7 +379,7 @@ class Stats:
         rows = None if self.row_sizes is None else self.row_sizes + other.row_sizes
         return Stats(
             self.mechanism, self.n_reports + other.n_reports, self.counts + other.counts,
-            rows, self.hash_seed,
+            rows, self.hash_seed, self.sketch_sizes,
         )
 
 
@@ -616,11 +620,11 @@ class HashedSketch(FrequencyOracle):
     zone's bit in a width-bit row and randomizes every bit with
     ``one_hot_rr`` at budget eps/2 per bit: p = e^(eps/2) / (e^(eps/2) + 1)
     and q = 1 - p, rounded onto the 2^-16 grid. A zone change moves exactly
-    two bits, so the whole report is eps-private. The statistic is the
-    per-(row, bit) sums with the reports per row, under the family's seed;
-    the decoders debias it.
-    A subclass names the sizes, the report batch (row index field first,
-    then the bits), the reduction and the decoder.
+    two bits, so the whole report is eps-private. A subclass names the
+    sizes, the report batch (row index field first, then the bits), the
+    statistic, its reduction and the decoder; ``_stats`` tags the
+    statistic with the sketch's sizes and hash seed, so statistics of
+    another sketch or family do not add.
     """
 
     def __init__(
@@ -657,16 +661,16 @@ class HashedSketch(FrequencyOracle):
         bits = one_hot_rr(self.targets[rows, zones], self._width, self._probs, rng)
         return rows, bits
 
-    def empty_stats(self) -> Stats:
-        rows = self.targets.shape[0]
+    def _stats(self, n: int, counts: np.ndarray, row_sizes=None) -> Stats:
+        """A statistic of this sketch: its sizes and hash family attached."""
         return Stats(
-            self.name, 0, np.zeros((rows, self._width), dtype=np.int64),
-            np.zeros(rows, dtype=np.int64), self.hash_seed,
+            self.name, n, counts, row_sizes, self.hash_seed,
+            (self.targets.shape[0], self._width),
         )
 
-    def _row_sizes(self, batch: ReportBatch) -> np.ndarray:
-        """Reports per row of a nonempty batch; ParamMismatch for rows of
-        the wrong width or a row index out of range (naming its field)."""
+    def _row_index(self, batch: ReportBatch) -> np.ndarray:
+        """The row index of a nonempty batch; ParamMismatch for rows of the
+        wrong width or a row index out of range (naming its field)."""
         index_field = fields(batch)[0].name
         rows, width = self.targets.shape[0], batch.bits.shape[1]
         if width != self._width:
@@ -674,4 +678,4 @@ class HashedSketch(FrequencyOracle):
         index = getattr(batch, index_field)
         if index.min() < 0 or index.max() >= rows:
             raise ParamMismatch(f"{index_field} out of range [0, {rows})")
-        return np.bincount(index, minlength=rows)
+        return index

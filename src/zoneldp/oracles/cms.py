@@ -7,11 +7,13 @@ width m. Its per-bit pair is held on the 2^-16 grid of ``one_hot_rr``'s
 16-bit lanes, so a bit flips with probability at least 2^-16 at any
 budget (the per-bit budget stops growing past eps = 2 ln(2^16 - 1) ~ 22.2).
 RAPPOR is the same sketch with the two sizes named the other way round
-and a different decoder.
+and a different statistic and decoder.
 
-The aggregator reads each zone's k bit sums through the same hash
-functions, debiases their total once, and removes the uniform collision
-floor with a m/(m-1) correction.
+The aggregator reads each report through the same hash functions: its
+statistic is the L-vector of per-zone hits, hits[v] = sum over reports i
+of bits[i, targets[row_i, v]], which it debiases once and then rids of the
+uniform collision floor with a m/(m-1) correction. Only k x L of the
+sketch's k x m bit sums are ever read, so the k x m table is never built.
 
 Estimates are unbiased in expectation over the hash family; a single fixed
 family carries a small collision bias, which is why the simulator redraws
@@ -48,32 +50,46 @@ class CountMeanSketch(HashedSketch):
         """``rows``: each user's hash index, drawn from ``rng`` when None."""
         return CmsBatch(*self._perturb_rows(zones, rng, rows))
 
+    def empty_stats(self) -> Stats:
+        return self._stats(0, np.zeros(self.l_zones, dtype=np.int64))
+
     def reduce(self, reports) -> Stats:
-        """Reports sorted by hash index, then each index's contiguous run
-        of bit rows summed by ``column_sums``."""
+        """Per-zone hits, in one of two summation orders picked by L and m.
+
+        At 8 L <= m each report's L target bits are gathered and then
+        added up by ``column_sums``; the n x L gather index is then no
+        larger than the n x m bits it reads. Wider zone sets sum each hash
+        index's run of bit rows first (a stable sort on the index, then
+        ``column_sums`` per run) and gather that run's targets from its
+        m sums. Both orders add the same integers. Measured on 20k
+        reports in 4096-row chunks (2-core host), the gather order is the
+        faster one up to L = 32-48 at m = 256, L = 112-128 at m = 1024 and
+        L = 384 at m = 4096.
+        """
         batch = CmsBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return self.empty_stats()
-        row_sizes = self._row_sizes(batch)
+        index = self._row_index(batch)
+        if 8 * self.l_zones <= self.m:
+            cells = self.targets[index]
+            cells += (np.arange(n) * self.m)[:, None]
+            return self._stats(n, column_sums(batch.bits.ravel()[cells]))
+        row_sizes = np.bincount(index, minlength=self.k)
         # a stable radix sort on the narrowest type that holds k - 1
-        order = np.argsort(
-            batch.hash_index.astype(np.min_scalar_type(self.k - 1)), kind="stable"
-        )
+        order = np.argsort(index.astype(np.min_scalar_type(self.k - 1)), kind="stable")
         bits = batch.bits[order]
         ends = np.cumsum(row_sizes)
-        bit_sums = np.zeros((self.k, self.m), dtype=np.int64)
+        hits = np.zeros(self.l_zones, dtype=np.int64)
         for j in np.flatnonzero(row_sizes).tolist():
-            bit_sums[j] = column_sums(bits[ends[j] - row_sizes[j]:ends[j]])
-        return Stats(self.name, n, bit_sums, row_sizes, self.hash_seed)
+            hits += column_sums(bits[ends[j] - row_sizes[j]:ends[j]])[self.targets[j]]
+        return self._stats(n, hits)
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
-        """Only the k x L sums a zone hashes to are read: their integer
-        total over the k rows is debiased once, since the row sizes add
-        up to n."""
-        hits = stats.counts[np.arange(self.k)[:, None], self.targets].sum(axis=0)
+        """Each zone's hits, summed over every report whatever its row,
+        are debiased once with n."""
         n, p, q = stats.n_reports, self._probs.p, self._probs.q
-        support = (hits - n * q) / (p - q)
+        support = (stats.counts - n * q) / (p - q)
         raw = (self.m / (self.m - 1.0)) * (support - n / self.m)
         return FrequencyEstimate.from_raw(raw, n)
 

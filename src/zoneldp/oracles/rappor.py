@@ -174,14 +174,20 @@ class Rappor(HashedSketch):
         """``rows``: each user's cohort, drawn from ``rng`` when None."""
         return RapporBatch(*self._perturb_rows(zones, rng, rows))
 
+    def empty_stats(self) -> Stats:
+        return self._stats(
+            0, np.zeros((self.m, self.k), dtype=np.int64), np.zeros(self.m, dtype=np.int64)
+        )
+
     def reduce(self, reports) -> Stats:
-        """Per-(cohort, bit) sums by a flat ``bincount`` over blocks of
-        ``_BLOCK_CELLS`` cells, so its keys and weights stay one block."""
+        """Per-(cohort, bit) sums, with the reports per cohort, by a flat
+        ``bincount`` over blocks of ``_BLOCK_CELLS`` cells, so its keys and
+        weights stay one block."""
         batch = RapporBatch.of(reports)
         n = batch.n_reports
         if n == 0:
             return self.empty_stats()
-        cohort_sizes = self._row_sizes(batch)
+        cohort_sizes = np.bincount(self._row_index(batch), minlength=self.m)
         bit_sums = np.zeros(self.m * self.k)
         step = max(1, _BLOCK_CELLS // self.k)
         for start in range(0, n, step):
@@ -190,7 +196,7 @@ class Rappor(HashedSketch):
             # bit sums are exact integers in float64, in any order
             bit_sums += np.bincount(keys.ravel(), weights=bits.ravel(), minlength=bit_sums.size)
         counts = bit_sums.astype(np.int64).reshape(self.m, self.k)
-        return Stats(self.name, n, counts, cohort_sizes, self.hash_seed)
+        return self._stats(n, counts, cohort_sizes)
 
     def _normal_equations(self, targets, weights, debiased):
         """Gram matrix and linear term of the weighted least-squares fit

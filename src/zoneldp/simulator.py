@@ -191,7 +191,7 @@ def run_round(
     if users.size == 0:
         return FrequencyEstimate.from_raw(np.zeros(l_zones), 0)
     # the sum starts from the first chunk's: a zero statistic to add into
-    # would be one more rows x width array a sketch round allocates
+    # would be one more cohorts x width array a RAPPOR round allocates
     stats = None
     for batch in oracle.perturb_chunks(users, rng):
         if collect_reports is not None:

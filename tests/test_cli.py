@@ -457,6 +457,32 @@ class TestSweep:
         for name in ("results.jsonl", "summary.csv", "zone_stats.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    # sha256 of each output of the pinned sweep below; a change to any
+    # mechanism's sampler, statistic or decoder that moves a seeded estimate
+    # shows here
+    SWEEP_SHA256 = {
+        "results.jsonl": "43758546ed580ec7da1009aef8732ae9f38541e4b199439b30b6df018b957783",
+        "summary.csv": "63b19d80c1fe4f647e9a779157e302bd30ff0d2595069be2910b11080c72df3a",
+        "zone_stats.csv": "4dfea20ccfd6ca82da64bbcaf3903be3fac761f50530d630da556051d39b107e",
+    }
+
+    def test_seeded_sweep_outputs_are_pinned(self, workspace, capsys):
+        # every mechanism on the paper's eight-zone crowd of 354 users
+        config = self._write_config(
+            workspace,
+            mechanisms=list(MECHANISMS),
+            epsilons=[0.5, 1.0, 2.0],
+            seed=11,
+            population={"counts": [6, 9, 11, 17, 17, 81, 88, 125]},
+        )
+        out = workspace / "run"
+        assert run_cli(["sweep", "--config", config, "--out", out], capsys)[0] == EXIT_OK
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in self.SWEEP_SHA256
+        }
+        assert digests == self.SWEEP_SHA256
+
     @pytest.mark.parametrize(
         "flag, config_value", [("0", None), ("-3", None), (None, 0)]
     )

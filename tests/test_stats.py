@@ -58,7 +58,8 @@ def test_statistics_of_another_mechanism_or_shape_do_not_add(mechanism):
     stats = mech.reduce(batch)
     other = MECHANISMS[(MECHANISMS.index(mechanism) + 1) % len(MECHANISMS)]
     foreign = _reduced(other)[0].empty_stats()
-    # a sketch's statistic has the shape of its sketch, whatever L is
+    # another L, and other sketch sizes: CMS's hits have one cell per zone,
+    # RAPPOR's bit sums one per (cohort, bit) whatever L is
     resized = _reduced(mechanism, 40, params=PrivacyParams(cms_k=64, rappor_m=512))[0]
     for bad in (foreign, resized.empty_stats()):
         with pytest.raises(ParamMismatch, match="does not fit"):
@@ -84,11 +85,37 @@ def test_sketch_statistics_of_another_hash_family_do_not_add(mechanism):
     assert (stats + mech.reduce(batch)).hash_seed == 3
 
 
+# each sketch's (rows, width) under its own size names
+SKETCH_SIZES = {"CMS": ("cms_k", "cms_m"), "RAPPOR": ("rappor_m", "rappor_k")}
+
+
+@pytest.mark.parametrize("mechanism", ["CMS", "RAPPOR"])
+@pytest.mark.parametrize("resized", [0, 1], ids=["rows", "width"])
+def test_sketch_statistics_of_another_sketch_size_do_not_add(mechanism, resized):
+    # same mechanism, L and hash seed, half the rows or half the width:
+    # CMS's hits then have the same shape, yet are sums of other bits
+    mech, batch = _reduced(mechanism)
+    stats = mech.reduce(batch)
+    name = SKETCH_SIZES[mechanism][resized]
+    params = PrivacyParams(**{name: getattr(PrivacyParams(), name) // 2})
+    other = make_mechanism(mechanism, 20, 1.0, params, hash_seed=3)
+    foreign = other.reduce(other.perturb_batch(np.arange(20), np.random.default_rng(1)))
+    assert foreign.hash_seed == stats.hash_seed == 3
+    assert foreign.sketch_sizes != stats.sketch_sizes
+    if mechanism == "CMS":
+        assert foreign.counts.shape == stats.counts.shape == (20,)
+    for bad in (foreign, other.empty_stats()):
+        with pytest.raises(ParamMismatch, match="does not fit"):
+            stats + bad
+        with pytest.raises(ParamMismatch, match="does not fit"):
+            mech.aggregate(bad)
+
+
 @pytest.mark.parametrize("mechanism", ["OLH", "OUE", "THE", "HR"])
 def test_statistics_without_a_sketch_carry_no_hash_seed(mechanism):
     mech, batch = _reduced(mechanism)
-    assert mech.reduce(batch).hash_seed is None
-    assert mech.empty_stats().hash_seed is None
+    for stats in (mech.reduce(batch), mech.empty_stats()):
+        assert stats.hash_seed is None and stats.sketch_sizes is None
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -146,19 +173,27 @@ def test_a_chunked_round_holds_a_few_chunks():
 
 @pytest.mark.parametrize("n", [255, 256, 5000])
 def test_cms_reduction_equals_the_mask_loop(n):
-    # up to 256 all-ones reports in one row: 255 fill uint8 exactly, 256
-    # need uint16
-    mech = make_mechanism("CMS", 8, 1.0, PrivacyParams(cms_k=16, cms_m=64), hash_seed=4)
+    # per-zone hits are the mask loop's row x bit sums read through the
+    # hash table. At m = 64, L = 1 and 8 gather each report's target bits
+    # first (8 L <= m); L = 9 and 40 sum each row's reports first. Up to
+    # 256 all-ones reports in one row: 255 fill uint8 exactly, 256 need
+    # uint16, in either order
     rng = np.random.default_rng(n)
     index = rng.integers(0, 16, size=n)
     bits = rng.integers(0, 2, size=(n, 64), dtype=np.uint8)
     index[:256], bits[:256] = 3, 1
-    stats = mech.reduce(CmsBatch(hash_index=index, bits=bits))
-    expected = np.zeros((16, 64), dtype=np.int64)
+    sums = np.zeros((16, 64), dtype=np.int64)
     for row in range(16):
-        expected[row] = bits[index == row].sum(axis=0, dtype=np.int64)
-    assert np.array_equal(stats.counts, expected)
-    assert stats.row_sizes.tolist() == np.bincount(index, minlength=16).tolist()
+        sums[row] = bits[index == row].sum(axis=0, dtype=np.int64)
+    for l_zones in (1, 8, 9, 40):
+        mech = make_mechanism(
+            "CMS", l_zones, 1.0, PrivacyParams(cms_k=16, cms_m=64), hash_seed=4
+        )
+        stats = mech.reduce(CmsBatch(hash_index=index, bits=bits))
+        expected = sums[np.arange(16)[:, None], mech.targets].sum(axis=0)
+        assert stats.counts.dtype == np.int64
+        assert stats.counts.tolist() == expected.tolist(), l_zones
+        assert (stats.n_reports, stats.row_sizes, stats.sketch_sizes) == (n, None, (16, 64))
 
 
 def test_rappor_reduction_over_blocks_equals_one_bincount():
