@@ -600,12 +600,16 @@ class FrequencyOracle(abc.ABC):
         mechanism says otherwise."""
         return estimate_frequency(stats.counts, stats.n_reports, self._probs)
 
+    def _check_fits(self, stats: Stats) -> None:
+        """ParamMismatch unless ``stats`` is of this mechanism's shape."""
+        self.empty_stats().check_fits(stats)
+
     def aggregate(self, reports) -> FrequencyEstimate:
         """Per-zone estimated counts from this mechanism's ``Stats``, or from
         reports that ``reduce`` takes; zeros for no reports. ParamMismatch
         for a ``Stats`` of another mechanism or shape."""
         stats = reports if isinstance(reports, Stats) else self.reduce(reports)
-        self.empty_stats().check_fits(stats)
+        self._check_fits(stats)
         if stats.n_reports == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
         return self.decode(stats)

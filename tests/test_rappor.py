@@ -1,10 +1,12 @@
 """Tests for the cohort-hashed bit-vector mechanism.
 
-Covers the per-bit pair, the nonnegative lasso solver, exact decoding on
-clean reports, report privacy via an independent enumeration, the
-singular-fit guard, and the regularized aggregate. Cases it shares with
-CMS, the same hashed sketch, come from sketch_cases.
+Covers the per-bit pair, the nonnegative lasso solver, the Gram assembly
+against a comparison loop, exact decoding on clean reports, report
+privacy via an independent enumeration, the singular-fit guard, the
+regularized aggregate and the digests of seeded rounds. Cases it shares
+with CMS, the same hashed sketch, come from sketch_cases.
 """
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -19,6 +21,7 @@ from rappor_reference import cd_nonneg_lasso, loop_normal_equations
 from zoneldp.errors import SingularFitWarning
 from zoneldp.oracles.base import _BLOCK_CELLS
 from zoneldp.oracles.rappor import _LAMBDA_GRID, Rappor, RapporBatch, nonneg_lasso
+from zoneldp.simulator import run_round
 
 
 class Cohorts(sketch_cases.Sketch):
@@ -94,19 +97,16 @@ class TestNonnegLasso:
 
 def rappor_system(l_zones, m, k, seed, mutate=None):
     """Normal equations of one simulated aggregate, assembled as
-    ``aggregate`` does; ``mutate`` may edit the target table first."""
+    ``aggregate`` does: the sum of the two cohort parities' systems.
+    ``mutate`` may edit the target table first."""
     mech = Rappor(l_zones, 1.0, k=k, m=m, hash_seed=seed)
     if mutate is not None:
         mutate(mech.targets)
     rng = np.random.default_rng(seed)
     n = 40 * l_zones
     batch = mech.perturb_batch(rng.integers(0, l_zones, size=n), rng)
-    sizes = np.bincount(batch.cohort, minlength=m)
-    sums = np.zeros((m, k))
-    np.add.at(sums, batch.cohort, batch.bits)
-    probs = mech.probabilities()
-    debiased = (sums - sizes[:, None] * probs.q) / (probs.p - probs.q)
-    return mech._normal_equations(mech.targets, sizes / n, debiased)
+    (g_even, l_even), (g_odd, l_odd) = mech._normal_equations(mech.reduce(batch))
+    return g_even + g_odd, l_even + l_odd
 
 
 def assert_matches_descent(beta, gram, linear, penalty):
@@ -162,47 +162,64 @@ class TestSolverMatchesDescent:
             assert_matches_descent(beta, gram, linear, penalty)
 
 
+def random_stats(mech, rng, per_cohort):
+    """A RAPPOR statistic of 1..per_cohort - 1 reports per cohort, each
+    bit set by any number of its cohort's reports."""
+    sizes = rng.integers(1, per_cohort, size=mech.m)
+    counts = rng.integers(0, sizes[:, None] + 1, size=(mech.m, mech.k))
+    return mech._stats(int(sizes.sum()), counts, sizes)
+
+
+def loop_halves(mech, stats):
+    """Each cohort parity's system by the comparison loop."""
+    probs = mech.probabilities()
+    debiased = (stats.counts - stats.row_sizes[:, None] * probs.q) / (probs.p - probs.q)
+    weights = stats.row_sizes / stats.n_reports
+    return [
+        loop_normal_equations(
+            mech.targets[parity::2], weights[parity::2], debiased[parity::2], mech.l_zones
+        )
+        for parity in (0, 1)
+    ]
+
+
 class TestGramAssembly:
-    """The same-bucket pair assembly equals the comparison loop."""
+    """The same-bucket pair assembly of each cohort parity equals the
+    comparison loop over that parity's cohorts."""
+
+    @staticmethod
+    def assert_matches_loop(mech, stats):
+        halves = mech._normal_equations(stats)
+        for (gram, linear), (want_gram, want_linear) in zip(halves, loop_halves(mech, stats)):
+            np.testing.assert_allclose(gram, want_gram, rtol=1e-12)
+            np.testing.assert_allclose(linear, want_linear, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8, 1024])
     @pytest.mark.parametrize("k", [8, 64])
     def test_matches_comparison_loop(self, m, k):
-        # 20 zones: k = 8 forces shared buckets, k = 64 leaves most alone
+        # 20 zones: k = 8 forces shared buckets, k = 64 leaves most alone;
+        # at m = 1 the odd half is empty
         mech = Rappor(l_zones=20, epsilon=1.0, k=k, m=m, hash_seed=m)
-        rng = np.random.default_rng(m + k)
-        weights = rng.integers(0, 30, size=m) / 400.0
-        debiased = rng.normal(size=(m, k))
-        gram, linear = mech._normal_equations(mech.targets, weights, debiased)
-        want_gram, want_linear = loop_normal_equations(mech.targets, weights, debiased, 20)
-        np.testing.assert_allclose(gram, want_gram, rtol=1e-12)
-        np.testing.assert_allclose(linear, want_linear, rtol=1e-12)
+        self.assert_matches_loop(mech, random_stats(mech, np.random.default_rng(m + k), 30))
 
     def test_matches_comparison_loop_across_blocks(self):
-        # at L = 373 the cohorts and the mirror strips span several blocks
+        # at L = 373 each half's cohorts and the mirror strips span
+        # several blocks
         mech = Rappor(l_zones=373, epsilon=1.0, k=64, m=1024, hash_seed=9)
-        rng = np.random.default_rng(9)
-        weights = rng.integers(0, 30, size=1024) / 17_000.0
-        debiased = rng.normal(size=(1024, 64))
-        gram, linear = mech._normal_equations(mech.targets, weights, debiased)
-        want_gram, want_linear = loop_normal_equations(mech.targets, weights, debiased, 373)
-        np.testing.assert_allclose(gram, want_gram, rtol=1e-12)
-        np.testing.assert_allclose(linear, want_linear, rtol=1e-12)
+        self.assert_matches_loop(mech, random_stats(mech, np.random.default_rng(9), 30))
 
     def test_scratch_stays_within_blocks(self):
         # 1024 cohorts at L = 1733 hold about 24M same-bucket pairs; the
-        # assembly may hold the L x L result and a block's worth besides
+        # assembly may hold the two L x L results and a block's worth besides
         mech = Rappor(l_zones=1733, epsilon=1.0, k=64, m=1024, hash_seed=0)
-        rng = np.random.default_rng(0)
-        weights = rng.integers(0, 40, size=1024) / 20_000.0
-        debiased = rng.normal(size=(1024, 64))
+        stats = random_stats(mech, np.random.default_rng(0), 40)
         tracemalloc.start()
         try:
-            gram, linear = mech._normal_equations(mech.targets, weights, debiased)
+            halves = mech._normal_equations(stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        scratch = peak - gram.nbytes - linear.nbytes
+        scratch = peak - sum(gram.nbytes + linear.nbytes for gram, linear in halves)
         assert scratch <= 2 * _BLOCK_CELLS * 8
 
 
@@ -375,35 +392,82 @@ class TestAggregate(Cohorts, sketch_cases.Aggregate):
         assert np.all(stderr > 0)
         assert np.all(np.abs(raws.mean(axis=0) - truth) < 3 * stderr)
 
+    def test_allocates_less_than_the_table_at_small_l(self):
+        # at L = 8 the fit reads 8 of each cohort's 64 bits; one float64
+        # array of the whole 1024 x 64 table is more than the whole
+        # aggregate may allocate
+        mech = Rappor(l_zones=8, epsilon=1.0, hash_seed=2)
+        rng = np.random.default_rng(5)
+        stats = mech.reduce(mech.perturb_batch(rng.integers(0, 8, size=354), rng))
+        assert stats.counts.shape == (1024, 64)
+        table = stats.counts.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            mech.aggregate(stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table
+
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_even_and_odd_halves_sum_to_the_full_assembly(self, m):
-        # aggregate assembles the normal equations once per cohort parity;
-        # their sum must be the system over all m cohorts (at m=1 the odd
-        # half is empty)
+        # aggregate assembles the normal equations of both cohort parities
+        # in one pass and fits their sum, which must be the system over all
+        # m cohorts (at m=1 the odd half is empty)
         mech = Rappor(l_zones=6, epsilon=1.0, k=16, m=m, hash_seed=4)
         rng = np.random.default_rng(41)
         batch = mech.perturb_batch(rng.integers(0, 6, size=400), rng)
-        assemble = mech._normal_equations
+        stats = mech.reduce(batch)
+        solve = mech._decode
         calls = []
 
-        def spy(targets, weights, debiased):
-            calls.append((targets, weights, debiased))
-            return assemble(targets, weights, debiased)
+        def spy(gram, linear, halves):
+            calls.append((gram, linear, halves))
+            return solve(gram, linear, halves)
 
-        mech._normal_equations = spy
+        mech._decode = spy
         mech.aggregate(batch)
-        assert len(calls) == 2
-        (t_even, w_even, d_even), (t_odd, w_odd, d_odd) = calls
-        assert np.array_equal(t_even, mech.targets[0::2])
-        assert np.array_equal(t_odd, mech.targets[1::2])
-        weights = np.empty(m)
-        weights[0::2], weights[1::2] = w_even, w_odd
-        np.testing.assert_allclose(
-            weights, np.bincount(batch.cohort, minlength=m) / 400, rtol=1e-15
-        )
-        debiased = np.empty((m, mech.k))
-        debiased[0::2], debiased[1::2] = d_even, d_odd
-        gram, linear = assemble(mech.targets, weights, debiased)
-        (g_even, l_even), (g_odd, l_odd) = (assemble(*call) for call in calls)
-        np.testing.assert_allclose(g_even + g_odd, gram, rtol=1e-12)
-        np.testing.assert_allclose(l_even + l_odd, linear, rtol=1e-12)
+        assert len(calls) == 1
+        gram, linear, halves = calls[0]
+        for (g_used, l_used), (g_half, l_half) in zip(halves, mech._normal_equations(stats)):
+            assert np.array_equal(g_used, g_half) and np.array_equal(l_used, l_half)
+        (g_even, l_even), (g_odd, l_odd) = halves
+        assert np.array_equal(gram, g_even + g_odd) and np.array_equal(linear, l_even + l_odd)
+        probs = mech.probabilities()
+        weights = np.bincount(batch.cohort, minlength=m) / 400
+        debiased = (stats.counts - stats.row_sizes[:, None] * probs.q) / (probs.p - probs.q)
+        want_gram, want_linear = loop_normal_equations(mech.targets, weights, debiased, 6)
+        np.testing.assert_allclose(gram, want_gram, rtol=1e-12)
+        np.testing.assert_allclose(linear, want_linear, rtol=1e-12)
+
+
+def skewed_crowd(l_zones, n_users):
+    """Zones of ``n_users`` users, drawn with unequal zone weights."""
+    rng = np.random.default_rng(l_zones)
+    weights = rng.uniform(0.5, 2.0, size=l_zones) ** 2
+    return np.sort(rng.choice(l_zones, size=n_users, p=weights / weights.sum()))
+
+
+class TestPinnedRounds:
+    """sha256 of seeded RAPPOR rounds' raw estimates. At L = 8 and 60 each
+    cohort parity is one block of the Gram assembly; at L = 368 a parity
+    spans several, so a change to the blocks' addition order shows here."""
+
+    @pytest.mark.parametrize(
+        "l_zones, n_users, seed, epsilon, digest",
+        [
+            (8, 354, 0, 0.5, "b94d5cd93710efa0ded8ce03be3d340644cdad487dc72df06a90026aa93ff2ae"),
+            (8, 354, 1, 1.0, "22ed4f5b470ad216650cea33c34be63e8668d91198d00e783399a708e3e9325e"),
+            (8, 354, 2, 2.0, "54c8d5c9a7069285ac10e6fbc565ae52096caeef7edeb8f49ae576905c476b55"),
+            (60, 2000, 0, 0.5, "8b5ff5ba4a4de7bc77eb56df498ea7c674f75831907a3a30d03072f3766b65ca"),
+            (60, 2000, 1, 1.0, "daa4a98a40b52df56a421eab6aabe80b23d940e4086326071965752e0bc45c57"),
+            (60, 2000, 2, 2.0, "5981c5660c5b67fc307702348863019e48c931c7f905f809062b99e4ce907bf7"),
+            (368, 3000, 0, 0.5, "20c7bda30467e4b457a0fc4156285065714e568854f4f84fabeb40b06ec47f37"),
+            (368, 3000, 1, 1.0, "bd6f7dc23aefa4efe2d68f38b5a6550f1ff38976ea2ac8d7d4a69ac8aabbcc27"),
+            (368, 3000, 2, 2.0, "5f33a28aa5795b1961a1ac6697bda6b31816fa545d0a2b387c0c38464fba030e"),
+        ],
+    )
+    def test_raw_estimates_are_pinned(self, l_zones, n_users, seed, epsilon, digest):
+        users = skewed_crowd(l_zones, n_users)
+        raw = run_round(users, l_zones, "RAPPOR", epsilon, rng=np.random.default_rng(seed)).raw
+        assert hashlib.sha256(raw.tobytes()).hexdigest() == digest
