@@ -17,13 +17,13 @@ hashed row) share one client randomizer, ``one_hot_rr``: each bit
 compares one 16-bit lane of the generator's raw stream against an integer
 threshold, so these three mechanisms hold their (p, q) pair on the 2^-16
 grid (``lane_probabilities``), the pair the client realizes exactly. Every
-per-cell loop (``one_hot_rr``'s words of four lanes, THE's Laplace noise,
-OLH's hash replay) runs on one block scheduler, ``run_blocks``, which
-fills large jobs on the process's threads, one per core, drawing from
-jump-ahead copies of the caller's PCG64 generator, without changing a bit
-of the output. CMS and RAPPOR are one ``HashedSketch``: the same hash
-table and client under their own size names, each with its own
-statistic, reduction and decoder.
+per-cell loop (``one_hot_rr``'s words of four lanes, THE's Laplace noise
+of one ``Generator.random`` double a cell, OLH's hash replay) runs on one
+block scheduler, ``run_blocks``, which fills large jobs on the process's
+threads, one per core, drawing from jump-ahead copies of the caller's
+PCG64 generator, without changing a bit of the output. CMS and RAPPOR
+are one ``HashedSketch``: the same hash table and client under their own
+size names, each with its own statistic, reduction and decoder.
 
 A batch is the only form a report takes. Each mechanism's reports travel
 between perturb_batch and reduce as a ``ReportBatch``: one array per
@@ -156,17 +156,13 @@ def run_blocks(
     ``gen`` is None for a job that draws nothing. For a job that draws,
     ``rng`` is the caller's generator, and the job must read one 64-bit
     word of its stream per cell, in row-major order, so that the result
-    equals one draw of all n x width cells. A cell is one of THE's
-    doubles, or one raw word, four of ``one_hot_rr``'s 16-bit lanes. Run in
-    order, blocks share ``rng`` itself. Split, each thread holds a copy of
-    ``rng`` and jumps it ahead to the first cell of every block it takes;
-    that is exact only for PCG64 and PCG64DXSM, so other bit generators
-    never split. A sampler that may read more than one word for a cell
-    (numpy's Laplace redraws on a uniform of exactly 0.0) is checked:
-    extra words shift a copy for good, so when any copy does not end
-    exactly one word per cell of its blocks past where it started, the
-    whole job runs again in order on ``rng``, untouched until then. Otherwise ``rng`` ends where one draw
-    leaves it, buffered 32-bit half included.
+    equals one draw of all n x width cells. A cell is one of THE's doubles
+    from ``Generator.random``, or one raw word, four of ``one_hot_rr``'s
+    16-bit lanes. Run in order, blocks share ``rng`` itself. Split, each
+    thread holds a copy of ``rng`` and jumps it ahead to the first cell of
+    every block it takes; that is exact only for PCG64 and PCG64DXSM, so
+    other bit generators never split. Either way ``rng`` ends where one
+    draw leaves it, buffered 32-bit half included.
     """
     cells = _BLOCK_CELLS if cells is None else cells
     threads = 1
@@ -192,10 +188,9 @@ def run_blocks(
         with lock:
             return next(claims, None)
 
-    def work(gen) -> bool:
-        """Runs blocks until none is left; whether ``gen`` (a copy of
-        ``rng``, or None) ended one word per cell of them past its entry."""
-        entry = None if gen is None else gen.bit_generator.state
+    def work(gen) -> None:
+        """Runs blocks until none is left, drawing from ``gen``, a copy of
+        ``rng`` or None."""
         done = 0  # rows of the stream that gen has passed
         while (i := claim()) is not None:
             start, stop = bounds[i]
@@ -203,20 +198,18 @@ def run_blocks(
                 gen.bit_generator.advance((start - done) * width)
             results[i] = block(start, stop, gen)
             done = stop
-        return gen is None or _landed(gen, entry, done * width)
 
     copies = [None if rng is None else _copy(rng) for _ in range(threads)]
     pool = _thread_pool(threads - 1)
     futures = [pool.submit(work, gen) for gen in copies[1:]]
     try:
-        landed = [work(copies[0])]
+        work(copies[0])
     finally:  # no block outlives the call, even one after an error
         wait(futures)
-    landed += [future.result() for future in futures]
+    for future in futures:
+        future.result()
     if rng is None:
         return results
-    if not all(landed):
-        return [block(start, stop, rng) for start, stop in bounds]
     # advance() drops the buffered 32-bit half that a cell never touches
     buffered = rng.bit_generator.state
     rng.bit_generator.advance(n * width)
@@ -231,14 +224,6 @@ def _copy(rng: np.random.Generator) -> np.random.Generator:
     bit_generator = type(rng.bit_generator)()
     bit_generator.state = rng.bit_generator.state
     return np.random.Generator(bit_generator)
-
-
-def _landed(rng: np.random.Generator, before: dict, words: int) -> bool:
-    """Whether ``rng`` stands exactly ``words`` 64-bit words past ``before``."""
-    probe = type(rng.bit_generator)()
-    probe.state = before
-    probe.advance(words)
-    return probe.state["state"] == rng.bit_generator.state["state"]
 
 
 def lane_probabilities(probs: PerturbProbabilities) -> PerturbProbabilities:

@@ -5,7 +5,8 @@ of scale 2/eps is added to every component (the one-hot vector changes in
 two components when the zone changes, so scale 2/eps gives budget eps).
 The aggregator counts, per zone, the reports whose component clears a
 threshold theta; the clearing probabilities follow from the Laplace CDF:
-p = 1 - F(theta - 1) for the true zone, q = 1 - F(theta) elsewhere.
+p = 1 - F(theta - 1) for the true zone, q = 1 - F(theta) elsewhere. Each
+noise value is one double of ``Generator.random``, one word of the stream.
 """
 from __future__ import annotations
 
@@ -31,6 +32,26 @@ def laplace_cdf(x: float, scale: float) -> float:
     if x < 0:
         return 0.5 * math.exp(x / scale)
     return 1.0 - 0.5 * math.exp(-x / scale)
+
+
+def laplace_noise(values: np.ndarray, scale: float) -> None:
+    """Turns uniforms u = k * 2^-53 in [0, 1), as ``Generator.random``
+    gives them, into Laplace noise of the given scale, in place.
+
+    v = 2u - 1 + 2^-53 = (2k + 1 - 2^53) * 2^-53 is exact, an odd multiple
+    of 2^-53 in (-1, 1): |v| is uniform on those in (0, 1), never 0 or 1,
+    and independent of v's sign. The noise is -sgn(v) * scale * ln |v|,
+    finite and at most 53 ln 2 * scale in magnitude.
+    """
+    values *= 2.0
+    values -= 1.0 - 2.0**-53
+    negative = np.signbit(values)
+    np.abs(values, out=values)
+    np.log(values, out=values)
+    values *= scale
+    sign = negative.view(np.int8)
+    np.negative(sign, out=sign)  # -1 where v < 0, else 0, read as +
+    np.copysign(values, sign, out=values)
 
 
 def probabilities(epsilon: float, theta: float = 1.0) -> PerturbProbabilities:
@@ -59,9 +80,11 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         values = np.empty((n, self.l_zones))
 
         def fill(start, stop, gen):
-            values[start:stop] = gen.laplace(0.0, self.scale, (stop - start, self.l_zones))
+            block = values[start:stop]
+            gen.random(out=block)
+            laplace_noise(block, self.scale)
 
-        # equal to one rng.laplace(0.0, scale, (n, L)) draw for any core count
+        # one double of rng.random per cell, in row order, for any core count
         run_blocks(n, self.l_zones, fill, rng, cells=_SMALL_BLOCK_CELLS)
         values[np.arange(n), zones] += 1.0
         return TheBatch(values=values)

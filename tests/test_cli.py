@@ -238,14 +238,15 @@ class TestSimulate:
 
     # sha256 of each trace at counts [30, 20, 10] and seed 9, as written when
     # the trace was built from one report object per user; OUE, CMS and
-    # RAPPOR as written since their bits compare 16-bit lanes of raw words
+    # RAPPOR as written since their bits compare 16-bit lanes of raw words,
+    # THE since its noise is one Generator.random double a cell
     TRACE_SHA256 = {
         ("OLH", 0.5): "3b065a1b9be74f574b50aea53bedd9e0efa822fd53dddbae333f934f4c586846",
         ("OLH", 2.0): "b866e7e529dc08460ffb9e362783068463b2d9084a95ed80f2531a783d728b62",
         ("OUE", 0.5): "8539f2743945a8e4195cbf8e79094378f08cb067478b91fc6ccd080737b55f8a",
         ("OUE", 2.0): "ab997d69a5410605b0e44563a1520fed652a00da6027986aa45742c32de13354",
-        ("THE", 0.5): "7c4b45ef6fb7c560f4ff018063c4d4b040a853dab1c9d4082378abeabb40f80e",
-        ("THE", 2.0): "2e1ca112017909dca1417228a370be5f484bef09e1d2b8e91a3d0a762072e0a4",
+        ("THE", 0.5): "5f544490d5e8c473a7c8119d165a75aaa73eba7723350b38bd341e593af14316",
+        ("THE", 2.0): "2b36975d9b934d6fd4e482f917cf7e055e196d8af278d9791125a7e04c33de01",
         ("HR", 0.5): "b5bc951cba6f0b4b038b3bf098292427dfcf5c913493919e6227b9f2e9dc9aa2",
         ("HR", 2.0): "f87719b94625fcee5c916f24547c512fa225386aa02471e32cf3b19bcf57e841",
         ("CMS", 0.5): "a8f24f070a2cbfda4a3f52c433c8503203a33f91d8d80a9b5a68676f34997799",
@@ -461,9 +462,19 @@ class TestSweep:
     # mechanism's sampler, statistic or decoder that moves a seeded estimate
     # shows here
     SWEEP_SHA256 = {
-        "results.jsonl": "43758546ed580ec7da1009aef8732ae9f38541e4b199439b30b6df018b957783",
-        "summary.csv": "63b19d80c1fe4f647e9a779157e302bd30ff0d2595069be2910b11080c72df3a",
-        "zone_stats.csv": "4dfea20ccfd6ca82da64bbcaf3903be3fac761f50530d630da556051d39b107e",
+        "results.jsonl": "82200a88908c240032466d03a420a3470e0f64296b5f4a4cc910038b30542ddd",
+        "summary.csv": "0e43d0f96676a5130f7be9f770f849c716a40c064aadf81744cf830d55199894",
+        "zone_stats.csv": "df0e3f7fae042212d1df70eaa8eb35cd7bcfe77bdb3e5ded75c29052f8e8dd7f",
+    }
+    # sha256 of each mechanism's lines of results.jsonl in the same sweep,
+    # so a change that moves one mechanism shows which
+    RESULTS_SHA256 = {
+        "OLH": "78af3ba04ebf673e8bb9b6c1c5be2a6949e669916e2fc83997c557b3f04e3975",
+        "OUE": "0be6751df6c8f5d093242ab83a082dba43eccba8e0a04dc8f3b2d42da6de1de5",
+        "THE": "95fc393e18a87bd30c2fb2d67511502874a556cfe4d50ef6f292d4a562d0310c",
+        "HR": "f09e96079832cea4c2e741ac523f1ab50fbe6f8fae913355a7376d353bcbca72",
+        "CMS": "e95242c135eb450bc87a76ed066a516e90927fee12f5ad63a0d13eececfdddb3",
+        "RAPPOR": "002248a2d043fdee71d72573855dc51dbbb1e74acbe38ec9fa4fc65792b9a416",
     }
 
     def test_seeded_sweep_outputs_are_pinned(self, workspace, capsys):
@@ -481,6 +492,14 @@ class TestSweep:
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in self.SWEEP_SHA256
         }
+        lines = {}
+        for line in (out / "results.jsonl").read_bytes().splitlines(keepends=True):
+            lines.setdefault(json.loads(line)["mechanism"], []).append(line)
+        per_mechanism = {
+            mechanism: hashlib.sha256(b"".join(own)).hexdigest()
+            for mechanism, own in lines.items()
+        }
+        assert per_mechanism == self.RESULTS_SHA256
         assert digests == self.SWEEP_SHA256
 
     @pytest.mark.parametrize(

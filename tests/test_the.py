@@ -10,6 +10,7 @@ from zoneldp.oracles.the import (
     TheBatch,
     ThresholdHistogramEncoding,
     laplace_cdf,
+    laplace_noise,
     probabilities,
 )
 
@@ -28,13 +29,34 @@ class TestLaplaceCdf:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_matches_sampled_noise(self):
+        # THE's own noise: the cells off each user's zone of 20k users x 64
+        # zones at scale 2, over 2^17 cells, so run_blocks splits the job
+        mech = ThresholdHistogramEncoding(l_zones=64, epsilon=1.0)
         rng = np.random.default_rng(149)
-        samples = rng.laplace(0.0, 2.0, size=200_000)
-        for x in (-1.0, 0.5, 2.0):
+        zones = rng.integers(0, 64, size=20_000)
+        values = mech.perturb_batch(zones, rng).values
+        off = np.ones(values.shape, dtype=bool)
+        off[np.arange(zones.size), zones] = False
+        samples = values[off]
+        for x in (-30.0, -10.0, -1.0, 0.5, 2.0, 10.0, 30.0):
             frac = float(np.mean(samples <= x))
             cdf = laplace_cdf(x, 2.0)
-            sigma = math.sqrt(cdf * (1 - cdf) / 200_000)
-            assert abs(frac - cdf) <= 4.0 * sigma
+            sigma = math.sqrt(cdf * (1 - cdf) / samples.size)
+            assert abs(frac - cdf) <= 4.0 * sigma, x
+
+    def test_extreme_uniforms_give_finite_bounded_noise(self):
+        # the ends and middle of Generator.random's grid, which no seeded
+        # draw can be expected to hit; u = 1/2 - 2^-53 and 1/2 give |v| = 2^-53
+        step = 2.0**-53
+        uniforms = np.array([0.0, step, 0.5 - step, 0.5, 1.0 - step])
+        for scale in (0.25, 2.0, 40.0):
+            noise = uniforms.copy()
+            laplace_noise(noise, scale)
+            largest = 53 * math.log(2.0) * scale
+            assert np.all(np.isfinite(noise)), scale
+            assert np.sign(noise).tolist() == [-1, -1, -1, 1, 1], scale
+            assert np.all(np.abs(noise) <= largest), scale
+            assert -noise[2] == noise[3] == pytest.approx(largest, rel=1e-14)
 
 
 class TestProbabilities:
