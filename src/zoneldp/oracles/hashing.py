@@ -37,9 +37,9 @@ def mix64_array(x) -> np.ndarray:
     return z if z.ndim else z[()]
 
 
-def _mix_in_place(z: np.ndarray) -> None:
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
     """The mix64 finalizer on a uint64 array, overwriting it; one scratch
-    array of the same size serves every shift."""
+    array of the same size serves every shift and is returned for reuse."""
     shifted = np.empty_like(z)
     z += np.uint64(_GAMMA)
     for shift, multiplier in ((30, _M1), (27, _M2)):
@@ -48,6 +48,7 @@ def _mix_in_place(z: np.ndarray) -> None:
         z *= np.uint64(multiplier)
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
+    return shifted
 
 
 def hash_bucket(seed: int, value: int, n_buckets: int) -> int:
@@ -73,8 +74,13 @@ def hash_bucket_array(seeds, values, n_buckets: int) -> np.ndarray:
         step = (values + np.uint64(1)) * np.uint64(_VALUE_STEP)
     z = np.empty(np.broadcast_shapes(seeds.shape, step.shape), dtype=np.uint64)
     np.add(seeds, step, out=z)
-    _mix_in_place(z)
-    z %= np.uint64(n_buckets)
+    scratch = _mix_in_place(z)
+    # z % g as z - (z // g) * g, the same values: numpy divides a uint64
+    # array by a scalar several times faster than it takes the remainder
+    g = np.uint64(n_buckets)
+    np.floor_divide(z, g, out=scratch)
+    scratch *= g
+    z -= scratch
     # the values that astype(np.int64) gives, without a copy
     buckets = z.view(np.int64)
     return buckets if buckets.ndim else buckets[()]

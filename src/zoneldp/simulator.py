@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -197,6 +196,7 @@ def run_round(
         if collect_reports is not None:
             collect_reports(batch)
         reduced = oracle.reduce(batch)
+        del batch  # so the next chunk is drawn with this one freed
         stats = reduced if stats is None else stats + reduced
     return oracle.aggregate(stats)
 
@@ -277,6 +277,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> List[TrialResult]:
     if workers == 1:
         chunks = [_run_cell(config, mi, ei, zones, l_zones, drops) for mi, ei in cells]
     else:
+        # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         grid = replace(config, population=None)  # cells never read it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -6,11 +6,14 @@ resulting table is public, immutable, and safe for concurrent lookups.
 
 Table building and lookup are one array pass over an (n, APs) RSSI matrix,
 given as such or joined from ``Fingerprint`` rows by ``domain.rssi_matrix``:
-M passes of ``argmax`` pick the M strongest APs of each row (equal signals go
-to the lower AP id), and each sorted id set becomes a byte-string key that is
-matched against the table's sorted keys with ``searchsorted``.
-``lookup_zone`` is ``assign_zones`` on a batch of one, and ``strongest_aps``
-is the plain scalar statement of the same rule, kept as a reference.
+M passes over a transposed (APs, n) copy pick the M strongest APs of each
+row (equal signals go to the lower AP id). The build keeps the first row of
+each distinct sorted id set. A lookup keys each row's set by the sum of its
+APs' hashed weights mod 2^64, which no order of the picks changes, and
+checks the table entries in that key's bucket exactly against the picks,
+so one path serves any AP count and any M. ``lookup_zone`` is
+``assign_zones`` on a batch of one, and ``strongest_aps`` is the plain
+scalar statement of the same rule, kept as a reference.
 
 Rows with fewer than M sensed APs (above the sentinel) are counted as
 insufficient and never matched. NaN, +inf and below-sentinel RSSI values are
@@ -22,12 +25,14 @@ truncated into a different set.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
 from .domain import SENTINEL_RSSI, Fingerprint, ZoneTable, rssi_matrix
 from .errors import EmptyTable, InsufficientSignals
+from .oracles.hashing import mix64_array
 
 StrongestSet = FrozenSet[int]
 
@@ -50,45 +55,88 @@ def strongest_aps(rssi: np.ndarray, m: int) -> StrongestSet:
     return frozenset(int(i) for i in order[:m])
 
 
-def _strongest_sets(rssi: np.ndarray, m: int) -> np.ndarray:
-    """Ascending ids of the ``m`` strongest APs of every row with enough signals.
+def _ap_weights(n_aps: int) -> np.ndarray:
+    """The uint64 key weight of each AP id: a set's key is the sum of its
+    APs' weights mod 2^64, which no order of the ids changes."""
+    return mix64_array(np.arange(n_aps))
 
-    ``m`` passes of ``argmax`` over the rows with at least ``m`` sensed APs,
-    each setting its pick to -inf: ``argmax`` returns the first maximum, so
-    equal signals go to the lower AP id, which is the tie rule of
-    :func:`strongest_aps`. Rows with fewer than ``m`` sensed APs are
-    dropped, so callers count them as ``n - len(result)``.
+
+def _strongest_sets(rssi: np.ndarray, m: int) -> np.ndarray:
+    """The ``m`` strongest AP ids of every row with enough signals, as an
+    (m, rows) array, strongest first.
+
+    One pass per pick over a transposed (APs, n) copy: the column max, then
+    the lowest AP id at that max, as the max of (signal == max) * (n_aps - id)
+    in the narrowest unsigned type, which is the tie rule of
+    :func:`strongest_aps`; the pick is then set to -inf. A row has enough
+    sensed APs when its m-th pick is above the sentinel; rows that do not
+    are dropped, so callers count them as ``n - result.shape[1]``.
     """
-    sufficient = np.count_nonzero(rssi > SENTINEL_RSSI, axis=1) >= m
-    remaining = rssi[sufficient]  # a copy, so the picks can be masked
-    rows = np.arange(len(remaining))
-    top = np.empty((len(remaining), m), dtype=np.int64)
+    n, n_aps = rssi.shape
+    work = rssi.T.copy()
+    rank_type = np.min_scalar_type(n_aps)
+    ranks = np.arange(n_aps, 0, -1, dtype=rank_type)[:, None]  # n_aps - id
+    ties = np.empty(work.shape, dtype=bool)
+    ranked = np.empty(work.shape, dtype=rank_type)
+    picks = np.empty((m, n), dtype=np.intp)
+    columns = np.arange(n)
     for j in range(m):
-        top[:, j] = np.argmax(remaining, axis=1)
-        remaining[rows, top[:, j]] = -np.inf
-    return np.sort(top, axis=1)
+        best = work.max(axis=0)
+        np.equal(work, best, out=ties)
+        np.multiply(ties, ranks, out=ranked)
+        np.subtract(n_aps, ranked.max(axis=0), out=picks[j])
+        work[picks[j], columns] = -np.inf
+    return picks.compress(best > SENTINEL_RSSI, axis=1)
 
 
 def _set_keys(ids: np.ndarray) -> np.ndarray:
     """One opaque byte-string key per row of ascending int64 AP ids.
 
-    Equal sets give equal keys for any AP count and any ``m``, and the keys
-    sort, so sets are matched with ``searchsorted``.
+    Equal sets give equal keys for any AP count and any ``m``, so
+    ``np.unique`` over the keys finds the distinct sets.
     """
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     return ids.view(np.dtype((np.void, ids.itemsize * ids.shape[1])))[:, 0]
 
 
-def _zones_of(table: ZoneTable, ids: np.ndarray) -> np.ndarray:
-    """Zone of each row of ascending AP ids, or -1 where the set is unknown."""
-    table_keys = _set_keys(np.array([sorted(key) for key in table.entries]))
-    table_zones = np.fromiter(table.entries.values(), np.int64, table.n_zones)
-    order = np.argsort(table_keys)
-    table_keys, table_zones = table_keys[order], table_zones[order]
+def _zones_of(table: ZoneTable, picks: np.ndarray) -> np.ndarray:
+    """Zone of each column of AP ids, or -1 where the set is unknown.
 
-    keys = _set_keys(ids)
-    at = np.minimum(np.searchsorted(table_keys, keys), table.n_zones - 1)
-    return np.where(table_keys[at] == keys, table_zones[at], -1)
+    The top bits of each set's key (``_ap_weights``) pick a bucket of the
+    table's entries, held as one index array and its bucket starts. Every
+    column tries its bucket's entries in turn, one round each, and takes
+    the first whose key is its own and whose m ids are all among its
+    picks; keys that collide only cost one more round.
+    """
+    weights = _ap_weights(table.ap_count)
+    m = table.strongest_count
+    entries = np.fromiter(chain.from_iterable(table.entries), np.intp, table.n_zones * m)
+    entries = entries.reshape(table.n_zones, m)
+    table_zones = np.fromiter(table.entries.values(), np.int64, table.n_zones)
+    bits = table.n_zones.bit_length() + 2  # over four buckets an entry
+    shift = np.uint64(64 - bits)
+    table_keys = weights[entries].sum(axis=1)
+    order = np.argsort(table_keys >> shift)
+    entries, table_zones, table_keys = entries[order], table_zones[order], table_keys[order]
+    starts = np.searchsorted(table_keys >> shift, np.arange(2**bits + 1, dtype=np.uint64))
+
+    keys = weights[picks].sum(axis=0)
+    buckets = (keys >> shift).astype(np.intp)
+    at, stop = starts[buckets], starts[buckets + 1]
+    zones = np.full(keys.size, -1, dtype=np.int64)
+    rows = np.flatnonzero(at < stop)
+    while rows.size:
+        candidates = at[rows]
+        same = table_keys[candidates] == keys[rows]
+        hits, candidates = rows[same], candidates[same]
+        row_picks = picks.take(hits, axis=1)
+        exact = np.ones(hits.size, dtype=bool)
+        for ap in entries[candidates].T:
+            exact &= (row_picks == ap).any(axis=0)
+        zones[hits[exact]] = table_zones[candidates[exact]]
+        at[rows] += 1
+        rows = rows[(zones[rows] < 0) & (at[rows] < stop[rows])]
+    return zones
 
 
 def build_zone_table(training: np.ndarray | Sequence[Fingerprint], m: int) -> ZoneTable:
@@ -105,7 +153,7 @@ def build_zone_table(training: np.ndarray | Sequence[Fingerprint], m: int) -> Zo
     n_aps = rssi.shape[1]
     if not 1 <= m <= n_aps:
         raise ValueError(f"m={m} must be in [1, {n_aps}], the AP count")
-    ids = _strongest_sets(rssi, m)
+    ids = np.sort(_strongest_sets(rssi, m), axis=0).T
     if not len(ids):
         raise EmptyTable("every training fingerprint had too few sensed APs")
     _, first = np.unique(_set_keys(ids), return_index=True)
@@ -181,7 +229,8 @@ def assign_zones(
     if len(fingerprints) == 0:
         return [], 0, 0
     rssi = rssi_matrix(fingerprints, table.ap_count)
-    ids = _strongest_sets(rssi, table.strongest_count)
-    zones = _zones_of(table, ids)
+    picks = _strongest_sets(rssi, table.strongest_count)
+    zones = _zones_of(table, picks)
     matched = zones[zones >= 0]
-    return matched.tolist(), len(fingerprints) - len(ids), len(ids) - len(matched)
+    sufficient = picks.shape[1]
+    return matched.tolist(), len(fingerprints) - sufficient, sufficient - len(matched)

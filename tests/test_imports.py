@@ -14,6 +14,8 @@ as its one dependency, so an import of anything else outside the standard
 library would fail where only that is installed.
 """
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -177,3 +179,14 @@ def test_the_check_sees_a_thread_import():
         "def f():\n    from _thread import start_new_thread\n"
     )
     assert [line for line, _ in thread_imports(tree)] == [1, 2, 3, 4, 6]
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    # only a sweep with workers > 1 needs a process pool, and importing
+    # multiprocessing costs every other run its start-up time
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, zoneldp; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -466,11 +466,15 @@ class TestProtocolHash:
     def test_scalar_and_vector_buckets_agree(self):
         rng = np.random.default_rng(61)
         seeds = rng.integers(0, 1 << 63, size=200, dtype=np.uint64)
-        for g in (2, 3, 9, 150):
+        for g in (2, 3, 4, 9, 150, (1 << 31) - 1, 1 << 31):
             values = rng.integers(0, 50, size=200)
             got = hash_bucket_array(seeds, values.astype(np.uint64), g)
             for seed, value, bucket in zip(seeds.tolist(), values.tolist(), got.tolist()):
                 assert hash_bucket(seed, value, g) == bucket
+            for seed, value in zip(seeds[:5].tolist(), values[:5].tolist()):
+                zero_d = hash_bucket_array(np.uint64(seed), np.array(value, np.uint64), g)
+                assert type(zero_d) is np.int64
+                assert int(zero_d) == hash_bucket(seed, value, g)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -4,9 +4,11 @@ Covers population sources, config validation, single rounds, sweep
 reproducibility across worker counts, summary statistics with hand-checked
 per-zone error rates, CSV rendering, and result serialization.
 """
+import concurrent.futures
 import dataclasses
 import io
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -28,6 +30,7 @@ from zoneldp.oracles import (
     read_reports,
     write_reports,
 )
+from zoneldp.oracles.base import _CHUNK_BYTES
 from zoneldp.simulator import (
     CountsPopulation,
     DropCounts,
@@ -234,6 +237,19 @@ class TestRunRound:
         b = run_round(users, 6, "CMS", 1.0, rng=np.random.default_rng(101))
         assert not np.array_equal(a.raw, b.raw)
 
+    def test_holds_about_one_chunk_of_reports(self):
+        # 20k THE users at 368 zones are 59 MB of reports in 4 MB chunks; a
+        # loop that keeps a reduced chunk alive while it draws the next one
+        # peaks near two chunks
+        users = np.random.default_rng(9).integers(0, 368, size=20_000)
+        tracemalloc.start()
+        try:
+            run_round(users, 368, "THE", 1.0, rng=np.random.default_rng(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < _CHUNK_BYTES * 5 // 4
+
 
 class TestRunSweep:
     def _config(self, trials=2, seed=7):
@@ -313,7 +329,8 @@ class TestRunSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        # run_sweep imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         config = self._config()  # 2 mechanisms x 2 epsilons
         pooled = io.StringIO()
         write_results(run_sweep(config, workers=workers), pooled)

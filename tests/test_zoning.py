@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zoneldp import zoning
 from zoneldp.domain import SENTINEL_RSSI, Fingerprint, ZoneTable, max_zone_count
 from zoneldp.errors import EmptyTable, InsufficientSignals
 from zoneldp.zoning import (
@@ -352,6 +353,78 @@ class TestArrayPassMatchesReference:
             assign_zones(table, rows)
         with pytest.raises(ValueError, match="rssi length 4 .*AP count 3"):
             assign_zones(table, rows[1:])
+
+
+def sparse_rows(rng, n, width):
+    """Rows like UJIIndoorLoc's: up to a dozen sensed APs among ``width``,
+    integer dBm in a four-value band so ties are common, and some rows with
+    fewer sensed APs than a lookup needs."""
+    rssi = np.full((n, width), SENTINEL_RSSI)
+    for row in rssi:
+        sensed = rng.choice(width, size=rng.integers(0, 13), replace=False)
+        row[sensed] = rng.integers(-60, -56, size=sensed.size)
+    return rssi
+
+
+class TestLookupExactness:
+    """The lookup's zones and drop counts equal ``strongest_aps``' for any
+    AP count, any m and keys that collide."""
+
+    def check(self, table, rssi):
+        expected = [reference_zone(table, row) for row in rssi]
+        zones, insufficient, unmatched = assign_zones(table, rssi)
+        assert zones == [z for z in expected if isinstance(z, int)]
+        assert insufficient == expected.count("insufficient")
+        assert unmatched == expected.count(None)
+        return expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_tied_rows_on_a_520_ap_table(self, m):
+        rng = np.random.default_rng([520, m])
+        training = sparse_rows(rng, 600, 520)
+        table = build_zone_table(training, m)
+        entries, skipped = reference_entries([Fingerprint(r) for r in training], m)
+        assert list(table.entries.items()) == list(entries.items())
+        assert table.skipped_training == skipped
+        queries = np.concatenate([training[::3], sparse_rows(rng, 600, 520)])
+        expected = self.check(table, queries)
+        assert {type(z) for z in expected} == {int, type(None), str}
+
+    def test_seven_strongest_of_forty_aps(self):
+        rng = np.random.default_rng(40)
+        training = tied_rows(rng, 400, 40)
+        table = build_zone_table(training, 7)
+        assert table.n_zones > 100
+        queries = np.stack([fp.rssi for fp in training[::2] + tied_rows(rng, 400, 40)])
+        expected = self.check(table, queries)
+        assert {type(z) for z in expected} == {int, type(None), str}
+
+    def test_every_key_colliding_costs_only_rounds(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        training = tied_rows(rng, 300, 24)
+        table = build_zone_table(training, 3)
+        queries = np.stack([fp.rssi for fp in training + tied_rows(rng, 300, 24)])
+        expected = self.check(table, queries)
+        monkeypatch.setattr(
+            zoning, "_ap_weights", lambda n_aps: np.full(n_aps, 7, dtype=np.uint64)
+        )
+        assert self.check(table, queries) == expected
+
+    def test_an_mth_pick_at_the_sentinel_is_insufficient(self):
+        s = SENTINEL_RSSI
+        table = build_zone_table(np.array([[-50.0, -60.0, -70.0, s, s, s]]), m=3)
+        rows = np.array([
+            [-50.0, -60.0, -70.0, s, s, s],  # three sensed: zone 0
+            [-50.0, -60.0, s, s, s, s],  # the third pick is AP 2 at the sentinel
+            [s, s, s, s, -60.0, -50.0],  # sentinels tie below two sensed APs
+            [s, s, s, s, s, s],
+            [-50.0, s, -70.0, s, -60.0, s],  # three sensed, another set
+        ])
+        assert self.check(table, rows) == [0, "insufficient", "insufficient",
+                                           "insufficient", None]
+        for row in rows[1:4]:
+            with pytest.raises(InsufficientSignals):
+                lookup_zone(table, row)
 
 
 def _benchmark_workloads():
