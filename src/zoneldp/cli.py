@@ -183,7 +183,7 @@ def cmd_simulate(args) -> int:
     if args.reports_out:
         trace = _atomic_write(args.reports_out)
     with trace as fh:
-        collect = None if fh is None else lambda batch: write_reports(batch, fh)
+        collect = None if fh is None else lambda batch: write_reports(batch, fh, mechanism)
         result = run_trial(config, 0, 0, 0, *resolve_population(config), collect)
         # the trial's record, with the seed in place of the trial index
         payload = dict(

@@ -27,7 +27,6 @@ from .base import (
     PerturbProbabilities,
     RapporBatch,
     ReportBatch,
-    TheBatch,
     estimate_frequency,
 )
 from .cms import CountMeanSketch
@@ -89,16 +88,18 @@ def make_mechanism(
 # --- wire format ----------------------------------------------------------
 # One report per JSON line: {"mech": "...", "payload": {field: value, ...}}
 
+# THE's reports are OUE's bit rows under another (p, q) pair
 _BATCHES = {
     "OLH": OlhBatch,
     "OUE": OueBatch,
-    "THE": TheBatch,
+    "THE": OueBatch,
     "HR": HrBatch,
     "CMS": CmsBatch,
     "RAPPOR": RapporBatch,
 }
 
-_TAGS = {cls: tag for tag, cls in _BATCHES.items()}
+# each batch type's default tag, its first mechanism: OUE for OueBatch
+_TAGS = {cls: tag for tag, cls in reversed(_BATCHES.items())}
 
 
 def _field_texts(prefix: str, column: np.ndarray, suffix: str) -> list:
@@ -121,17 +122,24 @@ def _field_texts(prefix: str, column: np.ndarray, suffix: str) -> list:
     return [rows[start:start + size] for start in range(0, len(rows), size)]
 
 
-def write_reports(batch: ReportBatch, fh) -> None:
+def write_reports(batch: ReportBatch, fh, mechanism: Optional[str] = None) -> None:
     """Write a batch to an open text handle, one report per JSON line, as
-    ``json.dumps({"mech": tag, "payload": {field: value, ...}})`` writes it.
+    ``json.dumps({"mech": mechanism, "payload": {field: value, ...}})``
+    writes it.
 
+    ``mechanism`` is the tag, by default the first mechanism whose reports
+    the batch type holds: a THE batch is an ``OueBatch``, so its trace
+    needs ``mechanism="THE"``. ValueError for a tag of another batch type.
     Rows are formatted a block of ``_BLOCK_CELLS`` cells at a time, so the
     scratch memory stays near one block for any batch size.
     """
+    tag = _TAGS[type(batch)] if mechanism is None else mechanism
+    if _BATCHES.get(tag) is not type(batch):
+        raise ValueError(f"{type(batch).__name__} does not hold {tag!r} reports")
     names = [f.name for f in fields(batch)]
     columns = [getattr(batch, name) for name in names]
     # the text before each field's value, and after the last one's
-    head = '{"mech": ' + json.dumps(_TAGS[type(batch)]) + ', "payload": {'
+    head = '{"mech": ' + json.dumps(tag) + ', "payload": {'
     keys = [json.dumps(name) + ": " for name in names]
     prefixes = [head + keys[0]] + [", " + key for key in keys[1:]]
     suffixes = [""] * (len(names) - 1) + ["}}\n"]
@@ -156,7 +164,7 @@ def read_reports(fh):
     trace reads as an empty list, which every ``aggregate`` takes as no
     reports.
     """
-    batch_type, payloads, chars, blocks = None, [], 0, []
+    trace_tag, payloads, chars, blocks = None, [], 0, []
     for number, line in enumerate(fh, start=1):
         if not line.strip():
             continue
@@ -168,17 +176,17 @@ def read_reports(fh):
             raise ParamMismatch(
                 f"line {number}: unknown report tag {tag!r}; expected {MECHANISMS}"
             )
-        if batch_type not in (None, _BATCHES[tag]):
+        if trace_tag not in (None, tag):
             raise ParamMismatch(
-                f"line {number}: {tag} report in a trace of {_TAGS[batch_type]} reports"
+                f"line {number}: {tag} report in a trace of {trace_tag} reports"
             )
-        batch_type = _BATCHES[tag]
+        trace_tag, batch_type = tag, _BATCHES[tag]
         payloads.append(data["payload"])
         chars += len(line)
         if chars >= _BLOCK_CELLS:
             blocks.append(batch_type.of(payloads))
             payloads, chars = [], 0
-    if batch_type is None:
+    if trace_tag is None:
         return []
     if payloads:
         blocks.append(batch_type.of(payloads))

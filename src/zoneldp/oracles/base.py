@@ -11,19 +11,19 @@ perturb and reduce its users a chunk at a time (``perturb_chunks``) and
 hold one chunk of reports, whatever the population size. Because the
 statistic is a sum, the estimate is invariant under any permutation of the
 reports. Each mechanism is defined by its (p, q) pair, which the base
-class returns from ``probabilities()``. The three mechanisms that report a
-randomized one-hot bit row (OUE over the L zones, CMS and RAPPOR over a
-hashed row) share one client randomizer, ``one_hot_rr``: each bit
+class returns from ``probabilities()``. The four mechanisms that report a
+randomized one-hot bit row (OUE and THE over the L zones, CMS and RAPPOR
+over a hashed row) share one client randomizer, ``one_hot_rr``: each bit
 compares one 16-bit lane of the generator's raw stream against an integer
-threshold, so these three mechanisms hold their (p, q) pair on the 2^-16
-grid (``lane_probabilities``), the pair the client realizes exactly. Every
-per-cell loop (``one_hot_rr``'s words of four lanes, THE's Laplace noise
-of one ``Generator.random`` double a cell, OLH's hash replay) runs on one
-block scheduler, ``run_blocks``, which fills large jobs on the process's
-threads, one per core, drawing from jump-ahead copies of the caller's
-PCG64 generator, without changing a bit of the output. CMS and RAPPOR
-are one ``HashedSketch``: the same hash table and client under their own
-size names, each with its own statistic, reduction and decoder.
+threshold, so these four mechanisms hold their (p, q) pair on the 2^-16
+grid (``lane_probabilities``), the pair the client realizes exactly. Both
+per-cell loops (``one_hot_rr``'s words of four lanes and OLH's hash
+replay) run on one block scheduler, ``run_blocks``, which fills large
+jobs on the process's threads, one per core, drawing from jump-ahead
+copies of the caller's PCG64 generator, without changing a bit of the
+output. CMS and RAPPOR are one ``HashedSketch``: the same hash table and
+client under their own size names, each with its own statistic,
+reduction and decoder.
 
 A batch is the only form a report takes. Each mechanism's reports travel
 between perturb_batch and reduce as a ``ReportBatch``: one array per
@@ -77,22 +77,28 @@ _LANE = 1 << 16
 # block is 2048 rows of a 1024-bit CMS report.
 _BLOCK_CELLS = 1 << 19
 
-# cells per block of the loops that cost more per cell, THE's Laplace noise
-# and OLH's hash replay. A thread's block (64k cells on two cores) keeps its
-# scratch arrays in the core's cache, and jobs of a quarter of the size
-# already gain from a split. Measured on a 2-core host against blocks of
-# _BLOCK_CELLS: 17.7k users' hash replay over 373 zones took 0.039 s
-# against 0.043-0.061 s, and THE's three rounds at 50k users and 8 zones
-# 16 ms against 28 ms.
+# cells per block of OLH's hash replay, which costs more per cell. A
+# thread's block (64k cells on two cores) keeps its scratch arrays in the
+# core's cache, and jobs of a quarter of the size already gain from a
+# split. Measured on a 2-core host against blocks of _BLOCK_CELLS: 17.7k
+# users' hash replay over 373 zones took 0.039 s against 0.043-0.061 s.
 _SMALL_BLOCK_CELLS = 1 << 17
 
 # bytes of reports that perturb_chunks hands out at a time, 4 MB: a chunk
 # of one-byte bits is 2 blocks of _BLOCK_CELLS raw words (a 4096-row CMS
 # chunk reads 2^20 words, four bits each), so it splits onto at most two
-# threads, and one of THE's float64 rows is 4 blocks of _SMALL_BLOCK_CELLS.
-# Measured on 50k CMS reports at m = 1024, 4096-row chunks reduce in
-# 31-38 ms, as fast as the whole batch at once.
+# threads. Measured on 50k CMS reports at m = 1024, 4096-row chunks reduce
+# in 31-38 ms, as fast as the whole batch at once.
 _CHUNK_BYTES = 8 * _BLOCK_CELLS
+
+# raw words that one_hot_rr draws at a time in a job of more than one
+# block, such as a full chunk, 256 kB: a thread's lanes (2 bytes a bit)
+# stay a small part of the chunk's bits, so a round holds little more than
+# one chunk. A job of one block draws it whole: on a 2-core host a
+# piecewise draw of a 354 x 1024 job took 1.6 times as long, lost to the
+# allocator mapping and unmapping each piece, while chunked rounds of
+# 50k x 1024 and 17.5k x 368 bits ran as fast as with whole blocks.
+_DRAW_WORDS = 1 << 15
 
 
 def _cores() -> int:
@@ -156,13 +162,12 @@ def run_blocks(
     ``gen`` is None for a job that draws nothing. For a job that draws,
     ``rng`` is the caller's generator, and the job must read one 64-bit
     word of its stream per cell, in row-major order, so that the result
-    equals one draw of all n x width cells. A cell is one of THE's doubles
-    from ``Generator.random``, or one raw word, four of ``one_hot_rr``'s
-    16-bit lanes. Run in order, blocks share ``rng`` itself. Split, each
-    thread holds a copy of ``rng`` and jumps it ahead to the first cell of
-    every block it takes; that is exact only for PCG64 and PCG64DXSM, so
-    other bit generators never split. Either way ``rng`` ends where one
-    draw leaves it, buffered 32-bit half included.
+    equals one draw of all n x width cells: ``one_hot_rr``'s cell is one
+    raw word, four of its 16-bit lanes. Run in order, blocks share ``rng``
+    itself. Split, each thread holds a copy of ``rng`` and jumps it ahead
+    to the first cell of every block it takes; that is exact only for
+    PCG64 and PCG64DXSM, so other bit generators never split. Either way
+    ``rng`` ends where one draw leaves it, buffered 32-bit half included.
     """
     cells = _BLOCK_CELLS if cells is None else cells
     threads = 1
@@ -236,8 +241,9 @@ def lane_probabilities(probs: PerturbProbabilities) -> PerturbProbabilities:
     rounded pair, and debiasing with it is exactly unbiased. Neither ratio
     exceeds 2^16 - 1, so a bit spends at most ln(2^16 - 1) ~ 11.09 of the
     budget, however large the closed form's. DegenerateProbabilities for a
-    pair that the grid does not keep apart: OUE below a budget of about
-    2^-14, CMS and RAPPOR below about 2^-13.
+    pair that the grid does not keep apart: OUE and THE (at theta = 1)
+    below a budget of about 2^-14, CMS and RAPPOR below about 2^-13, and
+    THE at a theta so far out that p rounds to 0 or q to 1.
     """
     return PerturbProbabilities(
         p=min(math.floor(probs.p * _LANE), _LANE - 1) / _LANE,
@@ -271,24 +277,29 @@ def one_hot_rr(
     a job of n rows reads n * ceil(width / 4) words and leaves ``rng`` where
     ``rng.bit_generator.random_raw`` of that many would, buffered 32-bit
     half untouched. Rows are filled in blocks by ``run_blocks`` with the
-    word as its cell, so memory stays bounded for any n and the bits are
-    the same for any core count.
+    word as its cell, and a job of more than one block draws about
+    ``_DRAW_WORDS`` words at a time, so memory stays bounded for any n and
+    the bits are the same for any core count.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    bits = np.empty((positions.size, width), dtype=np.uint8)
+    n = positions.size
+    bits = np.empty((n, width), dtype=np.uint8)
     words = -(-width // 4)
     grid = lane_probabilities(probs)
     t_p, t_q = np.uint16(grid.p * _LANE), np.uint16(grid.q * _LANE)
+    step = max(1, n if n * words <= _BLOCK_CELLS else _DRAW_WORDS // words)
 
     def fill(start, stop, gen):
-        rows = stop - start
-        lanes = _lanes(gen, rows * words).reshape(rows, 4 * words)[:, :width]
-        out = bits[start:stop]
-        np.less(lanes, t_q, out=out.view(np.bool_))
-        index, targets = np.arange(rows), positions[start:stop]
-        out[index, targets] = lanes[index, targets] < t_p
+        for low in range(start, stop, step):
+            rows = min(step, stop - low)
+            lanes = _lanes(gen, rows * words).reshape(rows, 4 * words)[:, :width]
+            out = bits[low:low + rows]
+            np.less(lanes, t_q, out=out.view(np.bool_))
+            index, targets = np.arange(rows), positions[low:low + rows]
+            out[index, targets] = lanes[index, targets] < t_p
+            del lanes  # freed before the next piece is drawn
 
-    run_blocks(positions.size, words, fill, rng)
+    run_blocks(n, words, fill, rng)
     return bits
 
 
@@ -467,13 +478,6 @@ class OueBatch(ReportBatch):
     dtypes = (np.uint8,)
     row_fields = ("bits",)
     bits: np.ndarray  # n x L
-
-
-@dataclass(frozen=True)
-class TheBatch(ReportBatch):
-    dtypes = (np.float64,)
-    row_fields = ("values",)
-    values: np.ndarray  # n x L noisy reals
 
 
 @dataclass(frozen=True)

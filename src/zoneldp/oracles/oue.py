@@ -8,12 +8,12 @@ with the zone itself as the bit position, so the mechanism's pair is this
 closed form rounded onto the 2^-16 grid of its 16-bit lanes: q is never
 below 2^-16, so past eps = ln(2^16 - 1) ~ 11.09 a clear bit still turns 1
 with probability 2^-16, and below eps of about 2^-14 the grid cannot keep
-p above q.
+p above q. THE is this mechanism with another closed-form pair.
 """
 from __future__ import annotations
 
 import math
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -40,9 +40,13 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
 class OptimizedUnaryEncoding(FrequencyOracle):
     name: ClassVar[str] = "OUE"
 
-    def __init__(self, l_zones: int, epsilon: float):
+    def __init__(
+        self, l_zones: int, epsilon: float, probs: Optional[PerturbProbabilities] = None
+    ):
+        """``probs`` is the closed-form pair the client rounds onto the
+        grid, OUE's own unless given."""
         super().__init__(l_zones, epsilon)
-        self._probs = lane_probabilities(probabilities(epsilon))
+        self._probs = lane_probabilities(probabilities(epsilon) if probs is None else probs)
         self._row_bytes = self.l_zones
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OueBatch:

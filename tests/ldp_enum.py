@@ -84,6 +84,45 @@ def oue_dist(zone: int, l_zones: int, epsilon: float) -> dict:
     return dist
 
 
+def the_lane_thresholds(epsilon: float, theta: float = 1.0) -> tuple:
+    """THE's pair as integer lane thresholds (t_p, t_q) over LANE.
+
+    A bit is 1[x_j + noise_j >= theta] for Laplace noise of scale 2/eps,
+    so it is set with p = P(noise >= theta - 1) on the true zone and
+    q = P(noise >= theta) elsewhere. p is rounded down, to at most
+    LANE - 1, and q up, both in 80-digit decimals.
+    """
+    with localcontext(Context(prec=80)):
+        scale = 2 / Decimal(epsilon)
+
+        def tail(x: float) -> Decimal:
+            x = Decimal(x)
+            if x >= 0:
+                return (-x / scale).exp() / 2
+            return 1 - (x / scale).exp() / 2
+
+        t_p = min(math.floor(tail(theta - 1.0) * LANE), LANE - 1)
+        t_q = math.ceil(tail(theta) * LANE)
+    return t_p, t_q
+
+
+def lane_unary_dist(zone: int, l_zones: int, t_p: int, t_q: int) -> dict:
+    """Joint distribution over all 2^L bit vectors of a one-hot client on
+    the lane grid, as integer weights that sum to LANE^L.
+
+    The true bit is set with t_p / LANE and every other bit with
+    t_q / LANE, independently.
+    """
+    dist = {}
+    for bits in itertools.product((0, 1), repeat=l_zones):
+        weight = 1
+        for j, bit in enumerate(bits):
+            on = t_p if j == zone else t_q
+            weight *= on if bit else LANE - on
+        dist[bits] = weight
+    return dist
+
+
 def hr_dist(zone: int, l_zones: int, epsilon: float) -> dict:
     """Joint distribution over (row index, sign of the reported value).
 

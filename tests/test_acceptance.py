@@ -30,6 +30,7 @@ from zoneldp.oracles.cms import CountMeanSketch
 from zoneldp.oracles.hashing import hash_bucket
 from zoneldp.oracles.olh import domain_size
 from zoneldp.oracles.rappor import Rappor
+from zoneldp.oracles.the import ThresholdHistogramEncoding
 from zoneldp.simulator import (
     CountsPopulation,
     ExperimentConfig,
@@ -100,11 +101,25 @@ def test_criterion_1_report_space_likelihood_ratio_bound():
             worst_seen = max(worst_seen, ratio / math.exp(epsilon))
             assert ratio <= bound
 
-        # noisy-histogram mechanism: per-component Laplace density ratio at
-        # scale 2/eps is e^{eps/2} analytically; two moved components
+        # noisy-histogram mechanism: the client emits its thresholded bits
+        # on the lane grid, so its report space is 2^4 bit vectors with
+        # integer weights, checked against e^eps exactly; the pair is the
+        # one the implementation holds
+        t_p, t_q = ldp_enum.the_lane_thresholds(epsilon)
+        held = ThresholdHistogramEncoding(4, epsilon).probabilities()
+        assert (held.p, held.q) == (t_p / ldp_enum.LANE, t_q / ldp_enum.LANE)
+        the = [ldp_enum.lane_unary_dist(zone, 4, t_p, t_q) for zone in range(4)]
+        for dist in the:
+            assert sum(dist.values()) == ldp_enum.LANE**4
+        for a, b in itertools.permutations(range(4), 2):
+            for outcome, weight in the[a].items():
+                assert ldp_enum.within_exp(weight, epsilon, the[b][outcome])
+            ratio = ldp_enum.max_ratio(the[a], the[b])
+            worst_seen = max(worst_seen, ratio / math.exp(epsilon))
+        # and the closed-form pair it rounds: the per-component Laplace
+        # density ratio at scale 2/eps is e^{eps/2}; two moved components
         # compose to e^eps
-        scale = 2.0 / epsilon
-        per_component = math.exp(1.0 / scale)
+        per_component = math.exp(epsilon / 2.0)
         grid_sup = ldp_enum.the_component_ratio_bound(epsilon)
         assert grid_sup == pytest.approx(per_component, rel=1e-9)
         assert per_component**2 <= bound

@@ -239,14 +239,14 @@ class TestSimulate:
     # sha256 of each trace at counts [30, 20, 10] and seed 9, as written when
     # the trace was built from one report object per user; OUE, CMS and
     # RAPPOR as written since their bits compare 16-bit lanes of raw words,
-    # THE since its noise is one Generator.random double a cell
+    # THE since its client reports its thresholded bits the same way
     TRACE_SHA256 = {
         ("OLH", 0.5): "3b065a1b9be74f574b50aea53bedd9e0efa822fd53dddbae333f934f4c586846",
         ("OLH", 2.0): "b866e7e529dc08460ffb9e362783068463b2d9084a95ed80f2531a783d728b62",
         ("OUE", 0.5): "8539f2743945a8e4195cbf8e79094378f08cb067478b91fc6ccd080737b55f8a",
         ("OUE", 2.0): "ab997d69a5410605b0e44563a1520fed652a00da6027986aa45742c32de13354",
-        ("THE", 0.5): "5f544490d5e8c473a7c8119d165a75aaa73eba7723350b38bd341e593af14316",
-        ("THE", 2.0): "2b36975d9b934d6fd4e482f917cf7e055e196d8af278d9791125a7e04c33de01",
+        ("THE", 0.5): "2ca4dcdb8f1c242f923fe1eb24cacb5c4c8328939de4e01f7a6eb22a55fb3254",
+        ("THE", 2.0): "5cf6b1c6e6425cf5c3f4cabf668cd37a6f5acd2352ea96c624186184f3dbe3e7",
         ("HR", 0.5): "b5bc951cba6f0b4b038b3bf098292427dfcf5c913493919e6227b9f2e9dc9aa2",
         ("HR", 2.0): "f87719b94625fcee5c916f24547c512fa225386aa02471e32cf3b19bcf57e841",
         ("CMS", 0.5): "a8f24f070a2cbfda4a3f52c433c8503203a33f91d8d80a9b5a68676f34997799",
@@ -302,6 +302,24 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert stderr.startswith("config error:") and "must exceed" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("theta, named", [(60, "out of range"), (-60, "out of range")])
+    def test_a_theta_the_lane_grid_cannot_split_is_a_config_error(
+        self, workspace, capsys, theta, named
+    ):
+        # at eps = 0.5, theta = 60 gives p = e^(-59/4) / 2 ~ 2e-7, which
+        # rounds down to 0 on the 2^-16 grid, and theta = -60 a q that
+        # rounds up to 1
+        config = self._write_config(
+            workspace, mechanism="THE", epsilon=0.5, params={"the_theta": theta}
+        )
+        before = sorted(workspace.iterdir())
+        argv = ["simulate", "--config", config, "--out", workspace / "r.json",
+                "--reports-out", workspace / "reports.jsonl"]
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert stderr.startswith("config error: THE cannot randomize") and named in stderr
+        assert sorted(workspace.iterdir()) == before
 
     def test_a_failed_round_leaves_no_trace(self, workspace, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -462,16 +480,16 @@ class TestSweep:
     # mechanism's sampler, statistic or decoder that moves a seeded estimate
     # shows here
     SWEEP_SHA256 = {
-        "results.jsonl": "82200a88908c240032466d03a420a3470e0f64296b5f4a4cc910038b30542ddd",
-        "summary.csv": "0e43d0f96676a5130f7be9f770f849c716a40c064aadf81744cf830d55199894",
-        "zone_stats.csv": "df0e3f7fae042212d1df70eaa8eb35cd7bcfe77bdb3e5ded75c29052f8e8dd7f",
+        "results.jsonl": "86b7288b4f6fb97531268bfbc87fe66f9d953162ff583e49dd587e3ffd67777d",
+        "summary.csv": "24265f54a474b15b177865b0fe9dd4df92ba166c3f65fce36fb34336e2a77545",
+        "zone_stats.csv": "78704ddbcfe1e2aa3d280fa4f229bd8da490365641b63aa6675f2fdd9bd62d7d",
     }
     # sha256 of each mechanism's lines of results.jsonl in the same sweep,
     # so a change that moves one mechanism shows which
     RESULTS_SHA256 = {
         "OLH": "78af3ba04ebf673e8bb9b6c1c5be2a6949e669916e2fc83997c557b3f04e3975",
         "OUE": "0be6751df6c8f5d093242ab83a082dba43eccba8e0a04dc8f3b2d42da6de1de5",
-        "THE": "95fc393e18a87bd30c2fb2d67511502874a556cfe4d50ef6f292d4a562d0310c",
+        "THE": "fb1d8fbf313841146b94cb2bdbbd6a0ce94bb5f609fa2906d11de76e76b78a97",
         "HR": "f09e96079832cea4c2e741ac523f1ab50fbe6f8fae913355a7376d353bcbca72",
         "CMS": "e95242c135eb450bc87a76ed066a516e90927fee12f5ad63a0d13eececfdddb3",
         "RAPPOR": "002248a2d043fdee71d72573855dc51dbbb1e74acbe38ec9fa4fc65792b9a416",

@@ -1,19 +1,17 @@
-"""The one-hot randomizer that OUE, CMS and RAPPOR clients share, its
+"""The one-hot randomizer that OUE, THE, CMS and RAPPOR clients share, its
 probabilities on the 2^-16 grid, the scalar perturb() that runs a batch of
-one, and the block scheduler that also runs THE's Laplace noise and OLH's
-hash replay.
+one, and the block scheduler that also runs OLH's hash replay.
 
 The reference is the direct construction: a threshold matrix holding
 ceil(q * 2^16) everywhere and floor(p * 2^16) at each row's target bit,
 compared against the 16-bit lanes of one random_raw draw of n *
 ceil(width / 4) words (each word's four lanes, low lane first, taken
 apart with shifts and masks; a row whose width is not a multiple of four
-drops its last word's high lanes), and for THE the Laplace noise built
-from one random_raw draw of n * L words, a word's top 53 bits to a cell.
-The blocked samplers must give the same values for the same seed, at
-every block boundary, for any number of row segments they split the
-stream into, and must leave the generator where that one draw leaves it.
-OLH's support counts must not depend on the core count.
+drops its last word's high lanes). The blocked sampler must give the same
+bits for the same seed, at every block boundary, for any number of row
+segments it splits the stream into, and must leave the generator where
+that one draw leaves it. OLH's support counts must not depend on the core
+count.
 """
 import math
 import os
@@ -100,15 +98,18 @@ def test_consumes_exactly_n_times_half_the_width_words(width):
 
 def closed_form(mechanism, epsilon):
     """(p, q) * 2^16 from the definition, to 80 digits: OUE's (1/2,
-    1/(e^eps + 1)) or the sketches' per-bit pair at eps/2."""
+    1/(e^eps + 1)), THE's (1 - F(0), 1 - F(1)) = (1/2, e^(-eps/2) / 2) at
+    theta = 1, or the sketches' per-bit pair at eps/2."""
     with localcontext(Context(prec=80)):
         if mechanism == "OUE":
             return Decimal(LANE) / 2, LANE / (Decimal(epsilon).exp() + 1)
+        if mechanism == "THE":
+            return Decimal(LANE) / 2, LANE * (-Decimal(epsilon) / 2).exp() / 2
         half = (Decimal(epsilon) / 2).exp()
         return LANE * half / (half + 1), LANE / (half + 1)
 
 
-@pytest.mark.parametrize("mechanism", ["OUE", "CMS", "RAPPOR"])
+@pytest.mark.parametrize("mechanism", ["OUE", "THE", "CMS", "RAPPOR"])
 def test_lane_pairs_keep_the_ratio_bound_in_integers(mechanism):
     for epsilon in np.geomspace(1e-3, 20.0, 97).tolist():
         probs = make_mechanism(mechanism, 4, epsilon).probabilities()
@@ -120,7 +121,7 @@ def test_lane_pairs_keep_the_ratio_bound_in_integers(mechanism):
         assert 0 <= p - t_p < 1 and 0 <= t_q - q < 1, epsilon
         # a zone change moves two bits: the report's ratio is e^eps at most
         assert within_exp(t_p * (LANE - t_q), epsilon, t_q * (LANE - t_p)), epsilon
-        if mechanism != "OUE":  # and each sketch bit spends eps/2 at most
+        if mechanism != "OUE":  # and each sketch or THE bit spends eps/2 at most
             assert within_exp(t_p, epsilon / 2.0, t_q), epsilon
             assert within_exp(LANE - t_q, epsilon / 2.0, LANE - t_p), epsilon
 
@@ -139,7 +140,7 @@ def test_the_grid_is_the_lane_width():
     assert base._LANE == LANE == 2 ** (8 * lanes.itemsize)
 
 
-@pytest.mark.parametrize("mechanism", ["OUE", "CMS", "RAPPOR"])
+@pytest.mark.parametrize("mechanism", ["OUE", "THE", "CMS", "RAPPOR"])
 def test_the_grid_costs_little_variance(mechanism):
     # q(1 - q)/(p - q)^2, the noise variance per report of a debiased
     # count, on the grid against the closed form, densely over [0.1, 5]
@@ -154,12 +155,12 @@ def test_the_grid_costs_little_variance(mechanism):
 
 
 @pytest.mark.parametrize("mechanism, smallest", [
-    ("OUE", 2.0**-14), ("CMS", 2.0**-13), ("RAPPOR", 2.0**-13),
+    ("OUE", 2.0**-14), ("THE", 2.0**-14), ("CMS", 2.0**-13), ("RAPPOR", 2.0**-13),
 ])
 def test_budgets_the_grid_cannot_split_are_degenerate(mechanism, smallest):
-    # OUE's q is about 1/2 - eps/4 under p = 1/2, the sketches' pair about
-    # 1/2 +- eps/8: less than a grid step from 1/2, p rounded down and q
-    # rounded up meet
+    # OUE's and THE's q are about 1/2 - eps/4 under p = 1/2, the sketches'
+    # pair about 1/2 +- eps/8: less than a grid step from 1/2, p rounded
+    # down and q rounded up meet
     with pytest.raises(DegenerateProbabilities, match="must exceed"):
         make_mechanism(mechanism, 4, 0.9 * smallest)
     probs = make_mechanism(mechanism, 4, 1.1 * smallest).probabilities()
@@ -434,63 +435,29 @@ def test_error_in_a_worker_thread_reaches_the_caller_of_any_job(split):
 VENUE_L = 373  # zones of the benchmark venue
 
 
-def reference_the(the, zones, rng):
-    """THE's values from one raw draw, in integers up to the logarithm:
-    cell c takes the 53 bits k of word c (its top 53; MT19937 gives the top
-    27 and 26 bits of two 32-bit outputs), and its noise is -sgn(v) * scale
-    * ln |v| for v = (2k + 1 - 2^53) * 2^-53."""
-    n, width = zones.size, the.l_zones
-    raw = rng.bit_generator.random_raw
-    if isinstance(rng.bit_generator, np.random.MT19937):
-        pairs = raw(2 * n * width).reshape(-1, 2)
-        k = (pairs[:, 0] >> np.uint64(5)) << np.uint64(26) | pairs[:, 1] >> np.uint64(6)
-    else:
-        k = raw(n * width) >> np.uint64(11)
-    odd = 2 * k.astype(np.int64) + 1 - (1 << 53)
-    noise = np.log(np.abs(odd).astype(np.float64) * 2.0**-53) * the.scale
-    values = np.where(odd > 0, -noise, noise).reshape(n, width)
-    values[np.arange(n), zones] += 1.0
-    return values
-
-
-@pytest.mark.parametrize("cores", [1, 2, 3, 5])
-def test_split_laplace_is_one_draw(split, cores):
-    the = ThresholdHistogramEncoding(VENUE_L, 1.0)
-    rows = _SMALL_BLOCK_CELLS // VENUE_L
-    # one user's client is the batch of one
-    for n in (1, rows, rows + 1, 2 * rows + 1, 3 * rows + 7):
-        copies = split(cores)
-        zones = np.random.default_rng(n).integers(0, VENUE_L, size=n)
-        rng, ref = np.random.default_rng(19), np.random.default_rng(19)
-        for gen in (rng, ref):  # one int32 draw leaves half of a word buffered
-            gen.integers(0, 1000, dtype=np.int32)
-        got = the.perturb_batch(zones, rng).values
-        assert np.array_equal(got, reference_the(the, zones, ref)), n
-        assert len(copies) == expected_threads(n, VENUE_L, cores, _SMALL_BLOCK_CELLS), n
-        # the buffered half too: the state holds has_uint32 and uinteger
-        assert rng.bit_generator.state == ref.bit_generator.state, n
-
-
 @pytest.mark.parametrize(
-    "bit_generator, splits",
-    [
-        (np.random.PCG64DXSM, True),
-        (np.random.MT19937, False),
-        (np.random.SFC64, False),
-        (np.random.Philox, False),
-    ],
+    "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937]
 )
-def test_laplace_splits_only_on_generators_that_jump(split, bit_generator, splits):
-    the = ThresholdHistogramEncoding(VENUE_L, 1.0)
-    n = 3 * (_SMALL_BLOCK_CELLS // VENUE_L) + 7
-    copies = split(3)
-    zones = np.random.default_rng(4).integers(0, VENUE_L, size=n)
-    rng = np.random.Generator(bit_generator(6))
-    ref = np.random.Generator(bit_generator(6))
-    got = the.perturb_batch(zones, rng).values
-    assert np.array_equal(got, reference_the(the, zones, ref))
-    assert len(copies) == (3 if splits else 0)
-    assert rng.random() == ref.random()
+def test_the_bits_are_the_threshold_matrix_on_every_core_count(
+    split, monkeypatch, bit_generator
+):
+    # THE's client is one_hot_rr with its lane pair: blocks of 8 rows, so
+    # every core count above one splits the 45-row job, except on MT19937,
+    # which cannot jump; the batch of one is the first reference row
+    the = ThresholdHistogramEncoding(VENUE_L, 1.0, theta=0.75)
+    monkeypatch.setattr(base, "_BLOCK_CELLS", 8 * words(VENUE_L))
+    zones = np.random.default_rng(6).integers(0, VENUE_L, size=45)
+    for cores in (1, 2, 3, 5):
+        for n in (1, 45):
+            copies = split(cores)
+            rng = np.random.Generator(bit_generator(7))
+            ref = np.random.Generator(bit_generator(7))
+            got = the.perturb_batch(zones[:n], rng).bits
+            want = reference_bits(zones[:n], VENUE_L, the.probabilities(), ref)
+            assert np.array_equal(got, want), (cores, n)
+            assert rng.random() == ref.random(), (cores, n)
+            splits = n > 8 and cores > 1 and bit_generator is not np.random.MT19937
+            assert len(copies) == (min(cores, 6) if splits else 0), (cores, n)
 
 
 def test_olh_support_counts_are_the_same_on_every_core_count(split, monkeypatch):
@@ -525,7 +492,7 @@ from zoneldp.simulator import CountsPopulation, ExperimentConfig, run_sweep, wri
 
 base._cores = lambda: 2
 bits = base.one_hot_rr(
-    np.zeros(2048, dtype=np.int64), 1024,
+    np.zeros(4096, dtype=np.int64), 1024,
     base.PerturbProbabilities(0.6, 0.4), np.random.default_rng(0),
 )
 config = ExperimentConfig(
@@ -538,10 +505,10 @@ for workers in (1, 2):
     write_results(run_sweep(config, workers=workers), buffer)
     rendered.append(buffer.getvalue())
 assert rendered[0] == rendered[1]
-# 900 users over 700 zones: THE's noise and OLH's replay split too
+# 3700 users over 700 zones: THE's bits and OLH's replay split too
 config = ExperimentConfig(
     mechanisms=("THE", "OLH"), epsilons=(0.5, 2.0), trials=2, seed=3,
-    population=CountsPopulation(counts=(1,) * 500 + (2,) * 200),
+    population=CountsPopulation(counts=(5,) * 500 + (6,) * 200),
 )
 rendered = []
 for workers in (1, 2):
@@ -554,9 +521,11 @@ print("ok")
 
 
 def test_forked_sweep_workers_finish_after_a_split():
-    # 900 users x a 1024-bit sketch is over three blocks, and 900 users x
-    # 700 zones over one, so every round splits, in this process and in the
-    # forked workers
+    # 4096 rows of 1024 bits are two blocks of raw words, so the process
+    # has split a job before its first sweep forks; 3700 THE users over 700
+    # zones read 175 words a row, over one block, and their OLH replay is
+    # over one block of its own, so those rounds split, in this process and
+    # in the forked workers
     package_root = str(Path(zoneldp.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")

@@ -30,7 +30,6 @@ from zoneldp.oracles.base import (
     OueBatch,
     PerturbProbabilities,
     RapporBatch,
-    TheBatch,
 )
 from zoneldp.oracles.hashing import (
     family_member_seed,
@@ -192,9 +191,11 @@ MALFORMED = [
     pytest.param("OUE", "bits", [True, False, False, False], id="OUE-bools"),
     pytest.param("OUE", "bits", [1, 0, 0], id="OUE-short-row"),
     pytest.param("OUE", "bits", 1, id="OUE-scalar-row"),
-    pytest.param("THE", "values", [math.inf, 0.0, 0.0, 0.0], id="THE-inf"),
-    pytest.param("THE", "values", [math.nan, 0.0, 0.0, 0.0], id="THE-nan"),
-    pytest.param("THE", "values", ["1.5", 0.0, 0.0, 0.0], id="THE-string"),
+    pytest.param("THE", "bits", [0, 2, 0, 0], id="THE-bit-2"),
+    pytest.param("THE", "bits", [0, 1.0, 0, 0], id="THE-float-bit"),
+    pytest.param("THE", "bits", [math.inf, 0, 0, 0], id="THE-inf"),
+    pytest.param("THE", "bits", [math.nan, 0, 0, 0], id="THE-nan"),
+    pytest.param("THE", "bits", ["1", 0, 0, 0], id="THE-string"),
     pytest.param("HR", "row_index", 1.7, id="HR-float"),
     pytest.param("HR", "row_index", True, id="HR-bool"),
     pytest.param("HR", "signed_value", math.inf, id="HR-inf"),
@@ -222,7 +223,13 @@ def test_report_lists_that_do_not_fit_are_rejected(mechanism, field, value):
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 def test_reports_of_another_mechanism_are_rejected(mechanism):
     mech, batch = _small_batch(mechanism)
-    other = MECHANISMS[(MECHANISMS.index(mechanism) + 1) % len(MECHANISMS)]
+    # the next mechanism of another report type: THE's reports are OUE's
+    # bit rows, and a payload does not say which pair drew them
+    at = MECHANISMS.index(mechanism)
+    other = next(
+        m for m in MECHANISMS[at + 1:] + MECHANISMS[:at]
+        if type(_small_batch(m)[1]) is not type(batch)
+    )
     reports = payloads(batch)
     reports[0] = payloads(_small_batch(other)[1])[0]
     with pytest.raises(ParamMismatch, match=type(batch).__name__):
@@ -268,7 +275,7 @@ class TestWireFormat:
             value=np.array([3, 0]),
         ),
         OueBatch(bits=np.array([[0, 1, 0, 0], [1, 1, 0, 1]], dtype=np.uint8)),
-        TheBatch(values=np.array([[0.25, -1.5, 1.75], [0.1, 1e-300, -7.0]])),
+        OueBatch(bits=np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)),  # THE's
         HrBatch(row_index=np.array([5, 0]), signed_value=np.array([-1.5, 1.5])),
         CmsBatch(
             hash_index=np.array([2, 0]),
@@ -291,8 +298,15 @@ class TestWireFormat:
                 assert np.array_equal(getattr(again, f.name), getattr(batch, f.name))
 
     def test_mech_tags(self):
+        # each batch type's first mechanism by default; THE's reports are
+        # an OueBatch, so the writer's caller names them
         tags = [json.loads(trace_text(b).splitlines()[0])["mech"] for b in self.BATCHES]
-        assert tags == ["OLH", "OUE", "THE", "HR", "CMS", "RAPPOR"]
+        assert tags == ["OLH", "OUE", "OUE", "HR", "CMS", "RAPPOR"]
+        named = json.loads(trace_text(self.BATCHES[2], "THE").splitlines()[0])
+        assert named["mech"] == "THE"
+        for batch, tag in ((self.BATCHES[0], "THE"), (self.BATCHES[2], "HR"), (self.BATCHES[2], "RR")):
+            with pytest.raises(ValueError, match=f"does not hold {tag!r}"):
+                trace_text(batch, tag)
 
     def test_stream_round_trip(self):
         for batch in self.BATCHES:
@@ -389,7 +403,7 @@ class TestWireFormat:
 
         def collect(batch):
             chunks.append(batch)
-            write_reports(batch, buffer)
+            write_reports(batch, buffer, mechanism)
 
         run_round(users, 30, mechanism, 1.0, SMALL, np.random.default_rng(2), collect)
         assert len(chunks) >= (1 if mechanism in ("OLH", "HR") else 3)

@@ -189,7 +189,7 @@ class TestRunRound:
             assert np.array_equal(oracle.aggregate(batch).raw, est.raw), mechanism
             # the JSON-lines trace is exact: read back, it decodes to the same raw
             buffer = io.StringIO()
-            write_reports(batch, buffer)
+            write_reports(batch, buffer, mechanism)
             buffer.seek(0)
             again = oracle.aggregate(read_reports(buffer))
             assert np.array_equal(again.raw, est.raw), mechanism
@@ -238,10 +238,11 @@ class TestRunRound:
         assert not np.array_equal(a.raw, b.raw)
 
     def test_holds_about_one_chunk_of_reports(self):
-        # 20k THE users at 368 zones are 59 MB of reports in 4 MB chunks; a
-        # loop that keeps a reduced chunk alive while it draws the next one
-        # peaks near two chunks
-        users = np.random.default_rng(9).integers(0, 368, size=20_000)
+        # 160k THE users at 368 zones are 59 MB of one-byte bits in 4 MB
+        # chunks; a loop that keeps a reduced chunk alive while it draws the
+        # next one peaks near two chunks, and so does a client that draws a
+        # chunk's raw words, 2 bytes a bit, a 4 MB block at a time
+        users = np.random.default_rng(9).integers(0, 368, size=160_000)
         tracemalloc.start()
         try:
             run_round(users, 368, "THE", 1.0, rng=np.random.default_rng(10))

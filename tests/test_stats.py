@@ -128,7 +128,7 @@ def test_each_class_binds_perturb_batch_and_aggregate_itself(mechanism):
 # (mechanism, l_zones, users, params): each round spans at least 3 chunks
 CHUNKED = [
     ("OUE", 1000, 12_600, None),
-    ("THE", 200, 8_000, None),
+    ("THE", 200, 64_000, None),
     ("CMS", 8, 12_300, None),
     ("RAPPOR", 8, 12_300, PrivacyParams(rappor_k=1024, rappor_m=16)),
 ]
@@ -142,8 +142,7 @@ def test_a_chunked_round_is_one_batch_and_one_aggregate(mechanism, l_zones, n, p
                     rng=np.random.default_rng(9), collect_reports=chunks.append)
     assert len(chunks) >= 3
     for chunk in chunks:
-        row = chunk.bits if hasattr(chunk, "bits") else chunk.values
-        assert row[:1].nbytes * chunk.n_reports <= _CHUNK_BYTES
+        assert chunk.bits[:1].nbytes * chunk.n_reports <= _CHUNK_BYTES
 
     rng = np.random.default_rng(9)
     kwargs = {}

@@ -5,10 +5,10 @@ import json
 from zoneldp.oracles import write_reports
 
 
-def trace_text(batch) -> str:
-    """The batch as a JSON-lines report trace."""
+def trace_text(batch, mechanism=None) -> str:
+    """The batch as a JSON-lines report trace, tagged ``mechanism`` if given."""
     buffer = io.StringIO()
-    write_reports(batch, buffer)
+    write_reports(batch, buffer, mechanism)
     return buffer.getvalue()
 
 
