@@ -1,9 +1,12 @@
-"""Loop-form references for the RAPPOR decoder.
+"""Plain references for the RAPPOR aggregator.
 
-``cd_nonneg_lasso`` is cyclic coordinate descent from zero, the solver the
-decoder used before exact support solves; ``loop_normal_equations`` builds
-the Gram matrix with one m x L comparison per zone. Both are slow and
-plain, and the tests hold the array-form decoder to them.
+``bincount_reduce`` sums the bits with one flat ``bincount`` keyed by
+(cohort, bit), the reduction used before byte-lane sums over
+cohort-sorted rows. ``cd_nonneg_lasso`` is cyclic coordinate descent from
+zero, the solver the decoder used before exact support solves;
+``loop_normal_equations`` builds the Gram matrix with one m x L comparison
+per zone. All three are slow and plain, and the tests hold the array
+forms to them.
 """
 import numpy as np
 
@@ -11,6 +14,15 @@ import numpy as np
 # beyond what any test system needs
 _LASSO_TOL = 1e-12
 _MAX_SWEEPS = 100_000
+
+
+def bincount_reduce(cohort: np.ndarray, bits: np.ndarray, m: int):
+    """Per-(cohort, bit) sums and reports per cohort, both int64, from one
+    bincount over float weights; bit sums are exact integers in float64."""
+    k = bits.shape[1]
+    keys = (np.asarray(cohort)[:, None] * k + np.arange(k)).ravel()
+    sums = np.bincount(keys, weights=np.asarray(bits, dtype=np.float64).ravel(), minlength=m * k)
+    return sums.astype(np.int64).reshape(m, k), np.bincount(cohort, minlength=m)
 
 
 def cd_nonneg_lasso(gram: np.ndarray, linear: np.ndarray, penalty: float) -> np.ndarray:

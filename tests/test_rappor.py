@@ -1,7 +1,7 @@
 """Tests for the cohort-hashed bit-vector mechanism.
 
-Covers the per-bit pair, the nonnegative lasso solver, the Gram assembly
-against a comparison loop, exact decoding on clean reports, report
+Covers the per-bit pair, the reduction against a flat bincount, the
+nonnegative lasso solver, the Gram assembly against a comparison loop, exact decoding on clean reports, report
 privacy via an independent enumeration, the singular-fit guard, the
 regularized aggregate and the digests of seeded rounds. Cases it shares
 with CMS, the same hashed sketch, come from sketch_cases.
@@ -17,7 +17,7 @@ import pytest
 import ldp_enum
 import sketch_cases
 from ldp_enum import LANE
-from rappor_reference import cd_nonneg_lasso, loop_normal_equations
+from rappor_reference import bincount_reduce, cd_nonneg_lasso, loop_normal_equations
 from zoneldp.errors import SingularFitWarning
 from zoneldp.oracles.base import _BLOCK_CELLS
 from zoneldp.oracles.rappor import _LAMBDA_GRID, Rappor, RapporBatch, nonneg_lasso
@@ -181,6 +181,93 @@ def loop_halves(mech, stats):
         )
         for parity in (0, 1)
     ]
+
+
+class TestReduce:
+    """Byte-lane sums over cohort-sorted rows equal the flat bincount."""
+
+    @staticmethod
+    def assert_matches_bincount(m, cohort, bits):
+        mech = Rappor(l_zones=4, epsilon=1.0, k=bits.shape[1], m=m)
+        stats = mech.reduce(RapporBatch(cohort=cohort, bits=bits))
+        counts, sizes = bincount_reduce(cohort, bits, m)
+        assert stats.counts.dtype == stats.row_sizes.dtype == np.int64
+        assert np.array_equal(stats.counts, counts)
+        assert np.array_equal(stats.row_sizes, sizes)
+        assert stats.n_reports == len(cohort)
+        return stats
+
+    @pytest.mark.parametrize("m", [1, 2, 1024])
+    @pytest.mark.parametrize("k", [1, 7, 8, 13, 64, 65])
+    def test_matches_bincount(self, m, k):
+        # widths on and off whole 64-bit words; at m = 1024 a third of the
+        # cohorts get no report
+        rng = np.random.default_rng(m * 100 + k)
+        cohort = rng.integers(0, m, size=1000)
+        bits = rng.integers(0, 2, size=(1000, k), dtype=np.uint8)
+        self.assert_matches_bincount(m, cohort, bits)
+
+    @pytest.mark.parametrize("ones", [254, 255, 256, 510, 511])
+    @pytest.mark.parametrize("k", [13, 64])
+    def test_a_cohort_of_ones_across_segment_bounds(self, ones, k):
+        # 255 all-ones rows fill a byte lane exactly; 256 and 511 start a
+        # second and a third segment. Cohorts 6 and 7 stay empty
+        rng = np.random.default_rng(ones + k)
+        cohort = np.concatenate([np.full(ones, 5), rng.integers(0, 5, size=300)])
+        bits = rng.integers(0, 2, size=(cohort.size, k), dtype=np.uint8)
+        bits[:ones] = 1
+        order = rng.permutation(cohort.size)
+        stats = self.assert_matches_bincount(8, cohort[order], bits[order])
+        assert np.all(stats.counts[5] == ones)
+        assert not stats.counts[6:].any() and not stats.row_sizes[6:].any()
+
+    @pytest.mark.parametrize("m", [1, 3, 1024])
+    def test_one_report(self, m):
+        for cohort in (0, m - 1):
+            self.assert_matches_bincount(m, np.array([cohort]), np.ones((1, 13), dtype=np.uint8))
+
+    def test_strided_and_wider_bits_are_cast(self):
+        # a view with strides on both axes, and bits held as bool or int64:
+        # each bit counts once, never as the bytes of a wider value
+        rng = np.random.default_rng(7)
+        wide = rng.integers(0, 2, size=(600, 40), dtype=np.uint8)
+        cohort = rng.integers(0, 16, size=300)
+        view = wide[::2, 1::3]
+        assert not view.flags.c_contiguous
+        for bits in (view, view.astype(bool), view.astype(np.int64)):
+            self.assert_matches_bincount(16, cohort, bits)
+
+    @pytest.mark.parametrize("n, bound", [(354, 1_000_000), (65_536, 6_000_000)])
+    def test_allocates_little_beyond_its_table(self, n, bound):
+        # the 1024 x 64 int64 table is 0.5 MB; the sorted rows of a full
+        # 65,536-row chunk are 4 MB, against 9 MB for the flat bincount's
+        # int64 keys and float64 weights
+        mech = Rappor(l_zones=8, epsilon=1.0, hash_seed=2)
+        rng = np.random.default_rng(n)
+        batch = mech.perturb_batch(rng.integers(0, 8, size=n), rng)
+        tracemalloc.start()
+        try:
+            mech.reduce(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_a_round_of_two_chunks_is_one_reduce(self):
+        # 70,000 reports of 64 bits are two chunks, reduced one at a time
+        users = np.random.default_rng(3).integers(0, 8, size=70_000)
+        chunks = []
+        est = run_round(users, 8, "RAPPOR", 1.0, rng=np.random.default_rng(4),
+                        collect_reports=chunks.append)
+        assert len(chunks) == 2
+        hash_seed = int(np.random.default_rng(4).integers(0, 1 << 63))
+        mech = Rappor(l_zones=8, epsilon=1.0, hash_seed=hash_seed)
+        whole = mech.reduce(RapporBatch.concat(chunks))
+        summed = mech.reduce(chunks[0]) + mech.reduce(chunks[1])
+        assert summed.n_reports == whole.n_reports == 70_000
+        assert np.array_equal(summed.counts, whole.counts)
+        assert np.array_equal(summed.row_sizes, whole.row_sizes)
+        assert np.array_equal(est.raw, mech.aggregate(whole).raw)
 
 
 class TestGramAssembly:

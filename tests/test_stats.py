@@ -196,7 +196,7 @@ def test_cms_reduction_equals_the_mask_loop(n):
 
 
 def test_rappor_reduction_over_blocks_equals_one_bincount():
-    # 20k reports of 64 bits are three bincount blocks
+    # 20k reports of 64 bits against one flat bincount over all of them
     mech = make_mechanism("RAPPOR", 8, 1.0, hash_seed=4)
     rng = np.random.default_rng(8)
     cohort = rng.integers(0, mech.m, size=20_000)
