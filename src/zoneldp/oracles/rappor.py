@@ -31,11 +31,15 @@ O(m * (L + L^2/k)) rather than one m x L comparison per zone. A block
 holds the cohorts that a pass over one half alone would, so each half's
 sums come out bit for bit as if it were assembled on its own.
 On a 2-core host a decode of the default 1024 x 64 sketch took 1-2 ms at
-L = 8 (354 users) and 72-90 ms at L = 368 (20k users). Each fit
-solves its stationarity equations exactly on a support by Cholesky and
-keeps the solution only when coordinate descent's stopping rule certifies
-it; otherwise a coordinate-descent sweep moves the iterate and the solve
-is retried. Fits along the penalty grid are warm-started from the last.
+L = 8 (354 users) and 45-60 ms at L = 368 (20k users). Each fit
+solves its stationarity equations exactly on a support by Cholesky,
+exchanging coordinates until the support reaches its fixed point (a
+positive solution with nothing left to add), turns out collinear or
+repeats one already tried. It keeps the solution only when coordinate
+descent's stopping rule certifies it; a coordinate-descent sweep moves
+the iterate only when that fails, which in practice means a collinear
+support. Each half's fits run down the penalty grid from the largest
+penalty, each warm-started from the one before.
 """
 from __future__ import annotations
 
@@ -58,8 +62,6 @@ _LASSO_TOL = 1e-12
 # of each cohort parity; its arrays, under 24 bytes a cell, then fit in one
 # float64 block of _BLOCK_CELLS cells
 _SCRATCH_ARRAYS = 8
-# support exchanges tried per exact solve
-_EXCHANGES = 4
 # a Cholesky pivot below this fraction of its diagonal entry marks the
 # support as collinear
 _PIVOT_RTOL = 1e-10
@@ -77,16 +79,20 @@ def nonneg_lasso(
 
     Each round solves ``G[F, F] b_F = (l - penalty)[F]`` exactly by
     Cholesky on a support F: the support of the current iterate, changed
-    by a few vectorized exchanges (drop coordinates that came out
-    nonpositive, add inactive ones whose coordinate update would be
-    positive). A solution is returned only when cyclic coordinate
-    descent's own stopping rule holds for it, checked for all coordinates
-    at once. Otherwise one ordinary coordinate-descent sweep moves the
-    iterate and the solve is retried once its support changes; the sweeps
-    cover collinear or singular supports, so the result is the point
-    descent converges to. ``start`` warm-starts the iterate, for example
-    from the fit at a neighbouring penalty. Coordinates with zero
-    curvature are pinned at zero. Deterministic for fixed inputs.
+    by vectorized exchanges (drop coordinates that came out nonpositive,
+    add inactive ones whose coordinate update would be positive) until
+    the fixed point, a positive solution with nothing left to add, or
+    until the support is collinear or one already tried (a cycle). A
+    solution is returned only when cyclic coordinate descent's own
+    stopping rule holds for it, checked for all coordinates at once.
+    Otherwise one ordinary coordinate-descent sweep moves the iterate and
+    the solve is retried once its support changes; the sweeps cover
+    collinear or singular supports. With G positive definite the
+    minimizer is unique, so the result is the point descent converges
+    to; with G singular it can be another minimizer. ``start``
+    warm-starts the iterate, for example from the fit at a neighbouring
+    penalty. Coordinates with zero curvature are pinned at zero.
+    Deterministic for fixed inputs.
     """
     diag = gram.diagonal()
     live = diag > 0
@@ -132,21 +138,28 @@ def _cd_converged(gram, target, diag, live, beta) -> bool:
 
 
 def _support_solve(gram, target, live, support) -> Optional[np.ndarray]:
-    """Exact minimizer on a support reached by a few vectorized exchanges.
+    """Exact minimizer on a support reached by vectorized exchanges.
 
-    Each support's system is factored by Cholesky first; a pivot below
-    ``_PIVOT_RTOL`` of its diagonal entry shows the columns to be
-    (numerically) collinear, and then the minimizer on the support is not
-    unique. Returns the last solution that was positive on its whole
-    support, or None when every support tried was collinear or gave a
-    nonpositive coordinate.
+    Each round solves the system on the support: coordinates that come
+    out nonpositive are dropped, and when the solution is positive every
+    inactive coordinate whose update would be positive is added. The
+    exchanges stop at the fixed point, a positive solution with nothing
+    left to add; at a collinear support, whose Cholesky pivot falls below
+    ``_PIVOT_RTOL`` of its diagonal entry, so that the minimizer on it is
+    not unique; or at a support already tried in this call, a cycle.
+    Returns the last solution that was positive on its whole support, or
+    None when every support tried was collinear or gave a nonpositive
+    coordinate.
     """
     candidate = None
-    for _ in range(_EXCHANGES):
+    tried = set()
+    while (key := support.tobytes()) not in tried:
+        tried.add(key)
         index = np.flatnonzero(support)
+        rows = gram.take(index, axis=0)  # the support's columns, by symmetry
         solution = target[index]
         if index.size:
-            matrix = gram[index[:, None], index]
+            matrix = rows.take(index, axis=1)
             try:
                 factor = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
@@ -161,7 +174,7 @@ def _support_solve(gram, target, live, support) -> Optional[np.ndarray]:
             continue
         candidate = np.zeros(target.size)
         candidate[index] = solution
-        grow = live & ~support & (target - gram[:, index] @ solution > 0)
+        grow = live & ~support & (target - solution @ rows > 0)
         if not grow.any():
             break
         support = support | grow
@@ -332,20 +345,26 @@ class Rappor(HashedSketch):
                 hit = hit[keys[hit + d] == keys[hit]]
 
     def _lasso_with_holdout(self, gram, linear, halves):
-        """Penalty picked on the even/odd split, each half's fits chained
-        by warm starts along the grid; the full fit starts from the mean
-        of the two halves' fits at the chosen penalty."""
+        """Penalty picked on the even/odd split; the full fit starts from
+        the mean of the two halves' fits at the chosen penalty.
+
+        Each half is fitted pathwise (Friedman, Hastie and Tibshirani,
+        J. Stat. Softw. 2010): from the largest penalty, whose fit is the
+        sparsest, down to 0, each fit warm-started from the one before.
+        The penalties are then scored in grid order.
+        """
         lambda_max = float(np.max(linear, initial=0.0))
         if lambda_max <= 0.0:
             return nonneg_lasso(gram, linear, 0.0)
-        best_rel, best_score, best_fits = _LAMBDA_GRID[0], None, None
-        fits = (None, None)
-        for rel in _LAMBDA_GRID:
-            penalty = rel * lambda_max
+        fits, path = (None, None), []
+        for rel in reversed(_LAMBDA_GRID):
             fits = tuple(
-                nonneg_lasso(g_fit, l_fit, penalty, warm)
+                nonneg_lasso(g_fit, l_fit, rel * lambda_max, warm)
                 for (g_fit, l_fit), warm in zip(halves, fits)
             )
+            path.append(fits)
+        best_rel, best_score, best_fits = _LAMBDA_GRID[0], None, None
+        for rel, fits in zip(_LAMBDA_GRID, reversed(path)):
             score = 0.0
             for beta, (g_out, l_out) in zip(fits, halves[::-1]):
                 score += 0.5 * beta @ g_out @ beta - l_out @ beta

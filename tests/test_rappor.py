@@ -17,8 +17,15 @@ import pytest
 import ldp_enum
 import sketch_cases
 from ldp_enum import LANE
-from rappor_reference import bincount_reduce, cd_nonneg_lasso, loop_normal_equations
+from rappor_reference import (
+    bincount_reduce,
+    capped_holdout_fit,
+    capped_nonneg_lasso,
+    cd_nonneg_lasso,
+    loop_normal_equations,
+)
 from zoneldp.errors import SingularFitWarning
+from zoneldp.oracles import rappor
 from zoneldp.oracles.base import _BLOCK_CELLS
 from zoneldp.oracles.rappor import _LAMBDA_GRID, Rappor, RapporBatch, nonneg_lasso
 from zoneldp.simulator import run_round
@@ -81,6 +88,14 @@ class TestNonnegLasso:
         linear = np.array([1.0, 5.0])
         np.testing.assert_allclose(nonneg_lasso(gram, linear, 0.0), [1.0, 0.0])
 
+    def test_degenerate_coordinate_ends_at_a_tried_support(self):
+        # the minimizer is (1, 0, 1) and coordinate 1's gradient there is
+        # exactly 0, so rounding can alternate the support solves between
+        # {0, 2} and {0, 1, 2}; the stop on a tried support ends that
+        gram = np.array([[17.0, -1.0, -10.0], [-1.0, 2.0, -2.0], [-10.0, -2.0, 13.0]])
+        linear = np.array([7.0, -3.0, 3.0])
+        np.testing.assert_allclose(nonneg_lasso(gram, linear, 0.0), [1.0, 0.0, 1.0], atol=1e-12)
+
     def test_matches_exact_solve_on_interior_problems(self):
         # when the unconstrained optimum is strictly positive the
         # constraint is slack and the solver must agree with a plain solve
@@ -107,6 +122,23 @@ def rappor_system(l_zones, m, k, seed, mutate=None):
     batch = mech.perturb_batch(rng.integers(0, l_zones, size=n), rng)
     (g_even, l_even), (g_odd, l_odd) = mech._normal_equations(mech.reduce(batch))
     return g_even + g_odd, l_even + l_odd
+
+
+def small_system(rng):
+    """A random system of 2 to 8 coordinates, G = A'A with linear term in
+    A's row space, so the minimum is finite. A has 1 to size + 2 rows, so
+    about two in three systems are rank-deficient; some draws also repeat
+    a column or zero one. Returns the system, a penalty and whether G is
+    positive definite."""
+    size = int(rng.integers(2, 9))
+    half = rng.normal(size=(int(rng.integers(1, size + 3)), size))
+    if rng.random() < 0.25:
+        half[:, rng.integers(size)] = half[:, rng.integers(size)]
+    if rng.random() < 0.2:
+        half[:, rng.integers(size)] = 0.0
+    linear = 3.0 * half.T @ rng.normal(size=half.shape[0])
+    penalty = rng.uniform(0.0, 0.3) * max(linear.max(), 0.0)
+    return half.T @ half, linear, penalty, np.linalg.matrix_rank(half) == size
 
 
 def assert_matches_descent(beta, gram, linear, penalty):
@@ -150,6 +182,19 @@ class TestSolverMatchesDescent:
         for rel in _LAMBDA_GRID:
             penalty = rel * linear.max()
             assert_matches_descent(nonneg_lasso(gram, linear, penalty), gram, linear, penalty)
+
+    def test_random_small_systems(self):
+        # a rank-deficient system can have many minimizers, and descent on
+        # a collinear support can stop at the sweep cap unconverged; there
+        # the fit is held to the capped-exchange solver's, bit for bit
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            gram, linear, penalty, definite = small_system(rng)
+            beta = nonneg_lasso(gram, linear, penalty)
+            if definite:
+                assert_matches_descent(beta, gram, linear, penalty)
+            else:
+                assert np.array_equal(beta, capped_nonneg_lasso(gram, linear, penalty))
 
     def test_dead_coordinate(self):
         gram, linear = rappor_system(30, 64, 16, seed=6)
@@ -558,3 +603,33 @@ class TestPinnedRounds:
         users = skewed_crowd(l_zones, n_users)
         raw = run_round(users, l_zones, "RAPPOR", epsilon, rng=np.random.default_rng(seed)).raw
         assert hashlib.sha256(raw.tobytes()).hexdigest() == digest
+
+
+class TestPathOrder:
+    """Exchanges run to their fixed point and each half's penalty path is
+    fitted from the sparsest fit down, yet every fit lands on the support
+    the capped-exchange, ascending-path reference reaches."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("l_zones, n_users", [(8, 354), (60, 2000), (368, 17_000)])
+    def test_decode_matches_capped_reference(self, l_zones, n_users, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        mech = Rappor(l_zones, epsilon, hash_seed=int(rng.integers(0, 2**63)))
+        stats = mech.reduce(mech.perturb_batch(skewed_crowd(l_zones, n_users), rng))
+        halves = mech._normal_equations(stats)
+        (g_even, l_even), (g_odd, l_odd) = halves
+        want = capped_holdout_fit(g_even + g_odd, l_even + l_odd, halves)
+        assert mech.decode(stats).raw.tobytes() == want.tobytes()
+
+    def test_a_venue_sized_round_runs_no_sweep(self, monkeypatch):
+        sweeps = []
+        sweep = rappor._cd_sweep
+
+        def spy(*args):
+            sweeps.append(True)
+            return sweep(*args)
+
+        monkeypatch.setattr(rappor, "_cd_sweep", spy)
+        run_round(skewed_crowd(368, 17_000), 368, "RAPPOR", 1.0, rng=np.random.default_rng(0))
+        assert sweeps == []
