@@ -88,6 +88,9 @@ def rssi_matrix(rows, width: Optional[int] = None) -> np.ndarray:
     if len(widths) > 1:
         raise ValueError(f"inconsistent AP counts: {sorted(widths)}")
     if not isinstance(rows, np.ndarray):
+        # not b"".join of the vectors' buffers, which is faster: numpy
+        # keeps the description of each buffer it exports with the array,
+        # 56 bytes a row for as long as the row lives
         joined = np.concatenate(vectors) if vectors else np.empty(0)
         matrix = joined.reshape(len(vectors), widths.pop())
     return _readonly(matrix)

@@ -50,4 +50,5 @@ class ParamMismatch(ZoneLdpError, ValueError):
 
 
 class SingularFitWarning(UserWarning):
-    """A decoder could not identify some coordinate and forced it to zero."""
+    """A decoder could not identify some coordinate and forced it to zero,
+    or its fit stopped at the sweep cap before meeting its stopping rule."""

@@ -33,15 +33,17 @@ def mix64_array(x) -> np.ndarray:
     ``x`` is left as it is; a 0-d input gives a numpy scalar.
     """
     z = np.array(x, dtype=np.uint64)  # a copy, mixed in place
+    z += np.uint64(_GAMMA)
     _mix_in_place(z)
     return z if z.ndim else z[()]
 
 
 def _mix_in_place(z: np.ndarray) -> np.ndarray:
-    """The mix64 finalizer on a uint64 array, overwriting it; one scratch
-    array of the same size serves every shift and is returned for reuse."""
+    """The mix64 finalizer on a uint64 array that already holds x + _GAMMA,
+    overwriting it; one scratch array of the same size serves every shift
+    and is returned for reuse. Callers add the increment where it is
+    cheapest, for ``hash_bucket_array`` in its per-value step."""
     shifted = np.empty_like(z)
-    z += np.uint64(_GAMMA)
     for shift, multiplier in ((30, _M1), (27, _M2)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
@@ -69,9 +71,10 @@ def hash_bucket_array(seeds, values, n_buckets: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     values = np.asarray(values, dtype=np.uint64)
     # the hash wraps mod 2^64 by design; with a 0-d operand numpy does the
-    # arithmetic in scalar math, which would warn on that wrap
+    # arithmetic in scalar math, which would warn on that wrap. The mix's
+    # increment goes into the step, so the broadcast block skips a pass.
     with np.errstate(over="ignore"):
-        step = (values + np.uint64(1)) * np.uint64(_VALUE_STEP)
+        step = (values + np.uint64(1)) * np.uint64(_VALUE_STEP) + np.uint64(_GAMMA)
     z = np.empty(np.broadcast_shapes(seeds.shape, step.shape), dtype=np.uint64)
     np.add(seeds, step, out=z)
     scratch = _mix_in_place(z)

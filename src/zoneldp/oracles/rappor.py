@@ -91,8 +91,10 @@ def nonneg_lasso(
     minimizer is unique, so the result is the point descent converges
     to; with G singular it can be another minimizer. ``start``
     warm-starts the iterate, for example from the fit at a neighbouring
-    penalty. Coordinates with zero curvature are pinned at zero.
-    Deterministic for fixed inputs.
+    penalty. Coordinates with zero curvature are pinned at zero. Descent
+    that reaches ``_LASSO_SWEEPS`` sweeps without meeting its stopping rule
+    returns its iterate with a SingularFitWarning naming the penalty and
+    the last coordinate move. Deterministic for fixed inputs.
     """
     diag = gram.diagonal()
     live = diag > 0
@@ -108,10 +110,16 @@ def nonneg_lasso(
             found = _support_solve(gram, target, live, support)
             if found is not None and _cd_converged(gram, target, diag, live, found):
                 return found
-        if _cd_sweep(gram, target, diag, live, beta) <= _LASSO_TOL * (
-            1.0 + float(np.abs(beta).max(initial=0.0))
-        ):
+        move = _cd_sweep(gram, target, diag, live, beta)
+        if move <= _LASSO_TOL * (1.0 + float(np.abs(beta).max(initial=0.0))):
             break
+    else:
+        warnings.warn(
+            f"the fit at penalty {penalty:.6g} stopped unconverged after "
+            f"{_LASSO_SWEEPS} sweeps, last coordinate move {move:.3g}",
+            SingularFitWarning,
+            stacklevel=2,
+        )
     return beta
 
 

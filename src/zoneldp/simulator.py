@@ -95,7 +95,7 @@ class LookupPopulation:
     def resolve(self, rng: np.random.Generator):
         zones, insufficient, unmatched = assign_zones(self.table, self.fingerprints)
         return (
-            np.asarray(zones, dtype=np.int64),
+            zones,
             self.table.n_zones,
             DropCounts(insufficient_signals=insufficient, unmatched=unmatched),
         )

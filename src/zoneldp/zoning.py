@@ -11,7 +11,9 @@ row (equal signals go to the lower AP id). The build keeps the first row of
 each distinct sorted id set. A lookup keys each row's set by the sum of its
 APs' hashed weights mod 2^64, which no order of the picks changes, and
 checks the table entries in that key's bucket exactly against the picks,
-so one path serves any AP count and any M. ``lookup_zone`` is
+so one path serves any AP count and any M. ``assign_zones`` hands the
+matched zones on as an int64 array, which ``run_round`` and
+``np.bincount`` take as they are. ``lookup_zone`` is
 ``assign_zones`` on a batch of one, and ``strongest_aps`` is the plain
 scalar statement of the same rule, kept as a reference.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence
 
 import numpy as np
 
@@ -181,7 +183,7 @@ def lookup_zone(table: ZoneTable, rssi: np.ndarray) -> Optional[int]:
         sensed = int(np.count_nonzero(fingerprint.rssi > SENTINEL_RSSI))
         need = table.strongest_count
         raise InsufficientSignals(f"only {sensed} APs sensed, need {need}")
-    return zones[0] if zones else None
+    return int(zones[0]) if zones.size else None
 
 
 def zone_table_to_json(table: ZoneTable) -> str:
@@ -219,18 +221,19 @@ def load_zone_table(path) -> ZoneTable:
 
 def assign_zones(
     table: ZoneTable, fingerprints: np.ndarray | Sequence[Fingerprint]
-) -> tuple[List[int], int, int]:
+) -> tuple[np.ndarray, int, int]:
     """Look up many fingerprints, an RSSI matrix or a sequence of
     ``Fingerprint``; returns (zones, n_insufficient, n_unmatched).
 
     Users whose rows cannot be mapped are excluded (a real aggregator never
-    hears from them) and tallied per cause. ``zones`` keeps input order.
+    hears from them) and tallied per cause. ``zones`` is a fresh, writable
+    int64 array in input order.
     """
     if len(fingerprints) == 0:
-        return [], 0, 0
+        return np.empty(0, dtype=np.int64), 0, 0
     rssi = rssi_matrix(fingerprints, table.ap_count)
     picks = _strongest_sets(rssi, table.strongest_count)
     zones = _zones_of(table, picks)
     matched = zones[zones >= 0]
     sufficient = picks.shape[1]
-    return matched.tolist(), len(fingerprints) - sufficient, sufficient - len(matched)
+    return matched, len(fingerprints) - sufficient, sufficient - matched.size

@@ -1,6 +1,7 @@
 """Core type validation and the small combinatorial helpers."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ class TestFingerprint:
             Fingerprint(rssi=[])
         with pytest.raises(ValueError):
             Fingerprint(rssi=[[-40.0, -50.0]])
+
+    @pytest.mark.parametrize("scalar", [-40.0, np.float64(-40.0), np.array(-40.0)])
+    def test_rejects_a_scalar(self, scalar):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            Fingerprint(rssi=scalar)
 
     def test_rssi_is_readonly(self):
         fp = Fingerprint(rssi=[-40.0, -50.0])
@@ -80,6 +86,27 @@ class TestRssiMatrix:
             rssi_matrix(rows, 2)
         with pytest.raises(ValueError, match="rssi length 3 does not match AP count 4"):
             rssi_matrix(np.array(self.ROWS), 4)
+
+    def test_strided_vectors_join_like_stack(self):
+        # columns of a matrix, a reversed row slice and a stepped one
+        wide = np.random.default_rng(5).uniform(-100.0, -30.0, size=(7, 40))
+        vectors = [wide[:, j] for j in range(40)] + [wide[0, :-8:-1], wide[1, :14:2]]
+        rows = [Fingerprint(rssi=v) for v in vectors]
+        assert np.array_equal(rssi_matrix(rows), np.stack(vectors))
+        assert np.array_equal(rssi_matrix(rows, 7), np.stack(vectors))
+
+    def test_a_join_keeps_nothing_per_row(self):
+        # numpy keeps a 56-byte description with every array whose buffer
+        # is exported, for the array's life: a join by b"".join of the
+        # vectors would leave that behind on every row
+        rows = [Fingerprint(rssi=r) for r in np.full((2000, 24), -50.0)]
+        tracemalloc.start()
+        try:
+            rssi_matrix(rows)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2000 * 8
 
     def test_a_matrix_is_two_dimensional(self):
         with pytest.raises(ValueError, match="2-d"):

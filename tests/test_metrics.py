@@ -66,6 +66,14 @@ class TestRankZones:
             rank_zones(np.array([]))
 
 
+def pair_count(tau1, tau2):
+    """``brute_force_discordant_pairs`` over every pair at once, for
+    rankings of 0..L-1."""
+    pos1, pos2 = np.argsort(tau1), np.argsort(tau2)
+    i, j = np.triu_indices(len(tau1), 1)
+    return int(np.count_nonzero((pos1[i] < pos1[j]) != (pos2[i] < pos2[j])))
+
+
 class TestKendallTauDistance:
     def test_identical_rankings(self):
         assert kendall_tau_distance([0, 1, 2, 3], [0, 1, 2, 3]) == 0
@@ -106,6 +114,20 @@ class TestKendallTauDistance:
             assert kendall_tau_distance(tau1, tau2) == (
                 brute_force_discordant_pairs(tau1, tau2)
             )
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 31, 32, 33, 368, 1733])
+    def test_counter_matches_pair_count_on_tied_vectors(self, size):
+        # both sides of the run width, several merge levels, and counts
+        # with ties, which the ranking breaks toward the lower index
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            truth = rng.integers(0, 6, size=size).astype(np.float64)
+            raw = np.round(rng.normal(0.0, 2.0, size=size))
+            tau1, tau2 = rank_zones(truth), rank_zones(raw)
+            want = pair_count(tau1, tau2)
+            assert kendall_tau_distance(tau1, tau2) == want
+            report = metric_report(truth, raw)
+            assert report.kendall_tau == want and type(report.kendall_tau) is int
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(43)

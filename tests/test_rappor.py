@@ -187,14 +187,30 @@ class TestSolverMatchesDescent:
         # a rank-deficient system can have many minimizers, and descent on
         # a collinear support can stop at the sweep cap unconverged; there
         # the fit is held to the capped-exchange solver's, bit for bit
+        # (a fit stopped at the cap warns, and only a singular system's may)
         rng = np.random.default_rng(24)
         for _ in range(200):
             gram, linear, penalty, definite = small_system(rng)
-            beta = nonneg_lasso(gram, linear, penalty)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                beta = nonneg_lasso(gram, linear, penalty)
+            for warning in caught:
+                assert not definite and warning.category is SingularFitWarning
+                assert "unconverged" in str(warning.message)
             if definite:
                 assert_matches_descent(beta, gram, linear, penalty)
             else:
                 assert np.array_equal(beta, capped_nonneg_lasso(gram, linear, penalty))
+
+    def test_a_fit_stopped_at_the_sweep_cap_warns(self):
+        # a rank-deficient 3-coordinate system whose descent, on a
+        # collinear support, has not met its stopping rule after the cap
+        gram, linear, penalty, definite = small_system(np.random.default_rng(1121))
+        assert gram.shape == (3, 3) and not definite
+        match = rf"penalty {penalty:.6g} stopped unconverged after 400 sweeps, last"
+        with pytest.warns(SingularFitWarning, match=match):
+            beta = nonneg_lasso(gram, linear, penalty)
+        assert np.array_equal(beta, capped_nonneg_lasso(gram, linear, penalty))
 
     def test_dead_coordinate(self):
         gram, linear = rappor_system(30, 64, 16, seed=6)

@@ -164,6 +164,13 @@ class TestLookup:
                 assert lookup_zone(table, noisy) == lookup_zone(table, fp.rssi)
 
 
+def listed(result):
+    """``assign_zones``' result with its zones, a 1-d int64 array, as a list."""
+    zones, insufficient, unmatched = result
+    assert isinstance(zones, np.ndarray) and zones.dtype == np.int64 and zones.ndim == 1
+    return zones.tolist(), insufficient, unmatched
+
+
 class TestAssignZones:
     def test_counts_drops_by_cause(self):
         table = build_zone_table(
@@ -174,7 +181,7 @@ class TestAssignZones:
             Fingerprint(rssi=[-90.0, -41.0, -40.0]),  # unknown set
             Fingerprint(rssi=[-40.0, SENTINEL_RSSI, SENTINEL_RSSI]),  # too few
         ]
-        zones, insufficient, unmatched = assign_zones(table, fingerprints)
+        zones, insufficient, unmatched = listed(assign_zones(table, fingerprints))
         assert zones == [0]
         assert insufficient == 1
         assert unmatched == 1
@@ -189,9 +196,21 @@ class TestAssignZones:
         with pytest.raises(ValueError, match="rssi values"):
             assign_zones(table, rssi)
 
+    def test_zones_are_a_fresh_writable_int64_array(self):
+        rssi = np.random.default_rng(7).uniform(-100.0, -30.0, size=(300, 6))
+        table = build_zone_table(rssi[:150], m=2)
+        from_matrix, *drops = assign_zones(table, rssi)
+        from_rows, *row_drops = assign_zones(table, [Fingerprint(rssi=r) for r in rssi])
+        for zones in (from_matrix, from_rows):
+            assert zones.dtype == np.int64 and zones.ndim == 1 and zones.flags.writeable
+        assert np.array_equal(from_matrix, from_rows) and drops == row_drops
+        assert from_matrix.size > 150
+        from_matrix[0] += 1  # the caller's own copy: the next lookup is unchanged
+        assert np.array_equal(assign_zones(table, rssi)[0], from_rows)
+
     def test_an_empty_matrix_is_an_empty_input(self):
         table = build_zone_table(np.array([[-40.0, -45.0, -90.0]]), m=2)
-        assert assign_zones(table, np.empty((0, 3))) == ([], 0, 0)
+        assert listed(assign_zones(table, np.empty((0, 3)))) == ([], 0, 0)
         with pytest.raises(EmptyTable):
             build_zone_table(np.empty((0, 3)), m=2)
 
@@ -324,11 +343,10 @@ class TestArrayPassMatchesReference:
         queries = training[::2] + tied_rows(rng, 300, width)
         expected = [reference_zone(table, fp.rssi) for fp in queries]
 
-        zones, insufficient, unmatched = assign_zones(table, tuple(queries))
+        zones, insufficient, unmatched = listed(assign_zones(table, tuple(queries)))
         matrix = np.stack([fp.rssi for fp in queries])
-        assert assign_zones(table, matrix) == (zones, insufficient, unmatched)
+        assert listed(assign_zones(table, matrix)) == (zones, insufficient, unmatched)
         assert zones == [z for z in expected if isinstance(z, int)]
-        assert all(type(z) is int for z in zones)
         assert insufficient == expected.count("insufficient")
         assert unmatched == expected.count(None)
         assert 0 < len(zones) and 0 < insufficient
@@ -338,12 +356,13 @@ class TestArrayPassMatchesReference:
                 with pytest.raises(InsufficientSignals):
                     lookup_zone(table, fp.rssi)
             else:
-                assert lookup_zone(table, fp.rssi) == want
+                got = lookup_zone(table, fp.rssi)
+                assert got == want and type(got) is type(want)
 
     def test_empty_input(self):
         table = build_zone_table([Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2)
-        assert assign_zones(table, []) == ([], 0, 0)
-        assert assign_zones(table, ()) == ([], 0, 0)
+        assert listed(assign_zones(table, [])) == ([], 0, 0)
+        assert listed(assign_zones(table, ())) == ([], 0, 0)
 
     def test_wrong_width_names_both_widths(self):
         table = build_zone_table([Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2)
@@ -372,7 +391,7 @@ class TestLookupExactness:
 
     def check(self, table, rssi):
         expected = [reference_zone(table, row) for row in rssi]
-        zones, insufficient, unmatched = assign_zones(table, rssi)
+        zones, insufficient, unmatched = listed(assign_zones(table, rssi))
         assert zones == [z for z in expected if isinstance(z, int)]
         assert insufficient == expected.count("insufficient")
         assert unmatched == expected.count(None)
