@@ -39,6 +39,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array. A writable input is copied
+    first, so the caller's array stays writable and a later write to it
+    cannot reach the result; a read-only one is kept as it is."""
+    a = np.asarray(values, dtype=np.float64)
+    return _readonly(a.copy() if a.flags.writeable else a)
+
+
 def _check_rssi(rssi: np.ndarray) -> np.ndarray:
     """The RSSI rule: ValueError on NaN, +inf or a value below the sentinel
     (-inf included). NaN and +inf would otherwise sort as strongest."""
@@ -53,6 +61,11 @@ class Fingerprint:
 
     ``rssi[i]`` is the strength measured from access point ``i`` in dBm, or
     ``SENTINEL_RSSI`` when that AP was not sensed.
+
+    A float64 ``rssi`` is kept as given and made read-only, so the caller's
+    own array turns read-only too. A copy per row made a 20k-row lookup
+    window about 7% slower, and ROADMAP.md plans to remove this class in
+    favour of the (n, APs) matrix that ``rssi_matrix`` already takes.
     """
 
     rssi: np.ndarray
@@ -188,7 +201,8 @@ class FrequencyEstimate:
     ``raw`` is the debiased estimate and may be negative; ``clamped`` is
     ``max(raw, 0)`` elementwise. Clamping never increases the absolute error
     against a nonnegative truth, so it is what gets reported as populations,
-    while ``raw`` is kept for metric computation.
+    while ``raw`` is kept for metric computation. Both are read-only; a
+    writable array passed in is copied, so the caller's stays writable.
     """
 
     raw: np.ndarray
@@ -196,8 +210,7 @@ class FrequencyEstimate:
     n_reports: int
 
     def __post_init__(self):
-        raw = _readonly(np.asarray(self.raw, dtype=np.float64))
-        clamped = _readonly(np.asarray(self.clamped, dtype=np.float64))
+        raw, clamped = _frozen(self.raw), _frozen(self.clamped)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "clamped", clamped)
         if raw.shape != clamped.shape or raw.ndim != 1:
@@ -209,8 +222,10 @@ class FrequencyEstimate:
 
     @classmethod
     def from_raw(cls, raw: np.ndarray, n_reports: int) -> "FrequencyEstimate":
-        raw = np.asarray(raw, dtype=np.float64)
-        return cls(raw=raw, clamped=np.maximum(raw, 0.0), n_reports=int(n_reports))
+        raw = _frozen(raw)
+        # a fresh array nobody else holds: frozen in place, not copied
+        clamped = _readonly(np.maximum(raw, 0.0))
+        return cls(raw=raw, clamped=clamped, n_reports=int(n_reports))
 
     @property
     def l_zones(self) -> int:

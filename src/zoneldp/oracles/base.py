@@ -21,8 +21,10 @@ per-cell loops (``one_hot_rr``'s words of four lanes and OLH's hash
 replay) run on one block scheduler, ``run_blocks``, which fills large
 jobs on the process's threads, one per core, drawing from jump-ahead
 copies of the caller's PCG64 generator, without changing a bit of the
-output. CMS and RAPPOR are one ``HashedSketch``: the same hash table and
-client under their own size names, each with its own statistic,
+output. RAPPOR's decoder, the only BLAS caller, holds numpy's OpenBLAS
+to one thread (``one_blas_thread``), so its fit, too, is the same for any
+core count. CMS and RAPPOR are one ``HashedSketch``: the same hash table
+and client under their own size names, each with its own statistic,
 reduction and decoder.
 
 A batch is the only form a report takes. Each mechanism's reports travel
@@ -34,11 +36,12 @@ enter an aggregator, so it is also where they are checked.
 from __future__ import annotations
 
 import abc
+import contextlib
+import functools
 import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
@@ -114,14 +117,18 @@ _pool: Optional[tuple] = None
 _pool_lock = threading.Lock()
 
 
-def _thread_pool(threads: int) -> ThreadPoolExecutor:
-    """The process's pool of worker threads, holding at least ``threads``.
+def _thread_pool(threads: int):
+    """The process's pool of worker threads, a ``ThreadPoolExecutor``
+    holding at least ``threads``.
 
     It is made on first use, and made again, larger, when a call needs more
     threads than it holds (when the cores this process may use grow). A
     caller still holding the old pool finishes on it; its threads end once
-    nothing refers to it.
+    nothing refers to it. ``concurrent.futures`` is imported here, not with
+    the module: only a job of more than one block needs it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] < threads:
@@ -136,8 +143,82 @@ def _forget_pool() -> None:
     _pool, _pool_lock = None, threading.Lock()
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found
+    once by name in ``numpy.libs``; None where numpy runs on another BLAS.
+
+    Opening the library numpy has already loaded hands back the same copy,
+    so the calls act on numpy's BLAS.
+    """
+    import ctypes  # numpy has loaded it already
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# decodes inside one_blas_thread, and the thread count they found
+_blas_holders, _blas_saved = 0, 1
+_blas_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Runs its body with numpy's OpenBLAS held to one thread, then puts
+    back the caller's thread count, on errors too.
+
+    LAPACK's factorizations and BLAS's products round differently with the
+    thread count, and idle OpenBLAS threads spin for a while after a call,
+    taking cores from ``run_blocks``' threads. One thread gives the same
+    bits on any host with the same BLAS build and core type, whatever its
+    core count. Bodies that overlap on several threads share the pin: the
+    first one in sets it and the last one out restores the count. Where
+    numpy's BLAS is not its bundled OpenBLAS, the body runs unpinned, on
+    whatever threads that BLAS uses.
+    """
+    global _blas_holders, _blas_saved
+    with _blas_lock:
+        calls = _openblas_threads()
+        if calls is not None and _blas_holders == 0:
+            _blas_saved = calls[0]()
+            calls[1](1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if calls is not None and _blas_holders == 0:
+                calls[1](_blas_saved)
+
+
+def _forget_blas_holders() -> None:
+    """In a forked child no decode is running, and the parent's lock may
+    be held by one of its threads: put back a count that one of them had
+    pinned and start over with a new lock."""
+    global _blas_holders, _blas_lock
+    if _blas_holders and (calls := _openblas_threads()) is not None:
+        calls[1](_blas_saved)
+    _blas_holders, _blas_lock = 0, threading.Lock()
+
+
 if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_blas_holders)
 
 
 def run_blocks(
@@ -203,6 +284,8 @@ def run_blocks(
                 gen.bit_generator.advance((start - done) * width)
             results[i] = block(start, stop, gen)
             done = stop
+
+    from concurrent.futures import wait
 
     copies = [None if rng is None else _copy(rng) for _ in range(threads)]
     pool = _thread_pool(threads - 1)

@@ -30,8 +30,12 @@ counts each Gram matrix from same-bucket zone pairs, which is
 O(m * (L + L^2/k)) rather than one m x L comparison per zone. A block
 holds the cohorts that a pass over one half alone would, so each half's
 sums come out bit for bit as if it were assembled on its own.
-On a 2-core host a decode of the default 1024 x 64 sketch took 1-2 ms at
-L = 8 (354 users) and 45-60 ms at L = 368 (20k users). Each fit
+The whole decode, the normal equations' products included, runs on one
+OpenBLAS thread (``one_blas_thread``), so its bits do not depend on the
+host's core count, and no idle BLAS thread spins on against the next
+round's block threads. On a 2-core host a decode of the default
+1024 x 64 sketch took about 1 ms at L = 8 (354 users) and 45-50 ms at
+L = 368 (20k users). Each fit
 solves its stationarity equations exactly on a support by Cholesky,
 exchanging coordinates until the support reaches its fixed point (a
 positive solution with nothing left to add), turns out collinear or
@@ -50,7 +54,14 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import SingularFitWarning
-from .base import _BLOCK_CELLS, FrequencyOracle, HashedSketch, RapporBatch, Stats
+from .base import (
+    _BLOCK_CELLS,
+    FrequencyOracle,
+    HashedSketch,
+    RapporBatch,
+    Stats,
+    one_blas_thread,
+)
 
 # relative penalty grid; 0 keeps the unpenalized fit in the running
 _LAMBDA_GRID = (0.0, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -382,9 +393,13 @@ class Rappor(HashedSketch):
         return nonneg_lasso(gram, linear, best_rel * lambda_max, start)
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
-        halves = self._normal_equations(stats)
-        (g_even, l_even), (g_odd, l_odd) = halves
-        raw = self._decode(g_even + g_odd, l_even + l_odd, halves)
+        """The fit's estimate, computed on one BLAS thread
+        (``one_blas_thread``), so it does not depend on the host's core
+        count."""
+        with one_blas_thread():
+            halves = self._normal_equations(stats)
+            (g_even, l_even), (g_odd, l_odd) = halves
+            raw = self._decode(g_even + g_odd, l_even + l_odd, halves)
         return FrequencyEstimate.from_raw(raw, stats.n_reports)
 
     aggregate = FrequencyOracle.aggregate

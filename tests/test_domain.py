@@ -279,3 +279,27 @@ class TestFrequencyEstimate:
             truth = rng.integers(0, 10, size=6).astype(np.float64)
             est = FrequencyEstimate.from_raw(raw, 60)
             assert np.all(np.abs(est.clamped - truth) <= np.abs(est.raw - truth) + 1e-12)
+
+    def test_from_raw_leaves_the_callers_array_writable(self):
+        raw = np.array([3.0, -1.0, 2.0])
+        est = FrequencyEstimate.from_raw(raw, 5)
+        assert raw.flags.writeable
+        raw[:] = 9.0
+        assert est.raw.tolist() == [3.0, -1.0, 2.0]
+        assert est.clamped.tolist() == [3.0, 0.0, 2.0]
+        for values in (est.raw, est.clamped):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_constructor_leaves_the_callers_arrays_writable(self):
+        raw, clamped = np.array([-2.0, 4.0]), np.array([0.0, 4.0])
+        est = FrequencyEstimate(raw=raw, clamped=clamped, n_reports=4)
+        assert raw.flags.writeable and clamped.flags.writeable
+        raw[:], clamped[:] = 7.0, 7.0
+        assert est.raw.tolist() == [-2.0, 4.0]
+        assert est.clamped.tolist() == [0.0, 4.0]
+
+    def test_a_readonly_estimate_is_shared_not_copied(self):
+        est = FrequencyEstimate.from_raw(np.array([1.0, -1.0]), 2)
+        again = FrequencyEstimate(raw=est.raw, clamped=est.clamped, n_reports=2)
+        assert again.raw is est.raw and again.clamped is est.clamped

@@ -181,12 +181,23 @@ def test_the_check_sees_a_thread_import():
     assert [line for line, _ in thread_imports(tree)] == [1, 2, 3, 4, 6]
 
 
-def test_importing_the_package_loads_no_multiprocessing():
-    # only a sweep with workers > 1 needs a process pool, and importing
-    # multiprocessing costs every other run its start-up time
+def loaded_by_import(module: str) -> bool:
+    """Whether ``import zoneldp`` in a fresh interpreter loads ``module``."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    probe = "import sys, zoneldp; print('multiprocessing' in sys.modules)"
+    probe = f"import sys, zoneldp; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    # only a sweep with workers > 1 needs a process pool, and importing
+    # multiprocessing costs every other run its start-up time
+    assert not loaded_by_import("multiprocessing")
+
+
+def test_importing_the_package_loads_no_thread_pool():
+    # only a job of more than one block needs run_blocks' pool, and
+    # concurrent.futures brings logging, queue and traceback with it
+    assert not loaded_by_import("concurrent.futures")

@@ -3,13 +3,21 @@
 Covers the per-bit pair, the reduction against a flat bincount, the
 nonnegative lasso solver, the Gram assembly against a comparison loop, exact decoding on clean reports, report
 privacy via an independent enumeration, the singular-fit guard, the
-regularized aggregate and the digests of seeded rounds. Cases it shares
-with CMS, the same hashed sketch, come from sketch_cases.
+regularized aggregate, the digests of seeded rounds and the one BLAS
+thread the decode runs on, which keeps those digests the same for any
+BLAS thread count. Cases it shares with CMS, the same hashed sketch, come
+from sketch_cases.
 """
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +33,8 @@ from rappor_reference import (
     loop_normal_equations,
 )
 from zoneldp.errors import SingularFitWarning
-from zoneldp.oracles import rappor
-from zoneldp.oracles.base import _BLOCK_CELLS
+from zoneldp.oracles import base, rappor
+from zoneldp.oracles.base import _BLOCK_CELLS, one_blas_thread
 from zoneldp.oracles.rappor import _LAMBDA_GRID, Rappor, RapporBatch, nonneg_lasso
 from zoneldp.simulator import run_round
 
@@ -596,29 +604,41 @@ def skewed_crowd(l_zones, n_users):
     return np.sort(rng.choice(l_zones, size=n_users, p=weights / weights.sum()))
 
 
+# (l_zones, n_users, seed, epsilon, sha256 of the raw estimate)
+PINNED_ROUNDS = [
+    (8, 354, 0, 0.5, "b94d5cd93710efa0ded8ce03be3d340644cdad487dc72df06a90026aa93ff2ae"),
+    (8, 354, 1, 1.0, "22ed4f5b470ad216650cea33c34be63e8668d91198d00e783399a708e3e9325e"),
+    (8, 354, 2, 2.0, "54c8d5c9a7069285ac10e6fbc565ae52096caeef7edeb8f49ae576905c476b55"),
+    (60, 2000, 0, 0.5, "8b5ff5ba4a4de7bc77eb56df498ea7c674f75831907a3a30d03072f3766b65ca"),
+    (60, 2000, 1, 1.0, "daa4a98a40b52df56a421eab6aabe80b23d940e4086326071965752e0bc45c57"),
+    (60, 2000, 2, 2.0, "5981c5660c5b67fc307702348863019e48c931c7f905f809062b99e4ce907bf7"),
+    (368, 3000, 0, 0.5, "20c7bda30467e4b457a0fc4156285065714e568854f4f84fabeb40b06ec47f37"),
+    (368, 3000, 1, 1.0, "bd6f7dc23aefa4efe2d68f38b5a6550f1ff38976ea2ac8d7d4a69ac8aabbcc27"),
+    (368, 3000, 2, 2.0, "35278366b483ece116e315016e0814bf9b31473e0c2b991036b84686ade7da84"),
+]
+
+
+def round_digest(l_zones, n_users, seed, epsilon) -> str:
+    """sha256 of the raw estimate of a seeded RAPPOR round."""
+    users = skewed_crowd(l_zones, n_users)
+    raw = run_round(users, l_zones, "RAPPOR", epsilon, rng=np.random.default_rng(seed)).raw
+    return hashlib.sha256(raw.tobytes()).hexdigest()
+
+
 class TestPinnedRounds:
     """sha256 of seeded RAPPOR rounds' raw estimates. At L = 8 and 60 each
     cohort parity is one block of the Gram assembly; at L = 368 a parity
-    spans several, so a change to the blocks' addition order shows here."""
+    spans several, so a change to the blocks' addition order shows here.
 
-    @pytest.mark.parametrize(
-        "l_zones, n_users, seed, epsilon, digest",
-        [
-            (8, 354, 0, 0.5, "b94d5cd93710efa0ded8ce03be3d340644cdad487dc72df06a90026aa93ff2ae"),
-            (8, 354, 1, 1.0, "22ed4f5b470ad216650cea33c34be63e8668d91198d00e783399a708e3e9325e"),
-            (8, 354, 2, 2.0, "54c8d5c9a7069285ac10e6fbc565ae52096caeef7edeb8f49ae576905c476b55"),
-            (60, 2000, 0, 0.5, "8b5ff5ba4a4de7bc77eb56df498ea7c674f75831907a3a30d03072f3766b65ca"),
-            (60, 2000, 1, 1.0, "daa4a98a40b52df56a421eab6aabe80b23d940e4086326071965752e0bc45c57"),
-            (60, 2000, 2, 2.0, "5981c5660c5b67fc307702348863019e48c931c7f905f809062b99e4ce907bf7"),
-            (368, 3000, 0, 0.5, "20c7bda30467e4b457a0fc4156285065714e568854f4f84fabeb40b06ec47f37"),
-            (368, 3000, 1, 1.0, "bd6f7dc23aefa4efe2d68f38b5a6550f1ff38976ea2ac8d7d4a69ac8aabbcc27"),
-            (368, 3000, 2, 2.0, "5f33a28aa5795b1961a1ac6697bda6b31816fa545d0a2b387c0c38464fba030e"),
-        ],
-    )
+    The digests are what one BLAS thread gives, the only count the decode
+    runs on. The L = 368, seed-2 round held the two-thread digest
+    5f33a28a... while the decode ran on OpenBLAS's default thread count:
+    its Cholesky factors and solves round differently from about 130 rows
+    on, and that round's support systems reach several hundred."""
+
+    @pytest.mark.parametrize("l_zones, n_users, seed, epsilon, digest", PINNED_ROUNDS)
     def test_raw_estimates_are_pinned(self, l_zones, n_users, seed, epsilon, digest):
-        users = skewed_crowd(l_zones, n_users)
-        raw = run_round(users, l_zones, "RAPPOR", epsilon, rng=np.random.default_rng(seed)).raw
-        assert hashlib.sha256(raw.tobytes()).hexdigest() == digest
+        assert round_digest(l_zones, n_users, seed, epsilon) == digest
 
 
 class TestPathOrder:
@@ -633,9 +653,11 @@ class TestPathOrder:
         rng = np.random.default_rng(seed)
         mech = Rappor(l_zones, epsilon, hash_seed=int(rng.integers(0, 2**63)))
         stats = mech.reduce(mech.perturb_batch(skewed_crowd(l_zones, n_users), rng))
-        halves = mech._normal_equations(stats)
-        (g_even, l_even), (g_odd, l_odd) = halves
-        want = capped_holdout_fit(g_even + g_odd, l_even + l_odd, halves)
+        # the reference runs on the decode's one BLAS thread
+        with one_blas_thread():
+            halves = mech._normal_equations(stats)
+            (g_even, l_even), (g_odd, l_odd) = halves
+            want = capped_holdout_fit(g_even + g_odd, l_even + l_odd, halves)
         assert mech.decode(stats).raw.tobytes() == want.tobytes()
 
     def test_a_venue_sized_round_runs_no_sweep(self, monkeypatch):
@@ -649,3 +671,185 @@ class TestPathOrder:
         monkeypatch.setattr(rappor, "_cd_sweep", spy)
         run_round(skewed_crowd(368, 17_000), 368, "RAPPOR", 1.0, rng=np.random.default_rng(0))
         assert sweeps == []
+
+
+# a round at L = 1733, where OpenBLAS also splits the normal equations'
+# matrix-vector products over its threads
+WIDE_ROUND = (1733, 5000, 0, 1.0)
+
+
+def test_digests_do_not_depend_on_the_blas_thread_count():
+    """The pinned rounds and one wide round, each under 1, 2 and 4 OpenBLAS
+    threads in a fresh interpreter, one at a time, give the same digests."""
+    tests = Path(__file__).resolve().parent
+    src = Path(rappor.__file__).resolve().parents[2]
+    cases = [case[:4] for case in PINNED_ROUNDS] + [WIDE_ROUND]
+    probe = (
+        "import json, sys, test_rappor as t; "
+        "print(json.dumps([t.round_digest(*case) for case in json.loads(sys.argv[1])]))"
+    )
+    digests = {}
+    for threads in (1, 2, 4):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join((str(tests), str(src)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(cases)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests[threads] = json.loads(out.stdout.splitlines()[-1])
+    assert digests[1] == digests[2] == digests[4]
+
+
+class TestOneBlasThread:
+    """``one_blas_thread`` holds OpenBLAS to one thread inside a decode and
+    puts the caller's count back after it, however the decode ends."""
+
+    @pytest.fixture
+    def blas(self):
+        """numpy's OpenBLAS (get, set), at a count of 3 for the test."""
+        calls = base._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy does not run on its bundled OpenBLAS")
+        get, set_ = calls
+        before = get()
+        set_(3)
+        yield get, set_
+        set_(before)
+
+    @staticmethod
+    def spy_decode(monkeypatch, body):
+        """Makes ``Rappor._decode`` call ``body()`` before it fits."""
+        fit = Rappor._decode
+
+        def spy(self, *args):
+            body()
+            return fit(self, *args)
+
+        monkeypatch.setattr(Rappor, "_decode", spy)
+
+    @staticmethod
+    def stats(l_zones=8, n_users=354, seed=0):
+        mech = Rappor(l_zones, 1.0, hash_seed=seed)
+        rng = np.random.default_rng(seed)
+        return mech, mech.reduce(mech.perturb_batch(skewed_crowd(l_zones, n_users), rng))
+
+    def test_a_decode_runs_on_one_thread_and_restores_the_count(self, blas, monkeypatch):
+        get, _ = blas
+        inside = []
+        self.spy_decode(monkeypatch, lambda: inside.append(get()))
+        mech, stats = self.stats()
+        mech.decode(stats)
+        assert inside == [1]
+        assert get() == 3
+
+    def test_a_decode_that_raises_restores_the_count(self, blas, monkeypatch):
+        get, _ = blas
+        inside = []
+
+        def fail():
+            inside.append(get())
+            raise RuntimeError("fit failed")
+
+        self.spy_decode(monkeypatch, fail)
+        mech, stats = self.stats()
+        with pytest.raises(RuntimeError, match="fit failed"):
+            mech.decode(stats)
+        assert inside == [1]
+        assert get() == 3
+
+    def test_overlapping_decodes_restore_only_when_both_are_out(self, blas, monkeypatch):
+        get, _ = blas
+        both_in, first_out = threading.Barrier(2, timeout=30), threading.Event()
+        seen, errors = {}, []
+
+        def meet():
+            name = threading.current_thread().name
+            seen[name] = [get()]
+            both_in.wait()
+            if name == "second":
+                # the first decode has returned; this one still holds the pin
+                assert first_out.wait(30)
+                seen[name].append(get())
+
+        self.spy_decode(monkeypatch, meet)
+        mech, stats = self.stats()
+
+        def run():
+            try:
+                mech.decode(stats)
+            except Exception as error:  # reported below, not lost in the thread
+                errors.append(error)
+            if threading.current_thread().name == "first":
+                first_out.set()
+
+        threads = [threading.Thread(target=run, name=name) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert seen == {"first": [1], "second": [1, 1]}
+        assert get() == 3
+
+    def test_many_threads_entering_at_once_never_unpin_each_other(self, blas):
+        get, _ = blas
+        counts, switch = set(), sys.getswitchinterval()
+
+        def enter():
+            for _ in range(500):
+                with one_blas_thread():
+                    counts.add(get())
+
+        threads = [threading.Thread(target=enter) for _ in range(8)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert counts == {1}
+        assert get() == 3 and base._blas_holders == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_starts_unpinned(self, blas):
+        get, _ = blas
+        read, write = os.pipe()
+        with one_blas_thread():
+            with warnings.catch_warnings():
+                # forking with threads alive warns on Python 3.12 and later
+                warnings.simplefilter("ignore", DeprecationWarning)
+                child = os.fork()
+            if child == 0:
+                try:
+                    report = [get(), base._blas_holders]
+                    with one_blas_thread():
+                        report.append(get())
+                    report.append(get())
+                    os.write(write, json.dumps(report).encode())
+                finally:
+                    os._exit(0)
+            os.close(write)
+            with os.fdopen(read) as pipe:
+                report = json.loads(pipe.read())
+            os.waitpid(child, 0)
+            assert get() == 1
+        assert report == [3, 0, 1, 3]
+        assert get() == 3
+
+    def test_decodes_unpinned_without_the_setter(self, blas, monkeypatch):
+        get, _ = blas
+        mech, stats = self.stats(60, 2000)
+        want = mech.decode(stats).raw.tobytes()
+        monkeypatch.setattr(base, "_openblas_threads", lambda: None)
+        inside = []
+        self.spy_decode(monkeypatch, lambda: inside.append(get()))
+        assert mech.decode(stats).raw.tobytes() == want
+        assert inside == [3]
+        assert get() == 3
