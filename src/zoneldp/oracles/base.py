@@ -16,7 +16,10 @@ randomized one-hot bit row (OUE and THE over the L zones, CMS and RAPPOR
 over a hashed row) share one client randomizer, ``one_hot_rr``: each bit
 compares one 16-bit lane of the generator's raw stream against an integer
 threshold, so these four mechanisms hold their (p, q) pair on the 2^-16
-grid (``lane_probabilities``), the pair the client realizes exactly. Both
+grid (``lane_probabilities``), the pair the client realizes exactly. The
+two mechanisms that report one value (OLH's hashed bucket over g values
+and HR's parity bit of one transform entry) share the other client
+randomizer, ``k_rr``: k-ary randomized response. Both
 per-cell loops (``one_hot_rr``'s words of four lanes and OLH's hash
 replay) run on one block scheduler, ``run_blocks``, which fills large
 jobs on the process's threads, one per core, drawing from jump-ahead
@@ -30,6 +33,7 @@ reduction and decoder.
 A batch is the only form a report takes. Each mechanism's reports travel
 between perturb_batch and reduce as a ``ReportBatch``: one array per
 report field, under the field's wire name, with user i's report in row i.
+Every field is an integer array, so the wire carries integers only.
 ``ReportBatch.of`` is the single place where wire payloads from outside
 enter an aggregator, so it is also where they are checked.
 """
@@ -386,6 +390,18 @@ def one_hot_rr(
     return bits
 
 
+def k_rr(values, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """k-ary randomized response on values in [0, k), as int64: each is kept
+    with probability p, else one of the other k - 1 values, uniformly. Reads
+    ``rng.random(n)``, then ``rng.integers(0, k - 1, n)``, which reads
+    nothing at k = 2, where the other value is the flipped bit."""
+    values = np.asarray(values, dtype=np.int64)
+    keep = rng.random(values.size) < p
+    others = rng.integers(0, k - 1, values.size)
+    others += others >= values
+    return np.where(keep, values, others)
+
+
 def column_sums(bits: np.ndarray) -> np.ndarray:
     """Per-column sums of an n x width 0/1 uint8 matrix as int64, added up
     in the narrowest unsigned type that holds n: three times as fast as
@@ -466,9 +482,9 @@ class ReportBatch:
     """Many reports of one mechanism as one array per report field.
 
     A subclass is a frozen dataclass with one field per report field, under
-    its wire name, and one numpy dtype per field in ``dtypes``. The fields
-    named in ``row_fields`` are n x width arrays, the others 1-d; uint8
-    fields hold bits. Row i of every field is user i's report.
+    its wire name, and one integer numpy dtype per field in ``dtypes``. The
+    fields named in ``row_fields`` are n x width arrays, the others 1-d;
+    uint8 fields hold bits. Row i of every field is user i's report.
     """
 
     dtypes: ClassVar[tuple]
@@ -485,9 +501,9 @@ class ReportBatch:
         converted field by field.
 
         Raises ParamMismatch, truncating nothing, for a payload that lacks
-        a field or has one of another name, an integer field holding a
-        float or a bool, a bit outside {0, 1}, a non-finite float field, a
-        value outside its dtype, or rows of unequal width.
+        a field or has one of another name, a field holding anything but
+        integers (a float or a bool too), a bit outside {0, 1}, a value
+        outside its dtype, or rows of unequal width.
         """
         if isinstance(reports, cls):
             return reports
@@ -520,28 +536,22 @@ class ReportBatch:
 
 
 def _column(payloads: list, name: str, dtype, rows: bool) -> np.ndarray:
-    """One report field as a checked array; ``rows`` if each value is a row."""
+    """One report field's integers, checked; ``rows`` if each value is a row."""
     values = [p[name] for p in payloads]
-    dtype = np.dtype(dtype)
-    integral = dtype.kind in "iu"
     cells = itertools.chain.from_iterable(values) if rows else values
     try:
         types = set(map(type, cells))
     except TypeError:
         raise ParamMismatch(f"report field {name!r} must hold rows") from None
-    allowed = (int,) if integral else (int, float)
-    bad = [t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, allowed)]
+    bad = [t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, int)]
     if bad:
-        what = "integers" if integral else "numbers"
-        raise ParamMismatch(f"report field {name!r} holds {min(bad)}, not {what}")
+        raise ParamMismatch(f"report field {name!r} holds {min(bad)}, not integers")
     try:
         array = np.array(values, dtype=dtype)
     except (ValueError, OverflowError) as exc:  # unequal rows, out of dtype range
         raise ParamMismatch(f"report field {name!r}: {exc}") from None
-    if dtype == np.uint8 and array.size and array.max() > 1:
+    if array.dtype == np.uint8 and array.size and array.max() > 1:
         raise ParamMismatch(f"report field {name!r} holds a bit other than 0 or 1")
-    if not integral and not np.isfinite(array).all():
-        raise ParamMismatch(f"report field {name!r} holds a non-finite value")
     return array
 
 
@@ -565,9 +575,9 @@ class OueBatch(ReportBatch):
 
 @dataclass(frozen=True)
 class HrBatch(ReportBatch):
-    dtypes = (np.int64, np.float64)
+    dtypes = (np.int64, np.uint8)
     row_index: np.ndarray  # row of the transform matrix, in [0, d')
-    signed_value: np.ndarray  # +/- scaled matrix entry
+    bit: np.ndarray  # the entry's randomized sign: 0 for +1, 1 for -1
 
 
 @dataclass(frozen=True)

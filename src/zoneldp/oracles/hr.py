@@ -6,12 +6,13 @@ product of the row and column indices and d' is the smallest power of two
 that fits L+1 columns. Column 0 is constant and deliberately unused, so
 every zone's column is orthogonal to the others AND carries signal.
 
-A user samples one row uniformly, reads the +/-1 entry at their zone's
-column, flips its sign with probability 1/(e^eps + 1), and scales the
-result so the estimate is unbiased. The aggregator sums the reported signs
-per row, an exact integer vector of length d', and decodes it by a fast
-Walsh-Hadamard transform, keeping columns 1..L. Its partial sums are
-integers, exact in float64, so the result equals the product with the
+A user samples one row uniformly and reports it with one bit, the sign of
+the entry at their zone's column as the parity of <row, column> (0 for
++1), flipped with probability 1/(e^eps + 1) by ``k_rr`` at k = 2. The
+aggregator sums the reported signs per row, an exact integer vector of
+length d', decodes it by a fast Walsh-Hadamard transform, keeping columns
+1..L, and only then applies the debias scale. The transform's partial sums
+are integers, exact in float64, so the result equals the product with the
 d' x L table of +/-1 entries bit for bit, with no such table built.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..domain import FrequencyEstimate
 from ..errors import ParamMismatch
-from .base import FrequencyOracle, HrBatch, PerturbProbabilities, Stats
+from .base import FrequencyOracle, HrBatch, PerturbProbabilities, Stats, k_rr
 
 
 def padded_dimension(l_zones: int) -> int:
@@ -48,12 +49,6 @@ def scale_factor(epsilon: float) -> float:
     return (e + 1.0) / (e - 1.0)
 
 
-def _sign_entries(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """(-1)^<row, column> without the d'^{-1/2} normalization."""
-    parity = np.bitwise_count(rows & columns).astype(np.int64) & 1
-    return 1 - 2 * parity
-
-
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """In place, entry c of a power-of-two-length vector becomes the sum
     over r of (-1)^<r, c> * values[r]: one butterfly pass per bit."""
@@ -73,17 +68,13 @@ class HadamardResponse(FrequencyOracle):
         self.dim = padded_dimension(l_zones)
         self._probs = probabilities(epsilon)
         self._scale = scale_factor(epsilon)
-        # the one float every report carries, up to its sign
-        self._magnitude = self._scale * math.sqrt(self.dim)
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> HrBatch:
         zones = self._check_zones(zones)
-        n = zones.size
-        rows = rng.integers(0, self.dim, size=n).astype(np.uint64)
-        signs = _sign_entries(rows, (zones + 1).astype(np.uint64))
-        keeps = np.where(rng.random(n) < self._probs.p, 1, -1)
-        values = keeps * signs * self._magnitude
-        return HrBatch(row_index=rows.astype(np.int64), signed_value=values)
+        rows = rng.integers(0, self.dim, size=zones.size)
+        parity = np.bitwise_count(rows & (zones + 1)) & 1
+        bit = k_rr(parity, 2, self._probs.p, rng).astype(np.uint8)
+        return HrBatch(row_index=rows, bit=bit)
 
     def empty_stats(self) -> Stats:
         return Stats(self.name, 0, np.zeros(self.dim, dtype=np.int64))
@@ -95,12 +86,10 @@ class HadamardResponse(FrequencyOracle):
         rows = batch.row_index
         if rows.min() < 0 or rows.max() >= self.dim:
             raise ParamMismatch(f"row index out of range [0, {self.dim})")
-        values = batch.signed_value
-        if np.any(np.abs(values) != self._magnitude):
-            raise ParamMismatch(f"report magnitude must be {self._magnitude!r}")
-        # integer per-row sign sums: independent of report order
-        row_sums = np.bincount(rows, weights=np.sign(values), minlength=self.dim)
-        return Stats(self.name, batch.n_reports, row_sums.astype(np.int64))
+        # per row, the +1 signs (bit 0) less the -1 signs (bit 1), counted
+        # in integers: independent of report order
+        signs = np.bincount(2 * rows + batch.bit, minlength=2 * self.dim).reshape(-1, 2)
+        return Stats(self.name, batch.n_reports, signs[:, 0] - signs[:, 1])
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
         row_sums = stats.counts.astype(np.float64)  # the transform runs in place

@@ -1,10 +1,10 @@
 """Local hashing with an optimized report domain.
 
 Each user draws a private hash function (a 64-bit seed), hashes their zone
-into g buckets, and randomizes the bucket: keep with probability
-e^eps / (e^eps + g - 1), otherwise report one of the other g - 1 buckets
-uniformly. The seed travels with the report, so the aggregator can replay
-every user's hash over all zones.
+into g buckets, and randomizes the bucket by ``k_rr``: keep with
+probability e^eps / (e^eps + g - 1), otherwise report one of the other
+g - 1 buckets uniformly. The seed travels with the report, so the
+aggregator can replay every user's hash over all zones.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .base import (
     OlhBatch,
     PerturbProbabilities,
     Stats,
+    k_rr,
     run_blocks,
 )
 from .hashing import hash_bucket_array
@@ -70,14 +71,10 @@ class OptimizedLocalHashing(FrequencyOracle):
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OlhBatch:
         zones = self._check_zones(zones)
-        n = zones.size
-        seeds = rng.integers(0, _SEED_BOUND, size=n, dtype=np.uint64)
+        seeds = rng.integers(0, _SEED_BOUND, size=zones.size, dtype=np.uint64)
         true_buckets = hash_bucket_array(seeds, zones, self.g)
-        keep = rng.random(n) < self._probs.p
-        others = rng.integers(0, self.g - 1, size=n)
-        others = others + (others >= true_buckets)
-        values = np.where(keep, true_buckets, others)
-        return OlhBatch(hash_seed=seeds, value=values.astype(np.int64))
+        values = k_rr(true_buckets, self.g, self._probs.p, rng)
+        return OlhBatch(hash_seed=seeds, value=values)
 
     def reduce(self, reports) -> Stats:
         batch = OlhBatch.of(reports)

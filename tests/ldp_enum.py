@@ -124,12 +124,12 @@ def lane_unary_dist(zone: int, l_zones: int, t_p: int, t_q: int) -> dict:
 
 
 def hr_dist(zone: int, l_zones: int, epsilon: float) -> dict:
-    """Joint distribution over (row index, sign of the reported value).
+    """Joint distribution over (row index, reported bit), the whole report.
 
     The row is uniform over the padded power-of-two dimension; the matrix
-    entry at column zone+1 is (-1)^popcount(row AND (zone+1)); its sign is
-    kept with probability e^eps/(e^eps + 1). The magnitude is the same
-    constant for every report, so (row, sign) captures the whole outcome.
+    entry at column zone+1 has sign (-1)^popcount(row AND (zone+1)), which
+    the client reports as that popcount's parity (0 for +1, 1 for -1),
+    kept with probability e^eps/(e^eps + 1) and flipped otherwise.
     """
     dim = 1
     while dim < l_zones + 1:
@@ -138,10 +138,9 @@ def hr_dist(zone: int, l_zones: int, epsilon: float) -> dict:
     keep = e / (e + 1.0)
     dist = {}
     for row in range(dim):
-        entry = 1 - 2 * (bin(row & (zone + 1)).count("1") % 2)
-        for flip, p_flip in ((1, keep), (-1, 1.0 - keep)):
-            outcome = (row, entry * flip)
-            dist[outcome] = dist.get(outcome, 0.0) + p_flip / dim
+        parity = bin(row & (zone + 1)).count("1") % 2
+        dist[(row, parity)] = keep / dim
+        dist[(row, 1 - parity)] = (1.0 - keep) / dim
     return dist
 
 

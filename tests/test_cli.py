@@ -239,7 +239,8 @@ class TestSimulate:
     # sha256 of each trace at counts [30, 20, 10] and seed 9, as written when
     # the trace was built from one report object per user; OUE, CMS and
     # RAPPOR as written since their bits compare 16-bit lanes of raw words,
-    # THE since its client reports its thresholded bits the same way
+    # THE since its client reports its thresholded bits the same way, HR
+    # since its report carries the entry's sign as a bit
     TRACE_SHA256 = {
         ("OLH", 0.5): "3b065a1b9be74f574b50aea53bedd9e0efa822fd53dddbae333f934f4c586846",
         ("OLH", 2.0): "b866e7e529dc08460ffb9e362783068463b2d9084a95ed80f2531a783d728b62",
@@ -247,8 +248,8 @@ class TestSimulate:
         ("OUE", 2.0): "ab997d69a5410605b0e44563a1520fed652a00da6027986aa45742c32de13354",
         ("THE", 0.5): "2ca4dcdb8f1c242f923fe1eb24cacb5c4c8328939de4e01f7a6eb22a55fb3254",
         ("THE", 2.0): "5cf6b1c6e6425cf5c3f4cabf668cd37a6f5acd2352ea96c624186184f3dbe3e7",
-        ("HR", 0.5): "b5bc951cba6f0b4b038b3bf098292427dfcf5c913493919e6227b9f2e9dc9aa2",
-        ("HR", 2.0): "f87719b94625fcee5c916f24547c512fa225386aa02471e32cf3b19bcf57e841",
+        ("HR", 0.5): "50cdc1f1b1ab56a7835c0ce7f3b0044b5c96d90a7ca24360600ad5b5542ee928",
+        ("HR", 2.0): "8d7d99947b1bd3f67ac559f41c2105024fb8d2fcfb3b6d1b2410ad6f4471b0bf",
         ("CMS", 0.5): "a8f24f070a2cbfda4a3f52c433c8503203a33f91d8d80a9b5a68676f34997799",
         ("CMS", 2.0): "41955c7c1b441de6b155b9d5379ce35f5f87693ffd03abf20619aae37f245d07",
         ("RAPPOR", 0.5): "2c8b85bd9dc5791b58777159c6532ac61df2698c5d1411d36f9f69958b9da82d",

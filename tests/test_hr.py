@@ -7,10 +7,10 @@ import pytest
 
 import ldp_enum
 from wire import payloads
+from zoneldp.errors import ParamMismatch
 from zoneldp.oracles.hr import (
     HadamardResponse,
     HrBatch,
-    _sign_entries,
     padded_dimension,
     probabilities,
     scale_factor,
@@ -59,15 +59,19 @@ class TestProbabilities:
         assert scale_factor(2.0) == pytest.approx(1.3130352854993312, rel=1e-14)
 
 
+def _parity(rows, columns):
+    """<row, column> mod 2, the sign of the +/-1 entry as a bit."""
+    return np.bitwise_count(np.asarray(rows) & np.asarray(columns)) & 1
+
+
 class TestPerturb:
-    def test_report_magnitude_is_constant(self):
+    def test_report_is_a_row_and_a_bit(self):
         mech = HadamardResponse(l_zones=5, epsilon=1.5)
         rng = np.random.default_rng(193)
-        magnitude = scale_factor(1.5) * math.sqrt(mech.dim)
         for zone in range(5):
             report = mech.perturb_batch([zone], rng)
             assert 0 <= report.row_index[0] < mech.dim
-            assert abs(report.signed_value[0]) == pytest.approx(magnitude, rel=1e-12)
+            assert report.bit.dtype == np.uint8 and report.bit[0] in (0, 1)
 
     def test_rows_are_uniform(self):
         mech = HadamardResponse(l_zones=3, epsilon=1.0)
@@ -77,31 +81,25 @@ class TestPerturb:
         sigma = math.sqrt(40_000 * (1 / mech.dim) * (1 - 1 / mech.dim))
         assert np.all(np.abs(counts - 40_000 / mech.dim) <= 5.0 * sigma)
 
-    def test_own_zone_contribution_is_plus_or_minus_scale(self):
-        # value * entry / sqrt(dim) collapses to +scale when the sign was
-        # kept and -scale when it was flipped, for every row
-        mech = HadamardResponse(l_zones=4, epsilon=1.0)
-        rng = np.random.default_rng(199)
-        scale = scale_factor(1.0)
-        kept = 0
-        n = 30_000
-        for _ in range(n):
-            report = mech.perturb_batch([2], rng)
-            row, value = int(report.row_index[0]), float(report.signed_value[0])
-            entry = 1 - 2 * ((row & 3).bit_count() & 1)
-            contribution = value * entry / math.sqrt(mech.dim)
-            assert abs(abs(contribution) - scale) < 1e-9
-            kept += contribution > 0
-        p = mech.probabilities().p
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(kept / n - p) <= 3.0 * sigma
-
-    def test_batch_and_scalar_values_share_the_magnitude(self):
+    def test_bit_is_the_parity_xor_the_flip(self):
+        # replayed draws: the row, then one uniform per user that keeps the
+        # sign below p and flips it otherwise
         mech = HadamardResponse(l_zones=6, epsilon=2.0)
-        rng = np.random.default_rng(211)
-        batch = mech.perturb_batch(rng.integers(0, 6, size=1000), rng)
-        magnitude = scale_factor(2.0) * math.sqrt(mech.dim)
-        assert np.allclose(np.abs(batch.signed_value), magnitude, rtol=1e-12)
+        zones = np.random.default_rng(211).integers(0, 6, size=1000)
+        batch = mech.perturb_batch(zones, np.random.default_rng(5))
+        replay = np.random.default_rng(5)
+        rows = replay.integers(0, mech.dim, size=1000)
+        flips = replay.random(1000) >= mech.probabilities().p
+        assert np.array_equal(batch.row_index, rows)
+        assert np.array_equal(batch.bit, _parity(rows, zones + 1) ^ flips)
+
+    def test_flip_rate_is_q(self):
+        mech = HadamardResponse(l_zones=4, epsilon=1.0)
+        n = 30_000
+        batch = mech.perturb_batch(np.full(n, 2), np.random.default_rng(199))
+        flipped = np.count_nonzero(batch.bit != _parity(batch.row_index, 3))
+        q = 1.0 / (math.exp(1.0) + 1.0)
+        assert abs(flipped / n - q) <= 3.0 * math.sqrt(q * (1 - q) / n)
 
 
 class TestPrivacyRatio:
@@ -127,10 +125,9 @@ class TestPrivacyRatio:
         rng = np.random.default_rng(223)
         n = 60_000
         batch = mech.perturb_batch(np.full(n, 1), rng)
-        signs = np.sign(batch.signed_value).astype(np.int64)
         observed = {}
-        for row, sign in zip(batch.row_index.tolist(), signs.tolist()):
-            observed[(row, sign)] = observed.get((row, sign), 0) + 1
+        for outcome in zip(batch.row_index.tolist(), batch.bit.tolist()):
+            observed[outcome] = observed.get(outcome, 0) + 1
         expected = ldp_enum.hr_dist(1, 4, epsilon)
         for outcome, prob in expected.items():
             got = observed.get(outcome, 0) / n
@@ -158,7 +155,7 @@ class TestAggregate:
         perm = rng.permutation(5000)
         shuffled = HrBatch(
             row_index=batch.row_index[perm],
-            signed_value=batch.signed_value[perm],
+            bit=batch.bit[perm],
         )
         assert np.array_equal(mech.aggregate(batch).raw, mech.aggregate(shuffled).raw)
 
@@ -174,7 +171,7 @@ class TestAggregate:
         mech = HadamardResponse(l_zones=4, epsilon=1.0)
         bad = HrBatch(
             row_index=np.array([mech.dim], dtype=np.int64),
-            signed_value=np.array([1.0]),
+            bit=np.array([1], dtype=np.uint8),
         )
         with pytest.raises(ValueError):
             mech.aggregate(bad)
@@ -192,8 +189,8 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         batch = mech.perturb_batch(rng.integers(0, 8, size=3000), rng)
         sums = [0] * 8
-        for row, value in zip(batch.row_index.tolist(), batch.signed_value.tolist()):
-            sign = 1 if value > 0 else -1
+        for row, bit in zip(batch.row_index.tolist(), batch.bit.tolist()):
+            sign = 1 - 2 * bit
             for zone in range(8):
                 sums[zone] += sign * (1 - 2 * ((row & (zone + 1)).bit_count() & 1))
         want = np.array([scale_factor(1.0) * total for total in sums])
@@ -205,12 +202,11 @@ class TestAggregate:
         mech = HadamardResponse(l_zones=l_zones, epsilon=1.0)
         rng = np.random.default_rng(l_zones)
         batch = mech.perturb_batch(rng.integers(0, l_zones, size=20_000), rng)
-        sums = np.bincount(
-            batch.row_index, weights=np.sign(batch.signed_value), minlength=mech.dim
-        )
-        rows = np.arange(mech.dim, dtype=np.uint64)[:, None]
-        columns = np.arange(1, l_zones + 1, dtype=np.uint64)
-        want = scale_factor(1.0) * (sums @ _sign_entries(rows, columns))
+        signs = 1 - 2 * batch.bit.astype(np.int64)
+        sums = np.bincount(batch.row_index, weights=signs, minlength=mech.dim)
+        rows = np.arange(mech.dim)[:, None]
+        table = 1 - 2 * _parity(rows, np.arange(1, l_zones + 1)).astype(np.int64)
+        want = scale_factor(1.0) * (sums @ table)
         assert mech.aggregate(batch).raw.tobytes() == want.tobytes()
 
     def test_decoding_builds_no_table(self):
@@ -226,21 +222,9 @@ class TestAggregate:
             tracemalloc.stop()
         assert peak < 4_000_000
 
-    def test_off_magnitude_value_rejected(self):
-        # only the sign enters the statistic, so any other magnitude than
-        # the one perturb reports is refused rather than silently rounded
+    def test_payload_bit_outside_0_1_rejected(self):
         mech = HadamardResponse(l_zones=4, epsilon=1.0)
-        magnitude = scale_factor(1.0) * math.sqrt(mech.dim)
-        for value in (0.0, math.nan, 2.0 * magnitude):
-            batch = HrBatch(
-                row_index=np.array([1, 2], dtype=np.int64),
-                signed_value=np.array([magnitude, value]),
-            )
-            with pytest.raises(ValueError):
-                mech.aggregate(batch)
-            reports = [
-                {"row_index": 1, "signed_value": magnitude},
-                {"row_index": 2, "signed_value": value},
-            ]
-            with pytest.raises(ValueError):
+        for bit in (2, 255, -1):
+            reports = [{"row_index": 1, "bit": 0}, {"row_index": 2, "bit": bit}]
+            with pytest.raises(ParamMismatch, match="bit"):
                 mech.aggregate(reports)
