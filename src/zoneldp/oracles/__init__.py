@@ -19,13 +19,8 @@ from ..domain import MECHANISMS, PrivacyParams
 from ..errors import ParamMismatch
 from .base import (
     _BLOCK_CELLS,
-    CmsBatch,
     FrequencyOracle,
-    HrBatch,
-    OlhBatch,
-    OueBatch,
     PerturbProbabilities,
-    RapporBatch,
     ReportBatch,
     estimate_frequency,
 )
@@ -88,14 +83,14 @@ def make_mechanism(
 # --- wire format ----------------------------------------------------------
 # One report per JSON line: {"mech": "...", "payload": {field: value, ...}}
 
-# THE's reports are OUE's bit rows under another (p, q) pair
+# each mechanism's report type, in MECHANISMS order; THE's reports are
+# OUE's bit rows under another (p, q) pair
 _BATCHES = {
-    "OLH": OlhBatch,
-    "OUE": OueBatch,
-    "THE": OueBatch,
-    "HR": HrBatch,
-    "CMS": CmsBatch,
-    "RAPPOR": RapporBatch,
+    cls.name: cls.batch_type
+    for cls in (
+        OptimizedLocalHashing, OptimizedUnaryEncoding, ThresholdHistogramEncoding,
+        HadamardResponse, CountMeanSketch, Rappor,
+    )
 }
 
 # each batch type's default tag, its first mechanism: OUE for OueBatch

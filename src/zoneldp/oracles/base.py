@@ -27,15 +27,16 @@ copies of the caller's PCG64 generator, without changing a bit of the
 output. RAPPOR's decoder, the only BLAS caller, holds numpy's OpenBLAS
 to one thread (``one_blas_thread``), so its fit, too, is the same for any
 core count. CMS and RAPPOR are one ``HashedSketch``: the same hash table
-and client under their own size names, each with its own statistic,
-reduction and decoder.
+and client under their own size names, each with its own statistic and
+decoder.
 
 A batch is the only form a report takes. Each mechanism's reports travel
 between perturb_batch and reduce as a ``ReportBatch``: one array per
 report field, under the field's wire name, with user i's report in row i.
 Every field is an integer array, so the wire carries integers only.
-``ReportBatch.of`` is the single place where wire payloads from outside
-enter an aggregator, so it is also where they are checked.
+``ReportBatch.of`` converts and checks wire payloads from outside, and
+``FrequencyOracle.reduce``, every aggregator's one entry, checks any batch
+against the bit-row width and index bounds its mechanism declares.
 """
 from __future__ import annotations
 
@@ -430,6 +431,15 @@ def estimate_frequency(
     return FrequencyEstimate.from_raw(raw, n)
 
 
+def _check_layout(want: tuple, got: tuple) -> None:
+    """ParamMismatch unless a ``Stats._shape()`` ``got`` fits ``want``."""
+    if got != want:
+        raise ParamMismatch(
+            "a statistic of (mechanism, counts, rows, sketch, hash seed) "
+            f"{got} does not fit one of {want}"
+        )
+
+
 @dataclass(frozen=True)
 class Stats:
     """The additive integer statistic of some reports of one mechanism.
@@ -461,11 +471,7 @@ class Stats:
     def check_fits(self, other: "Stats") -> None:
         """ParamMismatch unless ``other`` is of this mechanism, shape,
         sketch and hash family."""
-        if self._shape() != other._shape():
-            raise ParamMismatch(
-                "a statistic of (mechanism, counts, rows, sketch, hash seed) "
-                f"{other._shape()} does not fit one of {self._shape()}"
-            )
+        _check_layout(self._shape(), other._shape())
 
     def __add__(self, other: "Stats") -> "Stats":
         if not isinstance(other, Stats):
@@ -606,17 +612,23 @@ class FrequencyOracle(abc.ABC):
     wire payloads that the batch type's ``of`` converts and checks, into
     the mechanism's ``Stats``; decode() turns the ``Stats`` of at least one
     report into per-zone estimates. aggregate() is the checked entry point
-    that takes either. Every concrete class binds ``perturb_batch`` and
-    ``aggregate`` in its own namespace, so one mechanism's pair can be
-    wrapped or replaced (for profiling, or in a test) without touching the
-    others.
+    that takes either. ``reduce``, ``empty_stats``, ``_stats`` and the fit
+    check are written once, here, from what a mechanism declares: its
+    ``batch_type``, its bit row's ``_width``, each index field's bound
+    (``_bounds``) and its statistic's ``Stats._shape()`` (``_layout``). A
+    mechanism writes only its client, ``_count`` and, where the per-zone
+    debias does not fit, ``decode``. Every concrete class binds
+    ``perturb_batch`` and ``aggregate`` in its own namespace, so one
+    mechanism's pair can be wrapped or replaced (for profiling, or in a
+    test) without touching the others.
     """
 
     name: ClassVar[str]
+    batch_type: ClassVar[type]  # the ReportBatch subclass of its reports
     _probs: PerturbProbabilities  # set by each mechanism's constructor
-    # bytes of one report's row field; 0 for reports of a few scalars,
+    # bytes (bits) of one report's bit row; 0 for reports of a few scalars,
     # whose scalars perturb_batch draws field by field for all users
-    _row_bytes: int = 0
+    _width: int = 0
 
     def __init__(self, l_zones: int, epsilon: float):
         if l_zones < 1:
@@ -660,21 +672,57 @@ class FrequencyOracle(abc.ABC):
         zones = self._check_zones(zones)
         draws = self._user_draws(zones, rng)
         n = zones.size
-        step = max(1, _CHUNK_BYTES // self._row_bytes) if self._row_bytes else max(n, 1)
+        step = max(1, _CHUNK_BYTES // self._width) if self._width else max(n, 1)
         for start in range(0, n, step):
             chunk = slice(start, start + step)
             kwargs = {name: values[chunk] for name, values in draws.items()}
             yield self.perturb_batch(zones[chunk], rng, **kwargs)
 
+    def _bounds(self) -> dict:
+        """Each index field's exclusive bound, by field name; none by default."""
+        return {}
+
+    def _layout(self) -> tuple:
+        """The ``Stats._shape()`` of its statistic: per-zone counts by default."""
+        return self.name, (self.l_zones,), None, None, None
+
+    def _stats(self, n: int, counts: np.ndarray, row_sizes=None) -> Stats:
+        """The statistic of ``n`` reports, tagged as ``_layout`` says."""
+        *_, sketch_sizes, hash_seed = self._layout()
+        return Stats(self.name, n, counts, row_sizes, hash_seed, sketch_sizes)
+
     def empty_stats(self) -> Stats:
-        """The statistic of no reports, of the shape ``reduce`` returns:
-        per-zone support counts unless a mechanism says otherwise."""
-        return Stats(self.name, 0, np.zeros(self.l_zones, dtype=np.int64))
+        """The statistic of no reports: zeros of ``_layout``'s shapes."""
+        _, counts, rows, _, _ = self._layout()
+        row_sizes = None if rows is None else np.zeros(rows, dtype=np.int64)
+        return self._stats(0, np.zeros(counts, dtype=np.int64), row_sizes)
+
+    def reduce(self, reports) -> Stats:
+        """The statistic of a batch, or of wire payloads that the batch
+        type's ``of`` converts and checks. ParamMismatch, in a batch built
+        in code too, for a bit row of another width than ``_width`` and an
+        index field outside its ``_bounds`` (an unsigned one has only its
+        maximum checked). HR's sign bit and RAPPOR's bits are bounded, or a
+        bit of 2 would land in the next row's sum or the next bit's byte
+        lane. OUE's and CMS's column sums keep a bad bit in its own column,
+        so they have no bits bound: it would be one more pass over every
+        4 MB chunk of bits (51 MB a 50k-user CMS round).
+        """
+        batch = self.batch_type.of(reports)
+        if batch.n_reports == 0:
+            return self.empty_stats()
+        for name in batch.row_fields:
+            if (width := getattr(batch, name).shape[1]) != self._width:
+                raise ParamMismatch(f"report width {width} != {self._width}")
+        for name, bound in self._bounds().items():
+            values = getattr(batch, name)
+            if values.max() >= bound or (values.dtype.kind != "u" and values.min() < 0):
+                raise ParamMismatch(f"{name} out of range [0, {bound})")
+        return self._count(batch)
 
     @abc.abstractmethod
-    def reduce(self, reports) -> Stats:
-        """The statistic of a batch, or of checked wire payloads;
-        ParamMismatch for reports that do not fit this mechanism."""
+    def _count(self, batch: ReportBatch) -> Stats:
+        """The statistic of a nonempty batch that ``reduce`` has checked."""
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
         """Per-zone estimated counts from the statistic of >= 1 report:
@@ -682,16 +730,12 @@ class FrequencyOracle(abc.ABC):
         mechanism says otherwise."""
         return estimate_frequency(stats.counts, stats.n_reports, self._probs)
 
-    def _check_fits(self, stats: Stats) -> None:
-        """ParamMismatch unless ``stats`` is of this mechanism's shape."""
-        self.empty_stats().check_fits(stats)
-
     def aggregate(self, reports) -> FrequencyEstimate:
         """Per-zone estimated counts from this mechanism's ``Stats``, or from
         reports that ``reduce`` takes; zeros for no reports. ParamMismatch
         for a ``Stats`` of another mechanism or shape."""
         stats = reports if isinstance(reports, Stats) else self.reduce(reports)
-        self._check_fits(stats)
+        _check_layout(self._layout(), stats._shape())
         if stats.n_reports == 0:
             return FrequencyEstimate.from_raw(np.zeros(self.l_zones), 0)
         return self.decode(stats)
@@ -708,9 +752,9 @@ class HashedSketch(FrequencyOracle):
     and q = 1 - p, rounded onto the 2^-16 grid. A zone change moves exactly
     two bits, so the whole report is eps-private. A subclass names the
     sizes, the report batch (row index field first, then the bits), the
-    statistic, its reduction and the decoder; ``_stats`` tags the
-    statistic with the sketch's sizes and hash seed, so statistics of
-    another sketch or family do not add.
+    bound of the row index, the statistic's layout, its count and the
+    decoder; the layout carries the sketch's sizes and hash seed, so
+    statistics of another sketch or family do not add.
     """
 
     def __init__(
@@ -720,7 +764,7 @@ class HashedSketch(FrequencyOracle):
         if rows < 1 or width < 1:
             raise ValueError("sketch rows and width must be >= 1")
         self.hash_seed = int(hash_seed)
-        self._width = self._row_bytes = int(width)
+        self._width = int(width)
         half = math.exp(self.epsilon / 2.0)
         self._probs = lane_probabilities(
             PerturbProbabilities(p=half / (half + 1.0), q=1.0 / (half + 1.0))
@@ -746,22 +790,3 @@ class HashedSketch(FrequencyOracle):
             raise ValueError(f"rows must give each zone a row in [0, {self.targets.shape[0]})")
         bits = one_hot_rr(self.targets[rows, zones], self._width, self._probs, rng)
         return rows, bits
-
-    def _stats(self, n: int, counts: np.ndarray, row_sizes=None) -> Stats:
-        """A statistic of this sketch: its sizes and hash family attached."""
-        return Stats(
-            self.name, n, counts, row_sizes, self.hash_seed,
-            (self.targets.shape[0], self._width),
-        )
-
-    def _row_index(self, batch: ReportBatch) -> np.ndarray:
-        """The row index of a nonempty batch; ParamMismatch for rows of the
-        wrong width or a row index out of range (naming its field)."""
-        index_field = fields(batch)[0].name
-        rows, width = self.targets.shape[0], batch.bits.shape[1]
-        if width != self._width:
-            raise ParamMismatch(f"report width {width} != sketch width {self._width}")
-        index = getattr(batch, index_field)
-        if index.min() < 0 or index.max() >= rows:
-            raise ParamMismatch(f"{index_field} out of range [0, {rows})")
-        return index

@@ -31,6 +31,7 @@ from .base import CmsBatch, FrequencyOracle, HashedSketch, Stats, column_sums
 
 class CountMeanSketch(HashedSketch):
     name: ClassVar[str] = "CMS"
+    batch_type = CmsBatch
 
     def __init__(
         self,
@@ -50,10 +51,13 @@ class CountMeanSketch(HashedSketch):
         """``rows``: each user's hash index, drawn from ``rng`` when None."""
         return CmsBatch(*self._perturb_rows(zones, rng, rows))
 
-    def empty_stats(self) -> Stats:
-        return self._stats(0, np.zeros(self.l_zones, dtype=np.int64))
+    def _bounds(self) -> dict:
+        return {"hash_index": self.k}
 
-    def reduce(self, reports) -> Stats:
+    def _layout(self) -> tuple:
+        return self.name, (self.l_zones,), None, (self.k, self.m), self.hash_seed
+
+    def _count(self, batch: CmsBatch) -> Stats:
         """Per-zone hits, in one of two summation orders picked by L and m.
 
         At 8 L <= m each report's L target bits are gathered and then
@@ -66,11 +70,7 @@ class CountMeanSketch(HashedSketch):
         faster one up to L = 32-48 at m = 256, L = 112-128 at m = 1024 and
         L = 384 at m = 4096.
         """
-        batch = CmsBatch.of(reports)
-        n = batch.n_reports
-        if n == 0:
-            return self.empty_stats()
-        index = self._row_index(batch)
+        n, index = batch.n_reports, batch.hash_index
         if 8 * self.l_zones <= self.m:
             cells = self.targets[index]
             cells += (np.arange(n) * self.m)[:, None]

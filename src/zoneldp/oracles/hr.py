@@ -23,7 +23,6 @@ from typing import ClassVar
 import numpy as np
 
 from ..domain import FrequencyEstimate
-from ..errors import ParamMismatch
 from .base import FrequencyOracle, HrBatch, PerturbProbabilities, Stats, k_rr
 
 
@@ -62,6 +61,7 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
 
 class HadamardResponse(FrequencyOracle):
     name: ClassVar[str] = "HR"
+    batch_type = HrBatch
 
     def __init__(self, l_zones: int, epsilon: float):
         super().__init__(l_zones, epsilon)
@@ -76,20 +76,18 @@ class HadamardResponse(FrequencyOracle):
         bit = k_rr(parity, 2, self._probs.p, rng).astype(np.uint8)
         return HrBatch(row_index=rows, bit=bit)
 
-    def empty_stats(self) -> Stats:
-        return Stats(self.name, 0, np.zeros(self.dim, dtype=np.int64))
+    def _bounds(self) -> dict:
+        return {"row_index": self.dim, "bit": 2}
 
-    def reduce(self, reports) -> Stats:
-        batch = HrBatch.of(reports)
-        if batch.n_reports == 0:
-            return self.empty_stats()
+    def _layout(self) -> tuple:
+        return self.name, (self.dim,), None, None, None
+
+    def _count(self, batch: HrBatch) -> Stats:
         rows = batch.row_index
-        if rows.min() < 0 or rows.max() >= self.dim:
-            raise ParamMismatch(f"row index out of range [0, {self.dim})")
         # per row, the +1 signs (bit 0) less the -1 signs (bit 1), counted
         # in integers: independent of report order
         signs = np.bincount(2 * rows + batch.bit, minlength=2 * self.dim).reshape(-1, 2)
-        return Stats(self.name, batch.n_reports, signs[:, 0] - signs[:, 1])
+        return self._stats(batch.n_reports, signs[:, 0] - signs[:, 1])
 
     def decode(self, stats: Stats) -> FrequencyEstimate:
         row_sums = stats.counts.astype(np.float64)  # the transform runs in place

@@ -13,7 +13,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import ParamMismatch
 from .base import (
     _SMALL_BLOCK_CELLS,
     FrequencyOracle,
@@ -63,6 +62,7 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
 
 class OptimizedLocalHashing(FrequencyOracle):
     name: ClassVar[str] = "OLH"
+    batch_type = OlhBatch
 
     def __init__(self, l_zones: int, epsilon: float):
         super().__init__(l_zones, epsilon)
@@ -76,13 +76,11 @@ class OptimizedLocalHashing(FrequencyOracle):
         values = k_rr(true_buckets, self.g, self._probs.p, rng)
         return OlhBatch(hash_seed=seeds, value=values)
 
-    def reduce(self, reports) -> Stats:
-        batch = OlhBatch.of(reports)
+    def _bounds(self) -> dict:
+        return {"value": self.g}
+
+    def _count(self, batch: OlhBatch) -> Stats:
         n = batch.n_reports
-        if n == 0:
-            return self.empty_stats()
-        if batch.value.min() < 0 or batch.value.max() >= self.g:
-            raise ParamMismatch(f"report value out of range [0, {self.g})")
         zone_ids = np.arange(self.l_zones, dtype=np.uint64)
 
         def replay(start, stop, _):
@@ -94,6 +92,6 @@ class OptimizedLocalHashing(FrequencyOracle):
 
         # integer counts: the block sums are the same in any order
         blocks = run_blocks(n, self.l_zones, replay, cells=_SMALL_BLOCK_CELLS)
-        return Stats(self.name, n, np.sum(blocks, axis=0, dtype=np.int64))
+        return self._stats(n, np.sum(blocks, axis=0, dtype=np.int64))
 
     aggregate = FrequencyOracle.aggregate

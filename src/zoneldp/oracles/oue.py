@@ -17,7 +17,6 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from ..errors import ParamMismatch
 from .base import (
     FrequencyOracle,
     OueBatch,
@@ -39,6 +38,7 @@ def probabilities(epsilon: float) -> PerturbProbabilities:
 
 class OptimizedUnaryEncoding(FrequencyOracle):
     name: ClassVar[str] = "OUE"
+    batch_type = OueBatch
 
     def __init__(
         self, l_zones: int, epsilon: float, probs: Optional[PerturbProbabilities] = None
@@ -47,20 +47,13 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         grid, OUE's own unless given."""
         super().__init__(l_zones, epsilon)
         self._probs = lane_probabilities(probabilities(epsilon) if probs is None else probs)
-        self._row_bytes = self.l_zones
+        self._width = self.l_zones
 
     def perturb_batch(self, zones, rng: np.random.Generator) -> OueBatch:
         zones = self._check_zones(zones)
         return OueBatch(bits=one_hot_rr(zones, self.l_zones, self._probs, rng))
 
-    def reduce(self, reports) -> Stats:
-        batch = OueBatch.of(reports)
-        if batch.n_reports == 0:
-            return self.empty_stats()
-        if batch.bits.shape[1] != self.l_zones:
-            raise ParamMismatch(
-                f"report width {batch.bits.shape[1]} != l_zones {self.l_zones}"
-            )
-        return Stats(self.name, batch.n_reports, column_sums(batch.bits))
+    def _count(self, batch: OueBatch) -> Stats:
+        return self._stats(batch.n_reports, column_sums(batch.bits))
 
     aggregate = FrequencyOracle.aggregate

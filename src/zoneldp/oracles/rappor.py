@@ -219,6 +219,7 @@ def _segment_sums(bits: np.ndarray, cohort: np.ndarray, starts: np.ndarray) -> n
 
 class Rappor(HashedSketch):
     name: ClassVar[str] = "RAPPOR"
+    batch_type = RapporBatch
 
     def __init__(
         self,
@@ -236,38 +237,25 @@ class Rappor(HashedSketch):
         """``rows``: each user's cohort, drawn from ``rng`` when None."""
         return RapporBatch(*self._perturb_rows(zones, rng, rows))
 
-    def empty_stats(self) -> Stats:
-        return self._stats(
-            0, np.zeros((self.m, self.k), dtype=np.int64), np.zeros(self.m, dtype=np.int64)
-        )
+    def _bounds(self) -> dict:
+        return {"cohort": self.m, "bits": 2}
 
-    def _check_fits(self, stats: Stats) -> None:
-        # against zero-stride zeros: the check allocates no cohorts x width table
-        zero = np.int64(0)
-        template = self._stats(
-            0, np.broadcast_to(zero, (self.m, self.k)), np.broadcast_to(zero, self.m)
-        )
-        template.check_fits(stats)
+    def _layout(self) -> tuple:
+        return self.name, (self.m, self.k), (self.m,), (self.m, self.k), self.hash_seed
 
-    def reduce(self, reports) -> Stats:
+    def _count(self, batch: RapporBatch) -> Stats:
         """Per-(cohort, bit) sums, with the reports per cohort.
 
-        Every bit is 0 or 1: ``RapporBatch.of`` checks that of wire
-        payloads, and a batch built directly holds to it as the caller's
-        contract, as for CMS's ``column_sums``. The rows are gathered once,
-        stably sorted by cohort and cast to uint8, into rows padded with
-        zero bytes to whole 64-bit words. Each cohort's rows are added as
+        Every bit is 0 or 1, as ``reduce`` checks. The rows are gathered
+        once, stably sorted by cohort and cast to uint8, into rows padded
+        with zero bytes to whole 64-bit words. Each cohort's rows are added as
         words, eight byte lanes at a time, in segments of at most 255 rows,
         so no lane carries into the next and the sums are the same on any
         byte order. Each cohort's first segment sum is copied into the
         m x k int64 table and its further segments, if any, are added to
         it, so the second add reads only the small segment table.
         """
-        batch = RapporBatch.of(reports)
-        n = batch.n_reports
-        if n == 0:
-            return self.empty_stats()
-        cohort = self._row_index(batch)
+        n, cohort = batch.n_reports, batch.cohort
         cohort_sizes = np.bincount(cohort, minlength=self.m)
         segments = -(-cohort_sizes // _LANE_ROWS)
         first = np.cumsum(segments) - segments  # each cohort's first segment

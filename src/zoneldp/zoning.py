@@ -172,17 +172,19 @@ def lookup_zone(table: ZoneTable, rssi: np.ndarray) -> Optional[int]:
     """Map one RSSI vector to its zone, or None when its set is unknown.
 
     Runs entirely on the client: only the public table and the user's own
-    measurements are touched. The vector is checked as a ``Fingerprint``
-    is (ValueError on NaN, +inf or a value below the sentinel). Raises
-    InsufficientSignals when fewer than ``table.strongest_count`` APs are
-    sensed.
+    measurements are touched. The vector (nonempty, 1-d) is looked up as a
+    one-row matrix, so the RSSI rule checks it (ValueError on NaN, +inf or
+    a value below the sentinel) and a writable one is copied, not frozen.
+    Raises InsufficientSignals when fewer than ``table.strongest_count``
+    APs are sensed.
     """
-    fingerprint = Fingerprint(rssi)
-    zones, insufficient, _ = assign_zones(table, [fingerprint])
+    rssi = np.asarray(rssi, dtype=np.float64)
+    if rssi.ndim != 1 or rssi.size == 0:
+        raise ValueError("rssi must be a nonempty 1-d vector")
+    zones, insufficient, _ = assign_zones(table, rssi[None, :])
     if insufficient:
-        sensed = int(np.count_nonzero(fingerprint.rssi > SENTINEL_RSSI))
-        need = table.strongest_count
-        raise InsufficientSignals(f"only {sensed} APs sensed, need {need}")
+        sensed = int(np.count_nonzero(rssi > SENTINEL_RSSI))
+        raise InsufficientSignals(f"only {sensed} APs sensed, need {table.strongest_count}")
     return int(zones[0]) if zones.size else None
 
 

@@ -228,3 +228,11 @@ class TestAggregate:
             reports = [{"row_index": 1, "bit": 0}, {"row_index": 2, "bit": bit}]
             with pytest.raises(ParamMismatch, match="bit"):
                 mech.aggregate(reports)
+
+    def test_built_bit_outside_0_1_rejected(self):
+        # a batch built in code, unchecked by HrBatch.of: a bit of 2 would
+        # count as a +1 sign in the next row
+        mech = HadamardResponse(l_zones=4, epsilon=1.0)
+        batch = HrBatch(row_index=np.array([0]), bit=np.array([2], dtype=np.uint8))
+        with pytest.raises(ParamMismatch, match=r"bit out of range \[0, 2\)"):
+            mech.reduce(batch)

@@ -18,6 +18,7 @@ from wire import payloads, trace_text
 from zoneldp.domain import MECHANISMS, PrivacyParams
 from zoneldp.errors import DegenerateProbabilities, ParamMismatch
 from zoneldp.oracles import (
+    FrequencyOracle,
     estimate_frequency,
     make_mechanism,
     read_reports,
@@ -147,6 +148,17 @@ def test_class_defines_its_own_perturb_batch_and_aggregate(mechanism):
     cls = type(make_mechanism(mechanism, 8, 1.0))
     assert "perturb_batch" in cls.__dict__
     assert "aggregate" in cls.__dict__
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_class_declares_only_what_differs(mechanism):
+    # FrequencyOracle holds the one reduce, empty_stats and fit check; a
+    # mechanism names its report type once, and the wire's tags follow it
+    cls = type(make_mechanism(mechanism, 8, 1.0))
+    for klass in cls.__mro__[:cls.__mro__.index(FrequencyOracle)]:
+        assert not {"reduce", "empty_stats", "_check_fits"} & set(vars(klass)), klass
+    assert cls.batch_type is zoneldp.oracles._BATCHES[cls.name]
+    assert list(zoneldp.oracles._BATCHES) == list(MECHANISMS)
 
 
 # small sketch and bloom shapes, so a hand-written bit row fits them

@@ -32,7 +32,7 @@ from rappor_reference import (
     cd_nonneg_lasso,
     loop_normal_equations,
 )
-from zoneldp.errors import SingularFitWarning
+from zoneldp.errors import ParamMismatch, SingularFitWarning
 from zoneldp.oracles import base, rappor
 from zoneldp.oracles.base import _BLOCK_CELLS, one_blas_thread
 from zoneldp.oracles.rappor import _LAMBDA_GRID, Rappor, RapporBatch, nonneg_lasso
@@ -305,6 +305,18 @@ class TestReduce:
         assert not view.flags.c_contiguous
         for bits in (view, view.astype(bool), view.astype(np.int64)):
             self.assert_matches_bincount(16, cohort, bits)
+
+    @pytest.mark.parametrize("bit, dtype", [(2, np.uint8), (-1, np.int64)])
+    def test_built_bits_outside_0_1_rejected(self, bit, dtype):
+        # a batch built in code, unchecked by RapporBatch.of: 200 bits of 2
+        # in one cohort's bit 0 would sum to 400 in its byte lane, read as
+        # 144 with a carry of 1 into bit 1
+        mech = Rappor(l_zones=8, epsilon=1.0)
+        bits = np.zeros((200, mech.k), dtype=dtype)
+        bits[:, 0] = bit
+        batch = RapporBatch(cohort=np.zeros(200, dtype=np.int64), bits=bits)
+        with pytest.raises(ParamMismatch, match=r"bits out of range \[0, 2\)"):
+            mech.reduce(batch)
 
     @pytest.mark.parametrize("n, bound", [(354, 1_000_000), (65_536, 6_000_000)])
     def test_allocates_little_beyond_its_table(self, n, bound):

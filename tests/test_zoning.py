@@ -150,6 +150,21 @@ class TestLookup:
         with pytest.raises(InsufficientSignals):
             lookup_zone(table, np.array([-40.0, SENTINEL_RSSI, SENTINEL_RSSI]))
 
+    def test_the_callers_reading_stays_writable(self):
+        # the reading is copied into a one-row matrix, not frozen in place
+        table = build_zone_table([Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2)
+        reading = np.array([-41.0, -44.0, -99.0])
+        assert lookup_zone(table, reading) == 0
+        assert reading.flags.writeable
+        reading[2] = -30.0
+        assert lookup_zone(table, reading) is None
+
+    @pytest.mark.parametrize("rssi", [[], [[-40.0, -45.0]]], ids=["empty", "2-d"])
+    def test_a_reading_is_a_nonempty_vector(self, rssi):
+        table = build_zone_table([Fingerprint(rssi=[-40.0, -45.0])], m=2)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            lookup_zone(table, np.array(rssi))
+
     def test_partition_is_permutation_invariant(self):
         # zone membership depends on the set of strongest ids only, so two
         # users whose vectors share that set always land together
