@@ -13,7 +13,6 @@ from .domain import (
     Fingerprint,
     FrequencyEstimate,
     PrivacyParams,
-    ZoneTable,
     max_zone_count,
 )
 from .metrics import (
@@ -45,7 +44,7 @@ from .simulator import (
     run_sweep,
     summarize,
 )
-from .zoning import build_zone_table, lookup_zone, strongest_aps
+from .zoning import ZoneTable, build_zone_table, lookup_zone, strongest_aps
 
 __version__ = "0.1.0"
 

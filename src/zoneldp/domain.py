@@ -1,4 +1,5 @@
-"""Core data types shared by every module.
+"""Core data types shared by every module. The zone table is in ``zoning``,
+next to its builder, its lookup and its JSON form.
 
 Everything here is immutable after construction, carries no I/O and no
 randomness, and is safe to share across worker processes.
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -120,51 +121,6 @@ def max_zone_count(n_aps: int, m_strongest: int) -> int:
     if m_strongest > n_aps:
         raise ValueError(f"m_strongest={m_strongest} exceeds n_aps={n_aps}")
     return math.comb(n_aps, m_strongest)
-
-
-@dataclass(frozen=True)
-class ZoneTable:
-    """Public mapping from unordered M-sets of AP ids to dense zone indices.
-
-    This is the only information broadcast to clients. It contains AP-id
-    sets and zone indices, nothing about geometry, so publishing it reveals
-    neither the floorplan nor AP positions.
-    """
-
-    entries: dict  # frozenset[int] -> zone index
-    ap_count: int
-    strongest_count: int
-    skipped_training: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("zone table must have at least one entry")
-        if not (_is_int(self.ap_count) and _is_int(self.strongest_count)):
-            raise ValueError("ap_count and strongest_count must be integers")
-        for zone in self.entries.values():
-            if not _is_int(zone):
-                raise ValueError(f"zone indices must be integers, got {zone!r}")
-        zones = sorted(self.entries.values())
-        if zones != list(range(len(zones))):
-            raise ValueError("zone indices must be dense 0..L-1 without repeats")
-        for key in self.entries:
-            for ap in key:
-                if not _is_int(ap):
-                    raise ValueError(f"AP ids must be integers, got {ap!r}")
-            if len(key) != self.strongest_count:
-                raise ValueError(
-                    f"key {sorted(key)} has size {len(key)}, "
-                    f"expected {self.strongest_count}"
-                )
-            if any(not (0 <= ap < self.ap_count) for ap in key):
-                raise ValueError(f"AP id out of range in key {sorted(key)}")
-        bound = max_zone_count(self.ap_count, self.strongest_count)
-        if len(self.entries) > bound:
-            raise ValueError(f"{len(self.entries)} zones exceed the bound {bound}")
-
-    @property
-    def n_zones(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)

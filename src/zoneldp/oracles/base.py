@@ -706,10 +706,19 @@ class FrequencyOracle(abc.ABC):
         bit of 2 would land in the next row's sum or the next bit's byte
         lane. OUE's and CMS's column sums keep a bad bit in its own column,
         so they have no bits bound: it would be one more pass over every
-        4 MB chunk of bits (51 MB a 50k-user CMS round).
+        4 MB chunk of bits (51 MB a 50k-user CMS round). Every field must
+        have ``n_reports`` rows, each a bit row in a row field.
         """
         batch = self.batch_type.of(reports)
-        if batch.n_reports == 0:
+        n = batch.n_reports
+        for f in fields(batch):
+            shape = getattr(batch, f.name).shape
+            ndim = 2 if f.name in batch.row_fields else 1
+            if shape[:1] != (n,) or (n and len(shape) != ndim):  # of([]) gives 1-d rows
+                raise ParamMismatch(
+                    f"report field {f.name!r} has shape {shape}, expected {ndim}-d with {n} rows"
+                )
+        if n == 0:
             return self.empty_stats()
         for name in batch.row_fields:
             if (width := getattr(batch, name).shape[1]) != self._width:

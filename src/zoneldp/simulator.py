@@ -19,7 +19,6 @@ from .domain import (
     MECHANISMS,
     FrequencyEstimate,
     PrivacyParams,
-    ZoneTable,
     _is_int,
     _is_real,
     rssi_matrix,
@@ -28,7 +27,7 @@ from .errors import ConfigError, DataError, DegenerateProbabilities
 from .metrics import MetricReport, metric_report
 from .oracles import make_mechanism
 from .oracles.base import ReportBatch
-from .zoning import assign_zones
+from .zoning import ZoneTable, assign_zones
 
 # stream tags keep population synthesis and rounds on disjoint substreams
 _POPULATION_TAG = 0

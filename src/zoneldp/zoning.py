@@ -8,38 +8,38 @@ Table building and lookup are one array pass over an (n, APs) RSSI matrix,
 given as such or joined from ``Fingerprint`` rows by ``domain.rssi_matrix``:
 M passes over a transposed (APs, n) copy pick the M strongest APs of each
 row (equal signals go to the lower AP id). The build keeps the first row of
-each distinct sorted id set. A lookup keys each row's set by the sum of its
-APs' hashed weights mod 2^64, which no order of the picks changes, and
-checks the table entries in that key's bucket exactly against the picks,
-so one path serves any AP count and any M. ``assign_zones`` hands the
-matched zones on as an int64 array, which ``run_round`` and
-``np.bincount`` take as they are. ``lookup_zone`` is
-``assign_zones`` on a batch of one, and ``strongest_aps`` is the plain
-scalar statement of the same rule, kept as a reference.
+each distinct sorted id set: row j of the table's (L, M) array is zone j.
+A lookup keys each row's set by the sum of its APs' hashed weights mod
+2^64, which no order of the picks changes, and checks the table rows in
+that key's bucket exactly against the picks, so one path serves any AP
+count and any M. ``assign_zones`` hands the matched zones on as an int64
+array, which ``run_round`` and ``np.bincount`` take as they are.
+``lookup_zone`` is ``assign_zones`` on a batch of one, and ``strongest_aps``
+is the plain scalar statement of the same rule, kept as a reference.
 
 Rows with fewer than M sensed APs (above the sentinel) are counted as
 insufficient and never matched. NaN, +inf and below-sentinel RSSI values are
 rejected by the one RSSI rule of ``domain``, whether they come in a
-``Fingerprint``, a matrix or ``lookup_zone``'s vector, and a zone table
-rejects AP ids and zone indices that are not integers, so no key can be
-truncated into a different set.
+``Fingerprint``, a matrix or ``lookup_zone``'s vector. A table takes only
+integer AP ids, and its JSON reader only integer, dense zone indices, so no
+key can be truncated into a different set and no listed zone is dropped.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import FrozenSet, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import SENTINEL_RSSI, Fingerprint, ZoneTable, rssi_matrix
+from .domain import SENTINEL_RSSI, Fingerprint, _is_int, _readonly, rssi_matrix
 from .errors import EmptyTable, InsufficientSignals
 from .oracles.hashing import mix64_array
 
-StrongestSet = FrozenSet[int]
 
-
-def strongest_aps(rssi: np.ndarray, m: int) -> StrongestSet:
+def strongest_aps(rssi: np.ndarray, m: int) -> frozenset[int]:
     """Ids of the ``m`` strongest APs in one RSSI vector.
 
     Ties are broken toward the lower AP id so the result is independent of
@@ -101,27 +101,76 @@ def _set_keys(ids: np.ndarray) -> np.ndarray:
     return ids.view(np.dtype((np.void, ids.itemsize * ids.shape[1])))[:, 0]
 
 
+@dataclass(frozen=True, eq=False)
+class ZoneTable:
+    """The public zone table: row j of ``aps`` holds zone j's M AP ids.
+
+    It is all that clients receive, and holds nothing about geometry, so
+    publishing it reveals neither the floorplan nor AP positions. ``aps``
+    (L >= 1 rows, an integer dtype) is kept as a read-only int64 copy with
+    sorted rows; ValueError unless its ids lie in [0, ap_count) and are
+    distinct within a row, and no two rows are the same set. The lookup
+    index is built here, once. ``skipped_training`` is not compared.
+    """
+
+    aps: np.ndarray
+    ap_count: int
+    strongest_count: int
+    skipped_training: int = 0
+
+    def __post_init__(self):
+        if not (_is_int(self.ap_count) and _is_int(self.strongest_count)):
+            raise ValueError("ap_count and strongest_count must be integers")
+        aps = np.asarray(self.aps)
+        if aps.ndim != 2 or aps.size == 0 or aps.shape[1] != self.strongest_count:
+            raise ValueError(f"aps of shape {aps.shape} is not a nonempty (L, M) array")
+        if aps.dtype.kind not in "iu":
+            raise ValueError(f"AP ids must be integers, got dtype {aps.dtype}")
+        if aps.min() < 0 or aps.max() >= self.ap_count:
+            raise ValueError(f"AP id out of range [0, {self.ap_count})")
+        aps = _readonly(np.sort(aps, axis=1).astype(np.int64, copy=False))
+        if np.any(aps[:, 1:] == aps[:, :-1]):
+            raise ValueError("the AP ids of a zone must be distinct")
+        if len(np.unique(_set_keys(aps))) < len(aps):
+            raise ValueError("an AP set is listed under more than one zone")
+        object.__setattr__(self, "aps", aps)
+        # the top bits of a set's key pick its bucket of rows, in ``order``
+        weights = _ap_weights(self.ap_count)
+        keys = weights[aps].sum(axis=1)
+        bits = len(aps).bit_length() + 2  # over four buckets a zone
+        shift = np.uint64(64 - bits)
+        order = np.argsort(keys >> shift)
+        starts = np.searchsorted(keys[order] >> shift, np.arange(2**bits + 1, dtype=np.uint64))
+        object.__setattr__(self, "_index", (weights, shift, order, keys[order], starts))
+
+    def __eq__(self, other):
+        if not isinstance(other, ZoneTable):
+            return NotImplemented
+        # equal rows have equal M, the row width
+        return self.ap_count == other.ap_count and np.array_equal(self.aps, other.aps)
+
+    def __reduce__(self):
+        # the index and ``entries`` are rebuilt, not pickled (a mapping proxy cannot be)
+        return ZoneTable, (self.aps, self.ap_count, self.strongest_count, self.skipped_training)
+
+    @property
+    def n_zones(self) -> int:
+        return len(self.aps)
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Read-only {frozenset of AP ids: zone} view, built on first use."""
+        return MappingProxyType({frozenset(aps): j for j, aps in enumerate(self.aps.tolist())})
+
+
 def _zones_of(table: ZoneTable, picks: np.ndarray) -> np.ndarray:
     """Zone of each column of AP ids, or -1 where the set is unknown.
 
-    The top bits of each set's key (``_ap_weights``) pick a bucket of the
-    table's entries, held as one index array and its bucket starts. Every
-    column tries its bucket's entries in turn, one round each, and takes
-    the first whose key is its own and whose m ids are all among its
-    picks; keys that collide only cost one more round.
+    Every column tries the table rows in its key's bucket in turn, one
+    round each, and takes the first whose key is its own and whose m ids
+    are all among its picks; keys that collide only cost one more round.
     """
-    weights = _ap_weights(table.ap_count)
-    m = table.strongest_count
-    entries = np.fromiter(chain.from_iterable(table.entries), np.intp, table.n_zones * m)
-    entries = entries.reshape(table.n_zones, m)
-    table_zones = np.fromiter(table.entries.values(), np.int64, table.n_zones)
-    bits = table.n_zones.bit_length() + 2  # over four buckets an entry
-    shift = np.uint64(64 - bits)
-    table_keys = weights[entries].sum(axis=1)
-    order = np.argsort(table_keys >> shift)
-    entries, table_zones, table_keys = entries[order], table_zones[order], table_keys[order]
-    starts = np.searchsorted(table_keys >> shift, np.arange(2**bits + 1, dtype=np.uint64))
-
+    weights, shift, order, table_keys, starts = table._index
     keys = weights[picks].sum(axis=0)
     buckets = (keys >> shift).astype(np.intp)
     at, stop = starts[buckets], starts[buckets + 1]
@@ -130,12 +179,12 @@ def _zones_of(table: ZoneTable, picks: np.ndarray) -> np.ndarray:
     while rows.size:
         candidates = at[rows]
         same = table_keys[candidates] == keys[rows]
-        hits, candidates = rows[same], candidates[same]
+        hits, candidates = rows[same], order[candidates[same]]
         row_picks = picks.take(hits, axis=1)
         exact = np.ones(hits.size, dtype=bool)
-        for ap in entries[candidates].T:
+        for ap in table.aps[candidates].T:
             exact &= (row_picks == ap).any(axis=0)
-        zones[hits[exact]] = table_zones[candidates[exact]]
+        zones[hits[exact]] = candidates[exact]
         at[rows] += 1
         rows = rows[(zones[rows] < 0) & (at[rows] < stop[rows])]
     return zones
@@ -159,13 +208,7 @@ def build_zone_table(training: np.ndarray | Sequence[Fingerprint], m: int) -> Zo
     if not len(ids):
         raise EmptyTable("every training fingerprint had too few sensed APs")
     _, first = np.unique(_set_keys(ids), return_index=True)
-    first_seen = ids[np.sort(first)].tolist()
-    return ZoneTable(
-        entries={frozenset(aps): zone for zone, aps in enumerate(first_seen)},
-        ap_count=n_aps,
-        strongest_count=m,
-        skipped_training=len(training) - len(ids),
-    )
+    return ZoneTable(ids[np.sort(first)], n_aps, m, skipped_training=len(training) - len(ids))
 
 
 def lookup_zone(table: ZoneTable, rssi: np.ndarray) -> Optional[int]:
@@ -194,26 +237,29 @@ def zone_table_to_json(table: ZoneTable) -> str:
     Zones sorted by index, AP ids sorted ascending, so equal tables always
     serialize to identical bytes.
     """
-    zones = [
-        {"aps": sorted(key), "zone": zone}
-        for key, zone in sorted(table.entries.items(), key=lambda kv: kv[1])
-    ]
+    zones = [{"aps": aps, "zone": zone} for zone, aps in enumerate(table.aps.tolist())]
     payload = {
-        "n_aps": table.ap_count,
-        "m": table.strongest_count,
+        "n_aps": int(table.ap_count),  # a numpy integer is not JSON
+        "m": int(table.strongest_count),
         "zones": zones,
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def zone_table_from_json(text: str) -> ZoneTable:
+    """The table of ``zone_table_to_json``'s form, ``aps`` in any order.
+    ValueError also for an AP id or zone index that is not an integer (a
+    float or a bool too), or zone indices that are not 0..L-1 once each."""
     payload = json.loads(text)
-    entries = {frozenset(entry["aps"]): entry["zone"] for entry in payload["zones"]}
-    return ZoneTable(
-        entries=entries,
-        ap_count=payload["n_aps"],
-        strongest_count=payload["m"],
-    )
+    zones = [entry["zone"] for entry in payload["zones"]]
+    rows = [entry["aps"] for entry in payload["zones"]]
+    for name, values in (("zone indices", zones), ("AP ids", [ap for row in rows for ap in row])):
+        wrong = [value for value in values if not _is_int(value)]
+        if wrong:
+            raise ValueError(f"{name} must be integers, got {wrong[0]!r}")
+    if sorted(zones) != list(range(len(zones))):
+        raise ValueError("zone indices must be dense 0..L-1 without repeats")
+    return ZoneTable(np.array(rows)[np.argsort(zones)], payload["n_aps"], payload["m"])
 
 
 def load_zone_table(path) -> ZoneTable:

@@ -1,5 +1,6 @@
 """Core type validation and the small combinatorial helpers."""
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -11,10 +12,10 @@ from zoneldp.domain import (
     Fingerprint,
     FrequencyEstimate,
     PrivacyParams,
-    ZoneTable,
     max_zone_count,
     rssi_matrix,
 )
+from zoneldp.zoning import ZoneTable, zone_table_from_json, zone_table_to_json
 
 
 class TestFingerprint:
@@ -143,74 +144,86 @@ class TestMaxZoneCount:
             max_zone_count(3, 4)
 
 
+def json_table(rows, zones=None, n_aps=4):
+    """A zone table's JSON text; zones 0..L-1 unless given."""
+    zones = range(len(rows)) if zones is None else zones
+    entries = [{"aps": row, "zone": zone} for row, zone in zip(rows, zones)]
+    return json.dumps({"n_aps": n_aps, "m": 2, "zones": entries})
+
+
 class TestZoneTable:
+    """The table's checks of its (L, m) array. Zone indices and a JSON
+    ``true`` AP id reach a table only through its JSON reader, the one
+    input with a zone column, so those cases go through the reader."""
+
     def test_valid_table(self):
-        table = ZoneTable(
-            entries={frozenset({0, 1}): 0, frozenset({1, 2}): 1},
-            ap_count=3,
-            strongest_count=2,
-        )
+        table = ZoneTable(aps=np.array([[0, 1], [2, 1]]), ap_count=3, strongest_count=2)
         assert table.n_zones == 2
+        assert table.aps.tolist() == [[0, 1], [1, 2]]
+        assert dict(table.entries) == {frozenset({0, 1}): 0, frozenset({1, 2}): 1}
 
     def test_rejects_sparse_zone_indices(self):
-        with pytest.raises(ValueError):
-            ZoneTable(
-                entries={frozenset({0, 1}): 0, frozenset({1, 2}): 2},
-                ap_count=3,
-                strongest_count=2,
-            )
+        with pytest.raises(ValueError, match="dense"):
+            zone_table_from_json(json_table([[0, 1], [1, 2]], zones=[0, 2]))
 
     def test_rejects_wrong_key_size(self):
-        with pytest.raises(ValueError):
-            ZoneTable(
-                entries={frozenset({0}): 0}, ap_count=3, strongest_count=2
-            )
+        for aps in ([[0]], [[0, 1, 2]], [0, 1]):
+            with pytest.raises(ValueError, match="not a nonempty"):
+                ZoneTable(aps=np.array(aps), ap_count=3, strongest_count=2)
 
     def test_rejects_ap_id_out_of_range(self):
-        with pytest.raises(ValueError):
-            ZoneTable(
-                entries={frozenset({0, 5}): 0}, ap_count=3, strongest_count=2
-            )
+        for aps in ([[0, 5]], [[-1, 0]], [[0, 3]]):
+            with pytest.raises(ValueError, match="out of range"):
+                ZoneTable(aps=np.array(aps), ap_count=3, strongest_count=2)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ZoneTable(entries={}, ap_count=3, strongest_count=2)
+        with pytest.raises(ValueError, match="not a nonempty"):
+            ZoneTable(aps=np.empty((0, 2), dtype=np.int64), ap_count=3, strongest_count=2)
+        with pytest.raises(ValueError, match="not a nonempty"):
+            zone_table_from_json(json_table([]))
 
     @pytest.mark.parametrize("ap", [0.5, 1.0, True])
     def test_rejects_ap_id_that_is_not_an_integer(self, ap):
         with pytest.raises(ValueError, match="AP ids must be integers"):
-            ZoneTable(
-                entries={frozenset({ap, 2}): 0}, ap_count=4, strongest_count=2
-            )
+            zone_table_from_json(json_table([[ap, 2]]))
+        # an array of float or bool dtype; numpy would read [True, 2] as ints
+        with pytest.raises(ValueError, match="AP ids must be integers"):
+            ZoneTable(aps=np.array([[ap, 2]], dtype=type(ap)), ap_count=4, strongest_count=2)
 
     def test_accepts_numpy_integer_ids(self):
-        table = ZoneTable(
-            entries={frozenset({np.int64(0), np.int32(1)}): np.int64(0)},
-            ap_count=2,
-            strongest_count=2,
-        )
-        assert table.n_zones == 1
+        for dtype in (np.int32, np.uint8, np.uint64):
+            table = ZoneTable(
+                aps=np.array([[1, 0]], dtype=dtype), ap_count=np.int64(2), strongest_count=2
+            )
+            assert table.aps.dtype == np.int64
+            assert table.aps.tolist() == [[0, 1]]
+            assert zone_table_from_json(zone_table_to_json(table)) == table
 
     @pytest.mark.parametrize("zone", [0.0, 1.7])
     def test_rejects_zone_index_that_is_not_an_integer(self, zone):
         with pytest.raises(ValueError, match="zone indices must be integers"):
-            ZoneTable(
-                entries={frozenset({0, 1}): 0, frozenset({1, 2}): zone},
-                ap_count=3,
-                strongest_count=2,
-            )
+            zone_table_from_json(json_table([[0, 1], [1, 2]], zones=[0, zone]))
 
     def test_skipped_training_does_not_affect_equality(self):
-        a = ZoneTable(
-            entries={frozenset({0, 1}): 0}, ap_count=2, strongest_count=2
-        )
-        b = ZoneTable(
-            entries={frozenset({0, 1}): 0},
-            ap_count=2,
-            strongest_count=2,
-            skipped_training=5,
-        )
+        a = ZoneTable(aps=np.array([[0, 1]]), ap_count=2, strongest_count=2)
+        b = ZoneTable(aps=np.array([[0, 1]]), ap_count=2, strongest_count=2, skipped_training=5)
         assert a == b
+        assert a != ZoneTable(aps=np.array([[0, 1]]), ap_count=3, strongest_count=2)
+        assert a != "a zone table"
+
+    def test_rejects_an_ap_twice_in_a_zone(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ZoneTable(aps=np.array([[1, 1]]), ap_count=3, strongest_count=2)
+
+    def test_rejects_a_set_under_two_zones(self):
+        with pytest.raises(ValueError, match="more than one zone"):
+            ZoneTable(aps=np.array([[0, 1], [1, 0]]), ap_count=3, strongest_count=2)
+
+    def test_aps_is_a_readonly_copy(self):
+        aps = np.array([[2, 0], [1, 2]])
+        table = ZoneTable(aps=aps, ap_count=3, strongest_count=2)
+        assert not table.aps.flags.writeable
+        assert aps.flags.writeable and aps.tolist() == [[2, 0], [1, 2]]
 
 
 class TestPrivacyParams:

@@ -271,6 +271,32 @@ def test_payload_field_names_are_checked(payload, named):
         OlhBatch.of([{"hash_seed": 2, "value": 1}, payload])
 
 
+@pytest.mark.parametrize(
+    "mechanism, batch, named",
+    [
+        # a 1-d bit row: one report of 4 bits read as 4 reports
+        ("OUE", OueBatch(bits=np.array([1, 0, 0, 0], dtype=np.uint8)), "'bits' has shape"),
+        # one value against two seeds would broadcast to two reports
+        ("OLH", OlhBatch(hash_seed=np.array([5, 6], dtype=np.uint64),
+                         value=np.array([1], dtype=np.int64)), "'value' has shape"),
+        # and two values against one seed would count one
+        ("OLH", OlhBatch(hash_seed=np.array([5], dtype=np.uint64),
+                         value=np.array([1, 2], dtype=np.int64)), "'value' has shape"),
+        ("OLH", OlhBatch(hash_seed=np.array([[5]], dtype=np.uint64),
+                         value=np.array([1], dtype=np.int64)), "'hash_seed' has shape"),
+    ],
+)
+def test_a_code_built_batch_of_the_wrong_shape_is_rejected(mechanism, batch, named):
+    with pytest.raises(ParamMismatch, match=named):
+        make_mechanism(mechanism, 4, 1.0).reduce(batch)
+
+
+def test_an_empty_batch_reduces_from_code_and_from_the_wire():
+    mech = make_mechanism("OUE", 4, 1.0)
+    empty = OueBatch(bits=np.empty((0, 4), dtype=np.uint8))
+    assert mech.reduce(empty).n_reports == mech.reduce([]).n_reports == 0
+
+
 def _benchmark_tracing():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)

@@ -1,5 +1,7 @@
 """Zone division: strongest-AP sets, table building, lookup, serialization."""
 import importlib.util
+import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -7,9 +9,10 @@ import numpy as np
 import pytest
 
 from zoneldp import zoning
-from zoneldp.domain import SENTINEL_RSSI, Fingerprint, ZoneTable, max_zone_count
+from zoneldp.domain import SENTINEL_RSSI, Fingerprint, max_zone_count
 from zoneldp.errors import EmptyTable, InsufficientSignals
 from zoneldp.zoning import (
+    ZoneTable,
     assign_zones,
     build_zone_table,
     load_zone_table,
@@ -247,16 +250,20 @@ class TestSerialization:
 
     def test_equal_tables_serialize_to_identical_bytes(self):
         table = self._table()
-        # rebuild the dict in a different insertion order
-        shuffled = dict(sorted(table.entries.items(), key=lambda kv: -kv[1]))
-        from zoneldp.domain import ZoneTable
-
+        # the rows reversed within, in another integer dtype
         clone = ZoneTable(
-            entries=shuffled,
+            aps=table.aps[:, ::-1].astype(np.int32),
             ap_count=table.ap_count,
             strongest_count=table.strongest_count,
         )
         assert zone_table_to_json(clone) == zone_table_to_json(table)
+        # the JSON entries listed last zone first, each row descending
+        payload = json.loads(zone_table_to_json(table))
+        for entry in payload["zones"]:
+            entry["aps"].reverse()
+        payload["zones"].reverse()
+        read = zone_table_from_json(json.dumps(payload))
+        assert zone_table_to_json(read) == zone_table_to_json(table)
 
     def test_file_round_trip(self, tmp_path):
         table = self._table()
@@ -270,8 +277,16 @@ class TestSerialization:
             # 0.5 would truncate to AP 0 in an integer key and match {0, 1}
             ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0.5, 1], "zone": 0}]}',
              "AP ids must be integers"),
+            ('{"n_aps": 4, "m": 2, "zones": [{"aps": [1.7, 1], "zone": 0}]}',
+             "AP ids must be integers"),
+            ('{"n_aps": 4, "m": 2, "zones": [{"aps": [true, 2], "zone": 0}]}',
+             "AP ids must be integers"),
             ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": 0},'
              ' {"aps": [1, 2], "zone": 1.7}]}',
+             "zone indices must be integers"),
+            ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": 0.5}]}',
+             "zone indices must be integers"),
+            ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": true}]}',
              "zone indices must be integers"),
             ('{"n_aps": 4.5, "m": 2, "zones": [{"aps": [0, 1], "zone": 0}]}',
              "must be integers"),
@@ -283,12 +298,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             zone_table_from_json(text)
 
+    def test_json_rejects_a_repeated_entry(self):
+        # the same set twice under zone 0 would otherwise load as one zone
+        text = ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": 0},'
+                ' {"aps": [1, 0], "zone": 0}]}')
+        with pytest.raises(ValueError, match="dense"):
+            zone_table_from_json(text)
+
+    def test_json_rejects_a_set_under_two_zones(self):
+        text = ('{"n_aps": 4, "m": 2, "zones": [{"aps": [0, 1], "zone": 0},'
+                ' {"aps": [1, 0], "zone": 1}]}')
+        with pytest.raises(ValueError, match="more than one zone"):
+            zone_table_from_json(text)
+
+    def test_json_normalises_an_unsorted_row(self):
+        table = zone_table_from_json(
+            '{"n_aps": 4, "m": 2, "zones": [{"aps": [3, 0], "zone": 1},'
+            ' {"aps": [2, 1], "zone": 0}]}'
+        )
+        assert table.aps.tolist() == [[1, 2], [0, 3]]
+        assert json.loads(zone_table_to_json(table))["zones"][1] == {"aps": [0, 3], "zone": 1}
+
+    def test_pickles_before_and_after_entries_are_read(self):
+        table = self._table()
+        assert pickle.loads(pickle.dumps(table)) == table
+        entries = table.entries
+        assert table.entries is entries  # built once, not on each access
+        with pytest.raises(TypeError):
+            entries[frozenset({0, 1, 2})] = 0
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone == table and clone.entries == entries
+        assert clone.skipped_training == table.skipped_training
+
     def test_json_shape(self):
         table = build_zone_table(
             [Fingerprint(rssi=[-40.0, -45.0, -90.0])], m=2
         )
-        import json
-
         payload = json.loads(zone_table_to_json(table))
         assert payload == {
             "n_aps": 3,
@@ -338,7 +383,9 @@ class TestArrayPassMatchesReference:
         entries, skipped = reference_entries(training, m)
         assert list(table.entries.items()) == list(entries.items())
         assert table.skipped_training == skipped
-        expected = ZoneTable(entries=entries, ap_count=width, strongest_count=m)
+        expected = ZoneTable(
+            aps=np.array([sorted(key) for key in entries]), ap_count=width, strongest_count=m
+        )
         assert zone_table_to_json(table) == zone_table_to_json(expected)
         from_matrix = build_zone_table(np.stack([fp.rssi for fp in training]), m)
         assert zone_table_to_json(from_matrix) == zone_table_to_json(table)
@@ -349,12 +396,8 @@ class TestArrayPassMatchesReference:
         rng = np.random.default_rng([width, m, 1])
         training = tied_rows(rng, 300, width)
         built = build_zone_table(training, m)
-        # renumber the zones so table order and zone order differ
-        table = ZoneTable(
-            entries={key: built.n_zones - 1 - z for key, z in built.entries.items()},
-            ap_count=width,
-            strongest_count=m,
-        )
+        # renumber the zones so first-seen order and zone order differ
+        table = ZoneTable(aps=built.aps[::-1], ap_count=width, strongest_count=m)
         queries = training[::2] + tied_rows(rng, 300, width)
         expected = [reference_zone(table, fp.rssi) for fp in queries]
 
@@ -439,10 +482,27 @@ class TestLookupExactness:
         table = build_zone_table(training, 3)
         queries = np.stack([fp.rssi for fp in training + tied_rows(rng, 300, 24)])
         expected = self.check(table, queries)
+        # every set keyed alike: the index is built with the table
         monkeypatch.setattr(
             zoning, "_ap_weights", lambda n_aps: np.full(n_aps, 7, dtype=np.uint64)
         )
+        colliding = ZoneTable(aps=table.aps, ap_count=24, strongest_count=3)
+        assert self.check(colliding, queries) == expected
+
+    def test_the_index_is_built_once(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        training = tied_rows(rng, 300, 24)
+        table = build_zone_table(training, 3)
+        queries = np.stack([fp.rssi for fp in training + tied_rows(rng, 300, 24)])
+
+        def rebuilt(n_aps):
+            raise AssertionError("the lookup index was built again")
+
+        monkeypatch.setattr(zoning, "_ap_weights", rebuilt)
+        expected = self.check(table, queries)
         assert self.check(table, queries) == expected
+        row = next(i for i, z in enumerate(expected) if isinstance(z, int))
+        assert lookup_zone(table, queries[row]) == expected[row]
 
     def test_an_mth_pick_at_the_sentinel_is_insufficient(self):
         s = SENTINEL_RSSI
